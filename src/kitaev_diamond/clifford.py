@@ -1,8 +1,11 @@
 """Majorana representations of small Clifford algebras and derived spin operators.
 
 The k generators c_1..c_k obey {c_i, c_j} = 2*delta_ij and are realised by
-Jordan-Wigner strings on m = floor(k/2) qubits, so every matrix entry is one
-of 0, +-1, +-i and all algebraic identities below hold exactly in float
+Jordan-Wigner strings on m = floor(k/2) qubits.  Every operator here is a
+Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
+so products, commutation signs and the chirality sign are integer
+arithmetic.  Matrices are expanded from the masks on request; every entry is
+one of 0, +-1, +-i, so all algebraic identities below hold exactly in float
 arithmetic.  For odd k the last generator is a full Z string whose sign is
 fixed by the chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one of
 the two inequivalent irreducible representations.
@@ -10,17 +13,94 @@ the two inequivalent irreducible representations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from scipy import sparse
 
 # Highest generator count built without an explicit override; k = 17 is the
 # largest a two-site torus at the default tensor cap ever needs (d = 15).
 DEFAULT_K_CAP = 18
+
+# i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)
+_I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """The operator i^phase X^x Z^z on n qubits.
+
+    Bit n-1-q of a mask acts on qubit q, so the first tensor factor is the
+    most significant bit of a basis index, as with np.kron.  On basis states
+    X^x Z^z |j> = (-1)^popcount(j & z) |j ^ x>.
+    """
+
+    n: int
+    x: int = 0
+    z: int = 0
+    phase: int = 0
+
+    def __mul__(self, other: PauliString) -> PauliString:
+        if other.n != self.n:
+            raise ValueError(f"qubit counts differ: {self.n} and {other.n}")
+        # moving X^x' left through Z^z costs (-1)^popcount(z & x')
+        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
+        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase % 4)
+
+    def commutes(self, other: PauliString) -> bool:
+        flips = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
+        return flips % 2 == 0
+
+    def is_hermitian(self) -> bool:
+        # (X^x Z^z)^dagger = (-1)^popcount(x & z) X^x Z^z
+        return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
+
+    def on_site(self, site: int, n_sites: int) -> PauliString:
+        """This string on tensor factor `site` of n_sites equal factors."""
+        shift = (n_sites - 1 - site) * self.n
+        n = self.n * n_sites
+        return PauliString(n, self.x << shift, self.z << shift, self.phase)
+
+    def to_csr(self) -> sparse.csr_matrix:
+        """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
+        cols = np.arange(1 << self.n) ^ self.x
+        # popcount(j & z) mod 2 for every index j, one qubit (bit) at a time
+        odd = np.zeros(1, dtype=np.intp)
+        for q in range(self.n):
+            odd = np.concatenate([odd, odd ^ (self.z >> q & 1)])
+        data = _I_POWERS[(self.phase + 2 * odd[cols]) % 4]
+        indptr = np.arange(cols.size + 1)
+        return sparse.csr_matrix((data, cols, indptr), shape=(cols.size, cols.size))
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_csr().toarray()
+
+
+def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
+    """Dimension of the joint (+1)-eigenspace of a nonempty set of Pauli strings.
+
+    The space is empty when a string is not Hermitian (it squares to -Id),
+    when two strings anticommute (v = u u' v = -u' u v = -v), or when some
+    product of them is -Id.  Otherwise each of the r independent strings,
+    counted by Gaussian elimination over GF(2) on (x, z), halves the space.
+    """
+    n = strings[0].n
+    for i, a in enumerate(strings):
+        if not a.is_hermitian() or not all(a.commutes(b) for b in strings[i + 1 :]):
+            return 0
+    pivots: dict[int, PauliString] = {}  # leading bit of (x, z) -> group element
+    for s in strings:
+        while s.x or s.z:
+            lead = (s.x << n | s.z).bit_length()
+            if lead not in pivots:
+                pivots[lead] = s
+                break
+            s = s * pivots[lead]
+        else:
+            if s.phase != 0:
+                return 0
+    return 1 << (n - len(pivots))
 
 
 @dataclass(frozen=True)
@@ -47,46 +127,41 @@ class LadderOps:
     vac: np.ndarray
 
 
-def _kron_chain(factors: list[np.ndarray]) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-def majorana_rep(k: int, cap: int = DEFAULT_K_CAP) -> MajoranaRep:
-    """Jordan-Wigner representation of Cl_k.
+def majorana_strings(k: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...]:
+    """Jordan-Wigner generators of Cl_k as Pauli strings on floor(k/2) qubits.
 
     c_{2j-1} = Z^(j-1) X I^(m-j), c_{2j} = Z^(j-1) Y I^(m-j); for odd k the
     extra generator is (+-) Z^m with the sign that makes the chirality
-    product i^m c_1 ... c_{2m+1} equal +Id.
+    product i^m c_1 ... c_{2m+1} equal +Id.  For k = 1 that is the 1x1 +Id.
     """
     if k < 1:
         raise ValueError(f"need at least one generator, got k={k}")
     if k > cap:
         raise ValueError(f"k={k} exceeds the representation cap {cap}")
     m = k // 2
-    if m == 0:
-        # Cl_1 on one dimension: the single generator is the 1x1 identity
-        # times the chirality-fixed sign (i^0 c_1 = +Id).
-        return MajoranaRep(k=1, dim=1, c=(np.eye(1, dtype=complex),))
-    eye = np.eye(2, dtype=complex)
     c = []
     for j in range(1, m + 1):
-        head = [PAULI_Z] * (j - 1)
-        tail = [eye] * (m - j)
-        c.append(_kron_chain(head + [PAULI_X] + tail))
-        c.append(_kron_chain(head + [PAULI_Y] + tail))
+        bit = 1 << (m - j)
+        head = (1 << m) - (bit << 1)  # Z on qubits 1..j-1
+        c.append(PauliString(m, x=bit, z=head))
+        c.append(PauliString(m, x=bit, z=head | bit, phase=1))  # Y = i X Z
     if k % 2 == 1:
-        z_string = _kron_chain([PAULI_Z] * m)
-        chirality = (1j) ** m * np.linalg.multi_dot(c + [z_string])
-        ident = np.eye(2**m, dtype=complex)
-        if np.array_equal(chirality, -ident):
-            z_string = -z_string
-        elif not np.array_equal(chirality, ident):
+        z_string = PauliString(m, z=(1 << m) - 1)
+        chirality = PauliString(m, phase=m % 4)
+        for g in (*c, z_string):
+            chirality = chirality * g
+        if chirality == PauliString(m, phase=2):
+            z_string = PauliString(m, z=z_string.z, phase=2)
+        elif chirality != PauliString(m):
             raise AssertionError("chirality product is not +-Id; broken construction")
         c.append(z_string)
-    return MajoranaRep(k=k, dim=2**m, c=tuple(c))
+    return tuple(c)
+
+
+def majorana_rep(k: int, cap: int = DEFAULT_K_CAP) -> MajoranaRep:
+    """Dense matrices of `majorana_strings`."""
+    c = tuple(s.to_dense() for s in majorana_strings(k, cap=cap))
+    return MajoranaRep(k=k, dim=2 ** (k // 2), c=c)
 
 
 def ladder_ops(rep: MajoranaRep) -> LadderOps:
@@ -116,43 +191,30 @@ def ladder_ops(rep: MajoranaRep) -> LadderOps:
     return LadderOps(a=a, a_dag=a_dag, b=b, vac=vac)
 
 
-def d_operator(d: int, cap: int = DEFAULT_K_CAP) -> np.ndarray:
+def d_operator_string(d: int, cap: int = DEFAULT_K_CAP) -> PauliString:
     """Sublattice-site parity operator on the Cl_{d+2} representation space.
 
-    D = (-1)^(floor(d/2)+1) * prod_i (1 - 2 a_i' a_i), a Hermitian involution
-    whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
+    D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1, and each factor
+    is -i c_{2i-1} c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal
+    Hermitian involution whose +1 eigenspace has dimension 2^floor(d/2),
+    half the representation.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rep = majorana_rep(d + 2, cap=cap)
-    m = rep.k // 2
-    out = float((-1) ** m) * np.eye(rep.dim, dtype=complex)
-    for i in range(m):
-        # 1 - 2 a_i' a_i = -i c_{2i-1} c_{2i}, exact in this representation
-        out = out @ (-1j * rep.c[2 * i] @ rep.c[2 * i + 1])
+    c = majorana_strings(d + 2, cap=cap)
+    m = (d + 2) // 2
+    out = PauliString(m, phase=m % 4)
+    for g in c[: 2 * m]:
+        out = out * g
     return out
 
 
-def d_operator_pair_product(d: int, cap: int = DEFAULT_K_CAP) -> np.ndarray:
-    """Same operator assembled from the bond-Majorana pairs c_i c_{d+2}.
-
-    The prefactor carries an extra (-1)^(floor(d/2)+1) relative to the naive
-    exponent bookkeeping; the sign is anchored by the d=2 requirement
-    D = -c_1 c_2 c_3 c_4 and by agreement with `d_operator` for every d.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    rep = majorana_rep(d + 2, cap=cap)
-    half = d // 2 + 1
-    sign = (-1.0) ** ((d + 1) // 2 + half)
-    pref = sign * (1 / 1j) ** half
-    out = pref * np.eye(rep.dim, dtype=complex)
-    for i in range(d + 1):
-        out = out @ rep.c[i] @ rep.c[d + 1]
-    return out
+def d_operator(d: int, cap: int = DEFAULT_K_CAP) -> np.ndarray:
+    """Dense matrix of `d_operator_string`."""
+    return d_operator_string(d, cap=cap).to_dense()
 
 
-def spin_ops(d: int, cap: int = DEFAULT_K_CAP) -> tuple[np.ndarray, ...]:
+def spin_strings(d: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...]:
     """Spin operators sigma^k = i c_k c_{d+2} for k = 1..d+1.
 
     Each is a Hermitian involution.  They commute with the parity operator D
@@ -162,6 +224,11 @@ def spin_ops(d: int, cap: int = DEFAULT_K_CAP) -> tuple[np.ndarray, ...]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rep = majorana_rep(d + 2, cap=cap)
-    last = rep.c[d + 1]
-    return tuple(1j * rep.c[k] @ last for k in range(d + 1))
+    c = majorana_strings(d + 2, cap=cap)
+    i = PauliString(c[0].n, phase=1)
+    return tuple(i * g * c[d + 1] for g in c[: d + 1])
+
+
+def spin_ops(d: int, cap: int = DEFAULT_K_CAP) -> tuple[np.ndarray, ...]:
+    """Dense matrices of `spin_strings`."""
+    return tuple(s.to_dense() for s in spin_strings(d, cap=cap))

@@ -144,7 +144,11 @@ def find_zero(J) -> np.ndarray | None:
     Couplings become polygon sides |J_l|; negative couplings add a half-turn
     to their side's angle; the phase of the label-1 side is rotated away so
     only the d relative phases remain.  Zero couplings drop out of the
-    polygon and contribute nothing at any angle.
+    polygon and contribute nothing at any angle.  The sides are first scaled
+    by a power of two so the longest lies in [1, 2), since the construction
+    squares side lengths, which under- or overflows at extreme scales.  The
+    scaling is exact (only sides over 2^1021 times shorter than the longest
+    can round), so inputs already in that range give the same phases.
     """
     J = as_couplings(J)
     d = J.size - 1
@@ -153,9 +157,11 @@ def find_zero(J) -> np.ndarray | None:
         return None
     if total == 0.0:
         return np.zeros(d)
+    mags = np.abs(J)
+    mags = np.ldexp(mags, 1 - np.frexp(mags.max())[1])
     theta = np.zeros(J.size)
-    nz = np.flatnonzero(J)
-    theta[nz] = _closed_angles(np.abs(J[nz]))
+    nz = np.flatnonzero(mags)
+    theta[nz] = _closed_angles(mags[nz])
     theta[J < 0] += np.pi
     return np.mod(theta[1:] - theta[0], TWO_PI)
 

@@ -2,9 +2,13 @@
 
 Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
-the edge label.  Operators are assembled as sparse Kronecker products -- the
-generators are monomial matrices, so every conserved-quantity identity below
-holds exactly, not just to rounding.
+the edge label.  Every term, link operator and the parity are Pauli strings
+on the joint register (a site's string shifted to its tensor slot), and each
+sparse matrix is expanded straight from its string's bit masks: one nonzero
+per row, in column row ^ x, with sign (-1)^popcount(column & z).  The
+entries are 0, +-1, +-i, so every conserved-quantity identity below holds
+exactly, not just to rounding.  The joint +1 sector of the links and the
+parity is counted on the strings by a GF(2) rank.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import norm as _sparse_norm
 
-from .clifford import d_operator, majorana_rep, spin_ops
+from .clifford import (
+    PauliString,
+    d_operator_string,
+    joint_plus_dimension,
+    majorana_strings,
+    spin_strings,
+)
 from .lattice import DiamondTorus
 from .spectrum import as_couplings
 
@@ -27,7 +37,10 @@ class SpinSystem:
     """Hamiltonian and its commuting frame on one torus.
 
     link_ops[k] is the involution attached to torus.edges[k]; parity is the
-    site-wise tensor power of the single-site parity operator.
+    site-wise tensor power of the single-site parity operator.  The *_strings
+    fields hold the Pauli strings the matrices were expanded from:
+    term_strings[k] is the spin product on torus.edges[k], so
+    H = -sum_k J_{label_k} term_strings[k].
     """
 
     torus: DiamondTorus
@@ -37,17 +50,19 @@ class SpinSystem:
     hamiltonian: sparse.csr_matrix
     link_ops: tuple[sparse.csr_matrix, ...]
     parity: sparse.csr_matrix
+    term_strings: tuple[PauliString, ...]
+    link_strings: tuple[PauliString, ...]
+    parity_string: PauliString
 
 
-def _embed(site_ops: dict[int, sparse.csr_matrix], n_sites: int, site_dim: int):
-    """Kronecker chain acting with the given operators on selected sites."""
-    out = None
-    for site in range(n_sites):
-        factor = site_ops.get(site)
-        if factor is None:
-            factor = sparse.identity(site_dim, dtype=complex, format="csr")
-        out = factor if out is None else sparse.kron(out, factor, format="csr")
-    return out
+def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
+    """site_strings[label - 1] on both endpoints of every edge, in edge order."""
+    n = len(torus.vertices)
+    return tuple(
+        site_strings[e.label - 1].on_site(e.frm, n)
+        * site_strings[e.label - 1].on_site(e.to, n)
+        for e in torus.edges
+    )
 
 
 def tensor_dims(torus: DiamondTorus, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[int, int]:
@@ -74,15 +89,9 @@ def link_operators(
     vertex carry distinct labels, and distinct single-site generators always
     appear an even number of shared slots apart.
     """
-    site_dim, _ = tensor_dims(torus, dim_cap)
-    rep = majorana_rep(torus.d + 2)
-    c_sparse = [sparse.csr_matrix(c) for c in rep.c]
-    n_sites = len(torus.vertices)
-    ops = []
-    for e in torus.edges:
-        c_l = c_sparse[e.label - 1]
-        ops.append(_embed({e.frm: c_l, e.to: c_l}, n_sites, site_dim))
-    return tuple(ops)
+    tensor_dims(torus, dim_cap)
+    links = _edge_strings(majorana_strings(torus.d + 2), torus)
+    return tuple(u.to_csr() for u in links)
 
 
 def build_spin_hamiltonian(
@@ -94,51 +103,46 @@ def build_spin_hamiltonian(
     """
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus, dim_cap)
-    sigmas = [sparse.csr_matrix(s) for s in spin_ops(torus.d)]
-    n_sites = len(torus.vertices)
+    terms = _edge_strings(spin_strings(torus.d), torus)
     H = sparse.csr_matrix((total_dim, total_dim), dtype=complex)
-    for e in torus.edges:
-        sig = sigmas[e.label - 1]
-        H = H - J[e.label - 1] * _embed({e.frm: sig, e.to: sig}, n_sites, site_dim)
-    D_site = sparse.csr_matrix(d_operator(torus.d))
-    parity = _embed({v: D_site for v in range(n_sites)}, n_sites, site_dim)
+    for e, term in zip(torus.edges, terms):
+        H = H - J[e.label - 1] * term.to_csr()
+    n_sites = len(torus.vertices)
+    D_site = d_operator_string(torus.d)
+    parity = PauliString(D_site.n * n_sites)
+    for v in range(n_sites):
+        parity = parity * D_site.on_site(v, n_sites)
+    links = _edge_strings(majorana_strings(torus.d + 2), torus)
     return SpinSystem(
         torus=torus,
         couplings=J,
         site_dim=site_dim,
         total_dim=total_dim,
         hamiltonian=H.tocsr(),
-        link_ops=link_operators(torus, dim_cap),
-        parity=parity.tocsr(),
+        link_ops=tuple(u.to_csr() for u in links),
+        parity=parity.to_csr(),
+        term_strings=terms,
+        link_strings=links,
+        parity_string=parity,
     )
 
 
 def plus_sector_dimension(system: SpinSystem, dim_cap: int = 1024) -> int:
     """Dimension of the joint (+1)-eigenspace of every link operator and parity.
 
-    Dense sequential kernel intersection, so it is restricted to small tori
-    (raises above dim_cap).  On one-cell tori all link operators are parallel
-    edges and commute pairwise, which makes the joint eigenspace meaningful;
-    a nonzero answer exhibits the sector the free-fermion picture lives in.
+    Counted exactly on the Pauli strings by `joint_plus_dimension`.  Still
+    refuses systems above dim_cap.  On one-cell tori all link operators are
+    parallel edges and commute pairwise, which makes the joint eigenspace
+    meaningful; a nonzero answer exhibits the sector the free-fermion
+    picture lives in.  On larger tori links sharing one vertex anticommute,
+    so the joint sector is empty.
     """
     if system.total_dim > dim_cap:
         raise ValueError(
             f"joint sector intersection capped at {dim_cap},"
             f" system has {system.total_dim}"
         )
-    basis = np.eye(system.total_dim, dtype=complex)
-    for op in (*system.link_ops, system.parity):
-        if basis.shape[1] == 0:
-            break
-        residual = op.toarray() @ basis - basis
-        _, s, vh = np.linalg.svd(residual)
-        tol = 1e-9 * max(1.0, s[0] if s.size else 0.0)
-        null_mask = np.zeros(basis.shape[1], dtype=bool)
-        null_mask[s.size :] = True
-        null_mask[: s.size] = s < tol
-        basis = basis @ vh.conj().T[:, null_mask]
-        basis, _ = np.linalg.qr(basis)
-    return basis.shape[1]
+    return joint_plus_dimension((*system.link_strings, system.parity_string))
 
 
 def _fro(X) -> float:

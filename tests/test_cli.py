@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kitaev_diamond
 from kitaev_diamond import cli
 from kitaev_diamond.spectrum import bz_grid, f_of_q
 
@@ -163,10 +166,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package these tests import, installed or not
+    src = str(Path(kitaev_diamond.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "kitaev_diamond", "gap", "--d", "2", "--J", "1,1,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

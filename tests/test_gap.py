@@ -118,6 +118,44 @@ def test_find_zero_boundary_and_zero_couplings():
         assert abs(f_of_q(J, phi)) < 1e-9 * scale
 
 
+SCALE_CASES = [
+    [1.0, 1.0, 1.0],
+    [1.0, 0.8, -0.6],
+    [1.0, 1.0, 2.0],
+    [1.5, 0.0, 1.5],
+    [0.3, -0.9, 0.5, 0.7],
+    [1.0, 1.0, 1.0, 1.0, 1.0],
+]
+
+
+def _relative_residual(J, phi):
+    """|f(phi)| / sum |J|, on J scaled exactly to order one so f cannot overflow."""
+    J = np.ldexp(J, -np.frexp(np.max(np.abs(J)))[1])
+    return abs(f_of_q(J, phi)) / np.sum(np.abs(J))
+
+
+def test_find_zero_sound_at_extreme_scales():
+    for J in SCALE_CASES:
+        J = np.asarray(J)
+        want = gap.find_zero(J)
+        for scale in [*np.logspace(-300, 300, 61), 1e-320]:
+            Js = J * scale
+            if scale == 1e-320 and np.any(Js / 1e-320 != J):
+                continue  # subnormal rounding changed the ratios themselves
+            phi = gap.find_zero(Js)
+            assert _relative_residual(Js, phi) < 1e-9, (J, scale)
+            moved = np.abs(np.exp(1j * phi) - np.exp(1j * want))
+            assert np.max(moved) < 1e-9, (J, scale)
+
+
+def test_find_zero_exact_under_power_of_two_scaling():
+    for J in SCALE_CASES:
+        J = np.asarray(J)
+        want = gap.find_zero(J)
+        for k in range(-1000, 1001, 100):
+            assert np.array_equal(gap.find_zero(np.ldexp(J, k)), want), (J, k)
+
+
 def test_find_zero_none_when_gapped():
     assert gap.find_zero([5.0, 1.0, 1.0]) is None
 

@@ -1,11 +1,127 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from kitaev_diamond import spinham
+from kitaev_diamond import clifford, spinham
 from kitaev_diamond.lattice import build_torus
 
 J2 = [1.0, 0.8, -0.6]
+
+# -- reference: operators as Kronecker chains of Pauli matrices -------------
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _kron_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def ref_majorana(k):
+    """Jordan-Wigner generators of Cl_k, chirality i^m c_1...c_k = +Id for odd k."""
+    m = k // 2
+    if m == 0:
+        return [np.eye(1, dtype=complex)]
+    eye = np.eye(2, dtype=complex)
+    c = []
+    for j in range(1, m + 1):
+        head, tail = [PAULI_Z] * (j - 1), [eye] * (m - j)
+        c.append(_kron_chain(head + [PAULI_X] + tail))
+        c.append(_kron_chain(head + [PAULI_Y] + tail))
+    if k % 2 == 1:
+        z_string = _kron_chain([PAULI_Z] * m)
+        if np.array_equal((1j) ** m * np.linalg.multi_dot(c + [z_string]),
+                          -np.eye(2**m)):
+            z_string = -z_string
+        c.append(z_string)
+    return c
+
+
+def ref_spin_ops(d):
+    c = ref_majorana(d + 2)
+    return [1j * c[k] @ c[d + 1] for k in range(d + 1)]
+
+
+def ref_d_operator(d):
+    c = ref_majorana(d + 2)
+    m = (d + 2) // 2
+    out = float((-1) ** m) * np.eye(c[0].shape[0], dtype=complex)
+    for i in range(m):
+        out = out @ (-1j * c[2 * i] @ c[2 * i + 1])
+    return out
+
+
+def _embed(site_ops, n_sites, site_dim):
+    """Kronecker chain acting with the given operators on selected sites."""
+    out = None
+    for site in range(n_sites):
+        factor = site_ops.get(site)
+        if factor is None:
+            factor = sparse.identity(site_dim, dtype=complex, format="csr")
+        out = factor if out is None else sparse.kron(out, factor, format="csr")
+    return out
+
+
+def ref_system(torus, J):
+    """(H, link operators, parity) assembled from sparse Kronecker chains."""
+    site_dim, total_dim = spinham.tensor_dims(torus)
+    n_sites = len(torus.vertices)
+    sigmas = [sparse.csr_matrix(s) for s in ref_spin_ops(torus.d)]
+    H = sparse.csr_matrix((total_dim, total_dim), dtype=complex)
+    for e in torus.edges:
+        sig = sigmas[e.label - 1]
+        H = H - J[e.label - 1] * _embed({e.frm: sig, e.to: sig}, n_sites, site_dim)
+    c = [sparse.csr_matrix(g) for g in ref_majorana(torus.d + 2)]
+    links = [_embed({e.frm: c[e.label - 1], e.to: c[e.label - 1]}, n_sites, site_dim)
+             for e in torus.edges]
+    D = sparse.csr_matrix(ref_d_operator(torus.d))
+    parity = _embed({v: D for v in range(n_sites)}, n_sites, site_dim)
+    return H.tocsr(), links, parity.tocsr()
+
+
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    assert (got != want).nnz == 0
+    if got.shape[0] <= 1024:
+        assert np.array_equal(got.toarray(), want.toarray())
+
+
+@pytest.mark.parametrize(
+    "d,N", [(2, 1), (3, 1), (7, 1), (14, 1), (15, 1), (2, 2), (1, 3)]
+)
+def test_mask_operators_match_kron_chains(d, N):
+    torus = build_torus(d, N)
+    J = np.random.default_rng(100 * d + N).uniform(-2.0, 2.0, size=d + 1)
+    sys_ = spinham.build_spin_hamiltonian(torus, J)
+    H, links, parity = ref_system(torus, J)
+    assert_same_matrix(sys_.hamiltonian, H)
+    # same per-edge subtraction order, so the stored entries agree bit for bit
+    assert np.array_equal(sys_.hamiltonian.indptr, H.indptr)
+    assert np.array_equal(sys_.hamiltonian.indices, H.indices)
+    assert np.array_equal(
+        sys_.hamiltonian.data.view(np.uint64), H.data.view(np.uint64)
+    )
+    assert len(sys_.link_ops) == len(links) == len(torus.edges)
+    for got, want in zip(sys_.link_ops, links):
+        assert_same_matrix(got, want)
+    assert_same_matrix(sys_.parity, parity)
+
+
+def test_single_site_strings_match_kron_chains():
+    for k in range(1, 13):
+        rep = clifford.majorana_rep(k)
+        for got, want in zip(rep.c, ref_majorana(k), strict=True):
+            assert np.array_equal(got, want)
+    for d in range(1, 10):
+        assert np.array_equal(clifford.d_operator(d), ref_d_operator(d))
+        for got, want in zip(clifford.spin_ops(d), ref_spin_ops(d), strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_tensor_dims():
@@ -43,6 +159,20 @@ def test_operator_identities_exact():
         assert rep["max_residual"] == 0.0
         assert rep["links_exact_pm_one"]
         assert rep["parity_diagonal_pm_one"]
+
+
+def test_identity_checks_read_the_matrices():
+    """A sign flipped in a stored matrix trips the checks; the strings are unused."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+    u = sys_.link_ops[0].copy()
+    u.data[0] *= -1
+    bad_link = dataclasses.replace(sys_, link_ops=(u, *sys_.link_ops[1:]))
+    rep = spinham.verify_operator_identities(bad_link)
+    assert rep["link_involution_max"] > 0 and not rep["links_exact_pm_one"]
+    P = sys_.parity.copy()
+    P.data[0] *= -1
+    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, parity=P))
+    assert rep["commutator_parity"] > 0
 
 
 def test_link_operator_spectrum_split():
@@ -131,6 +261,38 @@ def test_joint_plus_sector_on_one_cell_tori():
             resid = (prod - lam * sparse.identity(sys_.total_dim, format="csr")).tocsr()
             resid.eliminate_zeros()
             assert resid.nnz == 0
+
+
+def dense_plus_sector_dimension(system):
+    """Oracle: sequential dense kernel intersection of (op - Id) over the frame."""
+    basis = np.eye(system.total_dim, dtype=complex)
+    for op in (*system.link_ops, system.parity):
+        if basis.shape[1] == 0:
+            break
+        residual = op.toarray() @ basis - basis
+        _, s, vh = np.linalg.svd(residual)
+        tol = 1e-9 * max(1.0, s[0] if s.size else 0.0)
+        null_mask = np.zeros(basis.shape[1], dtype=bool)
+        null_mask[s.size :] = True
+        null_mask[: s.size] = s < tol
+        basis = basis @ vh.conj().T[:, null_mask]
+        basis, _ = np.linalg.qr(basis)
+    return basis.shape[1]
+
+
+@pytest.mark.parametrize(
+    "d,N,want",
+    # every torus under the default cap of 1024.  N >= 2: adjacent links
+    # anticommute; d = 1 mod 4 with N = 1: -Id lies in the generated group
+    [(1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0), (1, 5, 0), (2, 1, 1), (3, 1, 1),
+     (4, 1, 1), (5, 1, 0), (6, 1, 1), (7, 1, 1), (8, 1, 1), (9, 1, 0)],
+)
+def test_plus_sector_dimension_matches_dense_oracle(d, N, want):
+    J = np.random.default_rng(10 * d + N).uniform(-2.0, 2.0, size=d + 1)
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), J)
+    assert sys_.total_dim <= 1024
+    got = spinham.plus_sector_dimension(sys_)
+    assert got == dense_plus_sector_dimension(sys_) == want
 
 
 def test_plus_sector_dimension_capped():
