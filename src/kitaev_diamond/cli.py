@@ -59,7 +59,9 @@ def cmd_gap(args) -> int:
         "zero_phi": None if report.zero_phi is None else list(report.zero_phi),
         "min_numeric": report.min_numeric,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    # a margin or minimum beyond the float range is refused, not printed as
+    # the non-JSON token Infinity
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     return 0
 
 

@@ -4,8 +4,10 @@ The spectrum has a zero iff no coupling magnitude exceeds the sum of all the
 others.  Sufficiency is constructive: side lengths |J_l| that satisfy the
 (non-strict) polygon inequality close up into a planar polygon, and the edge
 direction angles, corrected for coupling signs and a global rotation, are
-phases at which the band amplitude vanishes.  A brute grid-plus-descent
-minimiser is kept alongside as an independent numeric oracle.
+phases at which the band amplitude vanishes.  A numeric minimiser is kept
+alongside as an independent oracle: a grid scan with the last phase in
+closed form, then one vectorised damped Newton polish from several starts,
+in plain numpy.
 """
 
 from __future__ import annotations
@@ -13,24 +15,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .spectrum import TWO_PI, as_couplings
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
 _DEGENERATE_RTOL = 32.0 * np.finfo(float).eps
+_FLOAT_MAX = float(np.finfo(float).max)
+
+# The numeric oracle refuses a scan whose slice of grid points exceeds this.
+_SCAN_CAP = 50_000_000
+# Grid points per vectorised slice of the oracle's scan.
+_SCAN_CHUNK = 1 << 15
+# Damped Newton polish: iteration cap, step size that counts as converged,
+# and the initial and smallest damping (J is scaled to order one first).
+_NEWTON_MAX_ITER = 100
+_NEWTON_XTOL = 1e-9
+_NEWTON_MU0 = 1e-3
+_NEWTON_MU_MIN = 1e-8
 
 
 def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
     """Shared primitive for the boundary tests: (sum |J|, sum |J| - 2 max |J|).
 
     Both classifiers compare against the same floating-point values, which is
-    what makes them exact complements even on boundary inputs.
+    what makes them exact complements even on boundary inputs.  Only when
+    sum |J| or 2 max |J| could overflow are the magnitudes first scaled by a
+    power of two so the largest lies in [1/2, 1), and the results scaled
+    back.  Where nothing overflows that scaling gives the same bits, and
+    every other input keeps the unscaled arithmetic; a margin that overflows
+    even so keeps its sign as an infinity instead of turning into NaN.
     """
     mags = np.abs(J)
+    top = float(mags.max())
+    if 2.0 * mags.size * top > _FLOAT_MAX:
+        e = int(np.frexp(top)[1])
+        total, margin = _abs_sum_and_margin(np.ldexp(mags, -e))
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(total, e)), float(np.ldexp(margin, e))
     total = float(mags.sum())
-    return total, total - 2.0 * float(mags.max())
+    return total, total - 2.0 * top
 
 
 def has_zero(J) -> bool:
@@ -166,91 +190,135 @@ def find_zero(J) -> np.ndarray | None:
     return np.mod(theta[1:] - theta[0], TWO_PI)
 
 
-def _xi_min_on_grid(J: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
-    """Exhaustive scan of xi_+ over the grid; returns (min value, argmin phases).
+def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
+    """Phases of the best grid point, the last phase taken in closed form.
 
-    The scan runs over the leading axis in slices so memory stays at
-    O(grid_n^(d-1)) instead of O(grid_n^d).
+    For fixed phi_1..phi_{d-1}, with z = J_0 + sum_{k<d} J_k e^{i phi_k},
+    the minimum of |z + J_d e^{i phi_d}| over phi_d is ||z| - |J_d||, reached
+    where J_d e^{i phi_d} points against z.  That is the two-term triangle
+    inequality only, not the polygon criterion, so the oracle stays an
+    independent check on the classifier.  The scan visits grid_n^(d-1)
+    points, in slices of the leading axis of about _SCAN_CHUNK points.
     """
     d = J.size - 1
-    ang = TWO_PI * np.arange(grid_n) / grid_n
-    cos_parts = [J[i + 1] * np.cos(ang) for i in range(d)]
-    sin_parts = [J[i + 1] * np.sin(ang) for i in range(d)]
-    if grid_n ** (d - 1) > 50_000_000:
-        raise ValueError(
-            f"grid of {grid_n}^{d} points is too large; reduce grid_n or d"
-        )
-    tail_shape = (grid_n,) * (d - 1)
-    re_tail = np.full(tail_shape, J[0])
-    im_tail = np.zeros(tail_shape)
-    for i in range(1, d):
-        shape = [1] * (d - 1)
-        shape[i - 1] = grid_n
-        re_tail = re_tail + cos_parts[i].reshape(shape)
-        im_tail = im_tail + sin_parts[i].reshape(shape)
-    best = np.inf
-    best_idx: tuple[int, ...] = ()
-    re = np.empty(tail_shape)
-    im = np.empty(tail_shape)
-    sq = np.empty(tail_shape)
-    for m in range(grid_n):
-        np.add(re_tail, cos_parts[0][m], out=re)
-        np.add(im_tail, sin_parts[0][m], out=im)
-        np.multiply(re, re, out=sq)
-        sq += im * im
-        flat = int(np.argmin(sq))
-        val = float(sq.flat[flat])
-        if val < best:
-            best = val
-            best_idx = (m, *np.unravel_index(flat, tail_shape)) if d > 1 else (m,)
-    phi = TWO_PI * np.asarray(best_idx, dtype=float) / grid_n
-    return 2.0 * float(np.sqrt(best)), phi
+    w = np.exp(1j * (TWO_PI / grid_n) * np.arange(grid_n))
+    tail = np.full((grid_n,) * max(d - 2, 0), complex(J[0]))
+    for i in range(2, d):
+        shape = [1] * (d - 2)
+        shape[i - 2] = grid_n
+        tail = tail + J[i] * w.reshape(shape)
+    tail = tail.ravel()
+    idx: tuple[int, ...] = ()
+    z = tail[0]
+    if d > 1:
+        lead = J[1] * w
+        rows = max(1, _SCAN_CHUNK // tail.size)
+        best = np.inf
+        for m in range(0, grid_n, rows):
+            zs = lead[m : m + rows, None] + tail
+            dev = np.abs(np.abs(zs) - abs(J[d]))
+            k = int(np.argmin(dev))
+            if dev.flat[k] < best:
+                best = dev.flat[k]
+                z = zs.flat[k]
+                idx = np.unravel_index(m * tail.size + k, (grid_n,) * (d - 1))
+    phi = np.empty(d)
+    phi[:-1] = (TWO_PI / grid_n) * np.asarray(idx, dtype=float)
+    phi[-1] = np.angle(-J[d] * z)
+    return phi
 
 
-def _amplitude_sq(J: np.ndarray, phi: np.ndarray) -> tuple[float, np.ndarray]:
-    """|J_0 + sum_k J_k e^{i phi_k}|^2 and its gradient in the phases."""
-    rot = np.exp(1j * phi) * J[1:]
-    s = J[0] + rot.sum()
-    grad = -2.0 * np.imag(np.conj(s) * rot)
-    return float(s.real * s.real + s.imag * s.imag), grad
+def _amplitude(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = J_0 + sum_k r_k and r_k = J_k e^{i phi_k}, for phi of shape (B, d)."""
+    r = J[1:] * np.exp(1j * phi)
+    return J[0] + r.sum(axis=1), r
+
+
+def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Damped Newton on |s|^2 / 2 from every row of phi at once; |s| per row.
+
+    With r_k = J_k e^{i phi_k}, the gradient is -Im(conj(s) r_k) and the
+    Hessian Re(conj(r_j) r_k) - delta_jk Re(conj(s) r_k).  Each row takes the
+    step (H + mu I)^{-1}(-grad) only if it lowers |s|, and its mu shrinks on
+    success and grows on failure (Levenberg-Marquardt damping), so every row
+    descends monotonically and a row on an indefinite Hessian keeps raising
+    mu until the step goes downhill.  The floor on mu keeps H + mu I well
+    conditioned on the zero set, where H has rank 2.  The polish stops when
+    some row reaches |s| at rounding level of sum |J|, where no row can do
+    better, or when every step is below _NEWTON_XTOL.  J is expected at
+    order one (the caller scales it).
+    """
+    n, d = phi.shape
+    s, r = _amplitude(J, phi)
+    a = np.abs(s)
+    mu = np.full(n, _NEWTON_MU0)
+    floor = np.finfo(float).eps * np.abs(J).sum()
+    for _ in range(_NEWTON_MAX_ITER):
+        if a.min() <= floor:
+            break
+        rr = r.view(float).reshape(n, d, 2)
+        hess = rr @ rr.transpose(0, 2, 1)
+        sr = np.conj(s)[:, None] * r
+        hess.reshape(n, d * d)[:, :: d + 1] += mu[:, None] - sr.real
+        step = np.linalg.solve(hess, sr.imag[:, :, None])[:, :, 0]
+        if np.abs(step).max() <= _NEWTON_XTOL:
+            break
+        trial = phi + step
+        s_t, r_t = _amplitude(J, trial)
+        a_t = np.abs(s_t)
+        better = a_t < a
+        phi = np.where(better[:, None], trial, phi)
+        s = np.where(better, s_t, s)
+        r = np.where(better[:, None], r_t, r)
+        a = np.where(better, a_t, a)
+        mu = np.maximum(mu * np.where(better, 0.25, 4.0), _NEWTON_MU_MIN)
+    return a
 
 
 def min_gap_numeric(J, grid_n: int = 48) -> float:
-    """Numeric minimum of xi_+ over the phase torus.
+    """Numeric minimum of xi_+ = 2|s| over the phase torus.
 
-    Full scan on the grid_n^d grid, then quasi-Newton polish with the
-    analytic gradient.  Plain descent from the single best grid point is not
-    enough: every phase vector with all components in {0, pi} is a critical
-    point of the amplitude, and for small classifier margins one of those
-    saddles can undercut every grid point near the true zero set.  A handful
-    of perturbed and random restarts escapes them (for a positive margin all
-    nonzero critical points are strict saddles, so a descent started off the
-    razor edge falls through to the zero set).
+    A scan of the grid_n^d grid, the last phase minimised in closed form,
+    picks a start; one vectorised damped Newton polish then runs from it,
+    from 3 copies jittered within half a grid cell, and from 2 random phase
+    vectors.  Descent from the best grid point alone is not enough: every
+    phase vector with all components in {0, pi} is a critical point of the
+    amplitude, and for small classifier margins one of those saddles can
+    undercut every grid point near the true zero set.  The restarts escape
+    them (for a positive margin all nonzero critical points are strict
+    saddles, so a descent started off the razor edge falls through to the
+    zero set).  The couplings are first scaled by a power of two so the
+    largest magnitude lies in [1, 2), and the result is scaled back, so
+    inputs that differ by a power of two give results that differ by the
+    same power.  The result is 2|s| evaluated at an explicit phase vector,
+    never the closed-form bound, so up to rounding it cannot undercut the
+    true minimum; it is inf only where that value exceeds the float range.
+    The scan slice, grid_n^(d-2) points (at least grid_n), is refused above
+    _SCAN_CAP before anything is allocated.
     """
     J = as_couplings(J)
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     d = J.size - 1
-    best_sq, phi0 = _xi_min_on_grid(J, grid_n)
-    best_sq = (best_sq / 2.0) ** 2
+    if grid_n ** max(d - 2, 1) > _SCAN_CAP:
+        raise ValueError(
+            f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
+        )
+    top = float(np.abs(J).max())
+    if top == 0.0:
+        return 0.0
+    e = 1 - np.frexp(top)[1]
+    J = np.ldexp(J, e)
+    phi0 = _grid_start(J, grid_n)
     rng = np.random.default_rng(12345)
     half_cell = np.pi / grid_n
-    starts = [phi0]
-    starts += [phi0 + rng.uniform(-half_cell, half_cell, size=d) for _ in range(3)]
-    starts += [rng.uniform(0.0, TWO_PI, size=d) for _ in range(2)]
-    scale = float(np.sum(np.abs(J)))
-    gtol = 1e-13 * max(1.0, scale * scale)
-    for start in starts:
-        res = optimize.minimize(
-            lambda p: _amplitude_sq(J, p),
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 0.0, "gtol": gtol},
-        )
-        if res.fun < best_sq:
-            best_sq = float(res.fun)
-    return 2.0 * float(np.sqrt(max(best_sq, 0.0)))
+    starts = np.concatenate([
+        phi0[None, :],
+        phi0 + rng.uniform(-half_cell, half_cell, size=(3, d)),
+        rng.uniform(0.0, TWO_PI, size=(2, d)),
+    ])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(2.0 * _newton_polish(J, starts).min(), -e))
 
 
 @dataclass(frozen=True)

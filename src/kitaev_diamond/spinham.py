@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import norm as _sparse_norm
 
 from .clifford import (
     PauliString,
@@ -146,7 +145,11 @@ def plus_sector_dimension(system: SpinSystem, dim_cap: int = 1024) -> int:
 
 
 def _fro(X) -> float:
-    return float(_sparse_norm(X)) if X.nnz else 0.0
+    """Frobenius norm of a sparse matrix: the 2-norm of its deduplicated data."""
+    if not X.nnz:
+        return 0.0
+    X.sum_duplicates()
+    return float(np.linalg.norm(X.data))
 
 
 def verify_operator_identities(system: SpinSystem) -> dict:

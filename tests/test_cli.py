@@ -82,6 +82,18 @@ def test_gap_json_gapped(capsys):
     assert abs(doc["min_numeric"] - 2.0) < 1e-9
 
 
+def test_gap_json_near_float_max(capsys):
+    code, out, _ = run_cli(capsys, "gap", "--d", "2", "--J", "1e308,1e308,1e308", "--grid", "8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["has_zero"] is True and doc["margin"] == 1e308
+    assert doc["min_numeric"] < 1e-9 * 3e308
+    # the margin 2e308 overflows: refused rather than printed as Infinity
+    code, out, err = run_cli(capsys, "gap", "--d", "3", "--J", "1e308,1e308,1e308,1e308")
+    assert code == 2 and out == ""
+    assert "error" in err
+
+
 def test_gapmap_csv(capsys):
     code, out, _ = run_cli(capsys, "gapmap", "--d", "2", "--resolution", "4")
     assert code == 0
@@ -178,3 +190,27 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["has_zero"] is True
+
+
+def test_import_graph_has_no_scipy_optimize_or_linalg():
+    pkg = Path(kitaev_diamond.__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")]))
+    # scipy.linalg counts only where the package brings it in: some scipy
+    # releases load it from inside scipy.sparse itself
+    code = (
+        "import sys, scipy.sparse; "
+        "pre = set(m for m in sys.modules if m.startswith('scipy.linalg')); "
+        "import kitaev_diamond, kitaev_diamond.cli; "
+        "print(sorted(m for m in sys.modules if m not in pre"
+        " and m.startswith(('scipy.optimize', 'scipy.linalg'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for source in pkg.rglob("*.py"):
+        assert "scipy.optimize" not in source.read_text(), source

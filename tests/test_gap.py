@@ -156,6 +156,24 @@ def test_find_zero_exact_under_power_of_two_scaling():
             assert np.array_equal(gap.find_zero(np.ldexp(J, k)), want), (J, k)
 
 
+def test_classifiers_complementary_up_to_overflow():
+    # near 1e308 the sum and twice the largest magnitude overflow; the
+    # margin must keep its sign there instead of turning into NaN
+    cases = [np.asarray(J) / np.max(np.abs(J)) for J in SCALE_CASES]
+    cases += [np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, -0.2, 0.1])]
+    for J in cases:
+        want = gap.has_zero(J)
+        for scale in [*np.logspace(-300, 308, 62), 1.7e308]:
+            Js = J * scale
+            assert gap.has_zero(Js) == want, (J, scale)
+            assert gap.gapped_region(Js) != gap.has_zero(Js), (J, scale)
+            assert (gap.find_zero(Js) is None) == (not gap.has_zero(Js)), (J, scale)
+    J = [1e308, 1e308, 1e308]
+    assert gap.has_zero(J) and not gap.gapped_region(J)
+    assert gap.find_zero(J) is not None
+    assert gap.gap_report(J, grid_n=8).margin == 1e308
+
+
 def test_find_zero_none_when_gapped():
     assert gap.find_zero([5.0, 1.0, 1.0]) is None
 
@@ -180,6 +198,66 @@ def test_min_gap_finds_zeros():
             continue
         assert gap.min_gap_numeric(J, grid_n=24) < 1e-6 * np.sum(np.abs(J))
         done += 1
+
+
+ORACLE_CASES = ([1.0, 0.7, 0.6], [3.0, 1.0, 1.0])
+
+
+def test_min_gap_at_extreme_scales():
+    for J in ORACLE_CASES:
+        J = np.asarray(J)
+        want = gap.min_gap_numeric(J, grid_n=24)
+        for k in range(-996, 997, 12):
+            Js = np.ldexp(J, k)
+            got = gap.min_gap_numeric(Js, grid_n=24)
+            total = np.sum(np.abs(Js))
+            margin = total - 2.0 * np.max(np.abs(Js))
+            if margin < 0.0:
+                assert 2 * abs(margin) * (1 - 1e-12) <= got, (J, k)
+                assert got <= 2 * abs(margin) * (1 + 1e-6), (J, k)
+            else:
+                assert got < 1e-6 * total, (J, k)
+            assert got == np.ldexp(want, k), (J, k)
+
+
+def _oracle_draw(rng, d, kind):
+    """Couplings of one class: gapless, gapped, some zeroed, or exact boundary."""
+    while True:
+        J = rng.uniform(-2.0, 2.0, size=d + 1)
+        if kind == "zeroed":
+            J[rng.random(d + 1) < 0.4] = 0.0
+            return J
+        if kind == "boundary":
+            k = int(rng.integers(0, d + 1))
+            J[k] = np.sign(J[k]) * np.delete(np.abs(J), k).sum()
+            return J
+        if gap.has_zero(J) == (kind == "gapless"):
+            return J
+
+
+def test_min_gap_sound_and_deterministic():
+    rng = np.random.default_rng(31)
+    for d in (2, 3, 4, 5):
+        for kind in ("gapless", "gapped", "zeroed", "boundary"):
+            for _ in range(12):
+                J = _oracle_draw(rng, d, kind)
+                total = np.sum(np.abs(J))
+                margin = total - 2.0 * np.max(np.abs(J))
+                got = gap.min_gap_numeric(J, grid_n=24)
+                assert got >= 2 * max(0.0, -margin) - 1e-12 * total, (kind, J)
+                again = gap.min_gap_numeric(J, grid_n=24)
+                assert np.float64(got).tobytes() == np.float64(again).tobytes()
+
+
+def test_min_gap_refuses_oversized_scan(monkeypatch):
+    # the cap bounds the scan slice, grid_n^(d-2) points but at least grid_n
+    monkeypatch.setattr(gap, "_SCAN_CAP", 1000)
+    assert gap.min_gap_numeric(np.ones(5), grid_n=31) < 1e-12
+    with pytest.raises(ValueError, match="too large"):
+        gap.min_gap_numeric(np.ones(5), grid_n=32)
+    assert gap.min_gap_numeric(np.ones(3), grid_n=1000) < 1e-12
+    with pytest.raises(ValueError, match="too large"):
+        gap.min_gap_numeric(np.ones(3), grid_n=1001)
 
 
 def test_min_gap_validation():
