@@ -62,14 +62,23 @@ class PauliString:
         n = self.n * n_sites
         return PauliString(n, self.x << shift, self.z << shift, self.phase)
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and value of the one nonzero in each row r.
+
+        The column is c = r ^ x and the value i^phase (-1)^popcount(c & z).
+        """
+        # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time
+        odd = np.zeros(1, dtype=bool)
+        for q in range(self.n):
+            odd = np.concatenate([odd, odd ^ bool(self.z >> q & 1)])
+        # the parity is linear: popcount(c & z) = popcount(r & z) + popcount(x & z) mod 2
+        p = self.phase + 2 * (self.x & self.z).bit_count()
+        even_odd = _I_POWERS[[p % 4, (p + 2) % 4]]
+        return np.arange(1 << self.n) ^ self.x, even_odd[odd.view(np.uint8)]
+
     def to_csr(self) -> sparse.csr_matrix:
         """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
-        cols = np.arange(1 << self.n) ^ self.x
-        # popcount(j & z) mod 2 for every index j, one qubit (bit) at a time
-        odd = np.zeros(1, dtype=np.intp)
-        for q in range(self.n):
-            odd = np.concatenate([odd, odd ^ (self.z >> q & 1)])
-        data = _I_POWERS[(self.phase + 2 * odd[cols]) % 4]
+        cols, data = self.entries()
         indptr = np.arange(cols.size + 1)
         return sparse.csr_matrix((data, cols, indptr), shape=(cols.size, cols.size))
 

@@ -7,12 +7,16 @@ on the joint register (a site's string shifted to its tensor slot), and each
 sparse matrix is expanded straight from its string's bit masks: one nonzero
 per row, in column row ^ x, with sign (-1)^popcount(column & z).  The
 entries are 0, +-1, +-i, so every conserved-quantity identity below holds
-exactly, not just to rounding.  The joint +1 sector of the links and the
-parity is counted on the strings by a GF(2) rank.
+exactly, not just to rounding.  The identities are checked on the strings
+by bit arithmetic, and each stored matrix is tied to its string by a
+bitwise comparison with the string's expansion; no sparse product is
+formed.  The joint +1 sector of the links and the parity is counted on the
+strings by a GF(2) rank.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,8 @@ from .lattice import DiamondTorus
 from .spectrum import as_couplings
 
 DEFAULT_DIM_CAP = 2**16
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,35 @@ def link_operators(
     return tuple(u.to_csr() for u in links)
 
 
+def _hamiltonian_csr(terms, J, dim: int) -> sparse.csr_matrix:
+    """CSR matrix of -sum_k J[k] terms[k], rounded as a term-by-term subtraction.
+
+    Subtracting the terms one at a time from an empty CSR matrix computes
+    each entry as fl(0 - J s - J' s' - ...) over the terms that reach it, in
+    term order, and drops an entry whenever it becomes exactly 0; the next
+    term there starts again from +0.  A running sum never holds -0.0: it
+    starts at +0.0, and x - y is -0.0 only for x = -0.0 and y = +0.0.  So a
+    dropped entry equals the +0 it restarts from, and the zeros are dropped
+    once, at the end.  A term reaches column row ^ x in every row, so the
+    sums are kept per x mask.
+    """
+    slot = {x: k for k, x in enumerate(dict.fromkeys(t.x for t in terms))}
+    data = np.zeros((dim, len(slot)), dtype=complex)  # row, x mask -> running sum
+    for term, j in zip(terms, J):
+        data[:, slot[term.x]] -= term.entries()[1] * j
+    cols = np.arange(dim)[:, None] ^ np.array(list(slot), dtype=np.intp)
+    stored = data != 0
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    H = sparse.csr_matrix((data[stored], cols[stored], indptr), shape=(dim, dim))
+    H.sort_indices()  # columns within a row are distinct, so the order is unique
+    return H
+
+
+def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
+    """J_{label} of every edge, in edge order."""
+    return [J[e.label - 1] for e in torus.edges]
+
+
 def build_spin_hamiltonian(
     torus: DiamondTorus, J, dim_cap: int = DEFAULT_DIM_CAP
 ) -> SpinSystem:
@@ -103,9 +138,6 @@ def build_spin_hamiltonian(
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus, dim_cap)
     terms = _edge_strings(spin_strings(torus.d), torus)
-    H = sparse.csr_matrix((total_dim, total_dim), dtype=complex)
-    for e, term in zip(torus.edges, terms):
-        H = H - J[e.label - 1] * term.to_csr()
     n_sites = len(torus.vertices)
     D_site = d_operator_string(torus.d)
     parity = PauliString(D_site.n * n_sites)
@@ -117,7 +149,7 @@ def build_spin_hamiltonian(
         couplings=J,
         site_dim=site_dim,
         total_dim=total_dim,
-        hamiltonian=H.tocsr(),
+        hamiltonian=_hamiltonian_csr(terms, _edge_couplings(J, torus), total_dim),
         link_ops=tuple(u.to_csr() for u in links),
         parity=parity.to_csr(),
         term_strings=terms,
@@ -126,67 +158,140 @@ def build_spin_hamiltonian(
     )
 
 
-def plus_sector_dimension(system: SpinSystem, dim_cap: int = 1024) -> int:
+def plus_sector_dimension(system: SpinSystem) -> int:
     """Dimension of the joint (+1)-eigenspace of every link operator and parity.
 
-    Counted exactly on the Pauli strings by `joint_plus_dimension`.  Still
-    refuses systems above dim_cap.  On one-cell tori all link operators are
+    Counted exactly on the Pauli strings by `joint_plus_dimension`, so no
+    matrix is formed at any size.  On one-cell tori all link operators are
     parallel edges and commute pairwise, which makes the joint eigenspace
     meaningful; a nonzero answer exhibits the sector the free-fermion
     picture lives in.  On larger tori links sharing one vertex anticommute,
     so the joint sector is empty.
     """
-    if system.total_dim > dim_cap:
-        raise ValueError(
-            f"joint sector intersection capped at {dim_cap},"
-            f" system has {system.total_dim}"
-        )
     return joint_plus_dimension((*system.link_strings, system.parity_string))
 
 
-def _fro(X) -> float:
-    """Frobenius norm of a sparse matrix: the 2-norm of its deduplicated data."""
-    if not X.nnz:
+def _saturate(x: float) -> float:
+    """x, or the float maximum where x overflowed or is NaN."""
+    return x if x <= _FLOAT_MAX else _FLOAT_MAX
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of an array, scaled so that no square overflows; saturated."""
+    a = np.abs(v)
+    top = float(a.max(initial=0.0))
+    if not top <= _FLOAT_MAX:
+        return _FLOAT_MAX
+    if top == 0.0:
         return 0.0
-    X.sum_duplicates()
-    return float(np.linalg.norm(X.data))
+    return _saturate(top * float(np.sqrt(np.sum((a / top) ** 2))))
+
+
+def _same_bits(A, B) -> bool:
+    """Equal shapes, index arrays and data bits (-0.0 differs from 0.0)."""
+    return (
+        A.shape == B.shape
+        and A.data.dtype == B.data.dtype
+        and np.array_equal(A.indptr, B.indptr)
+        and np.array_equal(A.indices, B.indices)
+        and np.array_equal(A.data.view(np.uint64), B.data.view(np.uint64))
+    )
+
+
+def _coords(A) -> np.ndarray:
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    return rows * A.shape[1] + A.indices
+
+
+def _fro_distance(A, B) -> float:
+    """||A - B||_F from the coordinates of both, duplicates summed."""
+    keys, inverse = np.unique(np.concatenate([_coords(A), _coords(B)]), return_inverse=True)
+    diff = np.zeros(keys.size, dtype=complex)
+    np.add.at(diff, inverse.ravel(), np.concatenate([A.data, -B.data]))
+    return _norm(diff)
+
+
+def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
+    """||[H, S]||_F for H = -sum_k J[k] terms[k].
+
+    [H, S] = -sum 2 J_k t_k S over the terms t_k that anticommute with S;
+    distinct Pauli strings are trace-orthogonal, so the norm is
+    sqrt(dim sum |coefficient|^2) once equal (x, z) products are combined.
+    """
+    coef: dict[tuple[int, int], complex] = {}
+    for t, j in zip(terms, J):
+        if not t.commutes(S):
+            p = t * S
+            coef[p.x, p.z] = coef.get((p.x, p.z), 0) - 2 * float(j) * 1j**p.phase
+    return _saturate(_norm(np.array(list(coef.values()), dtype=complex)) * math.sqrt(dim))
+
+
+def _involution_norm(S: PauliString, dim: int) -> float:
+    """||S S - Id||_F; S S = i^q Id and |i^q - 1|^2 = 0, 2, 4, 2."""
+    return math.sqrt(dim * (0, 2, 4, 2)[(S * S).phase])
 
 
 def verify_operator_identities(system: SpinSystem) -> dict:
     """Residuals of the conserved-quantity identities, plus exactness flags.
 
-    Returns commutator norms of H with the parity operator and every link
-    operator, involution residuals, and exact (bitwise) checks that each link
-    operator is Hermitian, traceless and squares to the identity -- together
-    these force eigenvalues exactly +-1 with equal multiplicity.
+    Returns Frobenius norms of the commutators of H with the parity operator
+    and every link operator, involution residuals, and exact checks that each
+    link operator is Hermitian, traceless and squares to the identity --
+    together these force eigenvalues exactly +-1 with equal multiplicity --
+    and that the parity is diagonal with entries +-1.
+
+    Everything is computed on the Pauli strings by bit arithmetic.  The
+    stored matrices are read too: each link and the parity is compared
+    bitwise with its string's expansion, and H with the expansion of
+    -sum J_l term_strings (same rounding, same dropped zeros).  Where every
+    comparison holds, the values are those of the matrices; a commutator
+    that does not vanish is that of the exact sum, which H rounds.  Where a
+    comparison fails, the exactness flag of that matrix goes False and every
+    residual involving it becomes an upper bound through the Frobenius
+    distance Delta to the expansion: ||[H, M]|| <= ||[H, S]|| + 2 Delta_H
+    + 2 ||H|| Delta_M and ||M M - Id|| <= ||S S - Id|| + 2 Delta_M
+    + Delta_M^2.  Values beyond the float range saturate at its maximum, so
+    the report never holds inf or NaN.
     """
-    H = system.hamiltonian
-    P = system.parity
-    eye = sparse.identity(system.total_dim, dtype=complex, format="csr")
-    comm_parity = _fro(H @ P - P @ H)
+    dim = system.total_dim
+    terms = system.term_strings
+    J = _edge_couplings(system.couplings, system.torus)
+    H, H_ref = system.hamiltonian, _hamiltonian_csr(terms, J, dim)
+    delta_H = 0.0 if _same_bits(H, H_ref) else _fro_distance(H, H_ref)
+
+    def check(M, S):
+        """(commutator bound, involution bound, tied) of a stored matrix."""
+        E = S.to_csr()
+        if _same_bits(M, E):
+            delta, tied = 0.0, True
+        else:
+            delta, tied = _fro_distance(M, E), False
+        h_norm = _norm(H_ref.data) + delta_H if delta else 0.0  # ||H||_2 <= this
+        comm = _commutator_norm(terms, J, S, dim) + 2 * delta_H + 2 * h_norm * delta
+        inv = _involution_norm(S, dim) + 2 * delta + delta * delta
+        return _saturate(comm), _saturate(inv), tied
+
     comm_links = 0.0
     link_inv = 0.0
     exact_links = True
-    for u in system.link_ops:
-        comm_links = max(comm_links, _fro(H @ u - u @ H))
-        diff = (u @ u - eye).tocsr()
-        diff.eliminate_zeros()
-        herm = (u - u.conj().T).tocsr()
-        herm.eliminate_zeros()
-        link_inv = max(link_inv, _fro(diff))
-        if diff.nnz or herm.nnz or u.diagonal().sum() != 0:
+    identity = PauliString(system.parity_string.n)
+    for u, s in zip(system.link_ops, system.link_strings, strict=True):
+        comm, inv, tied = check(u, s)
+        comm_links = max(comm_links, comm)
+        link_inv = max(link_inv, inv)
+        if not (tied and s * s == identity and s.is_hermitian() and (s.x or s.z)):
             exact_links = False
-    parity_diff = (P @ P - eye).tocsr()
-    parity_diff.eliminate_zeros()
+    P = system.parity_string
+    comm_parity, parity_inv, parity_tied = check(system.parity, P)
     residuals = {
         "commutator_parity": comm_parity,
         "commutator_links_max": comm_links,
-        "parity_involution": _fro(parity_diff),
+        "parity_involution": parity_inv,
         "link_involution_max": link_inv,
     }
     residuals["max_residual"] = max(residuals.values())
     residuals["links_exact_pm_one"] = exact_links
     residuals["parity_diagonal_pm_one"] = bool(
-        np.all(np.abs(P.diagonal()) == 1.0) and parity_diff.nnz == 0
+        parity_tied and P.x == 0 and P.phase % 2 == 0 and P * P == identity
     )
     return residuals

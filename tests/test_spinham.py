@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ def ref_system(torus, J):
     return H.tocsr(), links, parity.tocsr()
 
 
+def coupling_draws(d, seed):
+    """A random draw, all ones, and +-1 alternating (couplings that cancel)."""
+    yield np.random.default_rng(seed).uniform(-2.0, 2.0, size=d + 1)
+    yield np.ones(d + 1)
+    yield np.where(np.arange(d + 1) % 2 == 0, 1.0, -1.0)
+
+
 def assert_same_matrix(got, want):
     assert got.shape == want.shape
     assert (got != want).nnz == 0
@@ -97,16 +105,16 @@ def assert_same_matrix(got, want):
 )
 def test_mask_operators_match_kron_chains(d, N):
     torus = build_torus(d, N)
-    J = np.random.default_rng(100 * d + N).uniform(-2.0, 2.0, size=d + 1)
-    sys_ = spinham.build_spin_hamiltonian(torus, J)
-    H, links, parity = ref_system(torus, J)
-    assert_same_matrix(sys_.hamiltonian, H)
-    # same per-edge subtraction order, so the stored entries agree bit for bit
-    assert np.array_equal(sys_.hamiltonian.indptr, H.indptr)
-    assert np.array_equal(sys_.hamiltonian.indices, H.indices)
-    assert np.array_equal(
-        sys_.hamiltonian.data.view(np.uint64), H.data.view(np.uint64)
-    )
+    for J in coupling_draws(d, 100 * d + N):
+        sys_ = spinham.build_spin_hamiltonian(torus, J)
+        H, links, parity = ref_system(torus, J)
+        assert_same_matrix(sys_.hamiltonian, H)
+        # same per-entry rounding and dropped zeros, so H agrees bit for bit
+        assert np.array_equal(sys_.hamiltonian.indptr, H.indptr)
+        assert np.array_equal(sys_.hamiltonian.indices, H.indices)
+        assert np.array_equal(
+            sys_.hamiltonian.data.view(np.uint64), H.data.view(np.uint64)
+        )
     assert len(sys_.link_ops) == len(links) == len(torus.edges)
     for got, want in zip(sys_.link_ops, links):
         assert_same_matrix(got, want)
@@ -161,18 +169,169 @@ def test_operator_identities_exact():
         assert rep["parity_diagonal_pm_one"]
 
 
-def test_identity_checks_read_the_matrices():
-    """A sign flipped in a stored matrix trips the checks; the strings are unused."""
-    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+def corrupted_systems(sys_):
+    """Copies of sys_ with one stored matrix or string broken, by name."""
     u = sys_.link_ops[0].copy()
     u.data[0] *= -1
-    bad_link = dataclasses.replace(sys_, link_ops=(u, *sys_.link_ops[1:]))
-    rep = spinham.verify_operator_identities(bad_link)
-    assert rep["link_involution_max"] > 0 and not rep["links_exact_pm_one"]
     P = sys_.parity.copy()
     P.data[0] *= -1
-    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, parity=P))
+    H = sys_.hamiltonian.copy()
+    H.data[0] += 0.5
+    return {
+        "link sign": dataclasses.replace(sys_, link_ops=(u, *sys_.link_ops[1:])),
+        "parity sign": dataclasses.replace(sys_, parity=P),
+        "H entry": dataclasses.replace(sys_, hamiltonian=H),
+        "link string": dataclasses.replace(
+            sys_, link_strings=(sys_.link_strings[1], *sys_.link_strings[1:])
+        ),
+    }
+
+
+def trips(rep):
+    return not (
+        rep["max_residual"] == 0.0
+        and rep["links_exact_pm_one"]
+        and rep["parity_diagonal_pm_one"]
+    )
+
+
+def test_identity_checks_read_the_matrices():
+    """A corrupted stored matrix, or a string that is not its matrix's, trips the checks."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+    bad = corrupted_systems(sys_)
+    rep = spinham.verify_operator_identities(bad["link sign"])
+    assert rep["link_involution_max"] > 0 and not rep["links_exact_pm_one"]
+    rep = spinham.verify_operator_identities(bad["parity sign"])
     assert rep["commutator_parity"] > 0
+    rep = spinham.verify_operator_identities(bad["H entry"])
+    assert rep["commutator_links_max"] > 0 and rep["commutator_parity"] > 0
+    assert trips(rep)
+    rep = spinham.verify_operator_identities(bad["link string"])
+    assert not rep["links_exact_pm_one"] and rep["link_involution_max"] > 0
+    assert trips(rep)
+
+
+def test_hamiltonian_expansion_rounds_like_sequential_subtraction():
+    """Bit for bit what subtracting J_k t_k one at a time from an empty CSR gives.
+
+    Few x masks put up to eight terms on one entry, and the couplings include
+    +-0.0 and exact cancellations, so entries are dropped and restarted.
+    """
+    rng = np.random.default_rng(7)
+    n, dim = 4, 16
+    for _ in range(200):
+        terms = [clifford.PauliString(n, int(rng.integers(2)), int(rng.integers(dim)),
+                                      int(rng.integers(4))) for _ in range(8)]
+        J = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 1e-17], size=8)
+        want = sparse.csr_matrix((dim, dim), dtype=complex)
+        for t, j in zip(terms, J):
+            want = want - j * t.to_csr()
+        got = spinham._hamiltonian_csr(terms, J, dim)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("J01", [(0.5, 1.25), (1.0, -1.0)])
+def test_commutator_residual_on_strings(J01):
+    """Terms that anticommute with the frame give the products' residual.
+
+    One Majorana generator on site 0 stands in for the first two terms; it
+    anticommutes with the parity and with every link but the first.  With
+    opposite couplings the two copies cancel, in H and in the residual.
+    """
+    torus = build_torus(2, 1)
+    J = np.array([*J01, 0.75])
+    sys_ = spinham.build_spin_hamiltonian(torus, J)
+    c1 = clifford.majorana_strings(4)[0].on_site(0, 2)
+    terms = (c1, c1, *sys_.term_strings[2:])
+    H = spinham._hamiltonian_csr(terms, spinham._edge_couplings(J, torus), sys_.total_dim)
+    odd = dataclasses.replace(sys_, hamiltonian=H, term_strings=terms)
+    rep = spinham.verify_operator_identities(odd)
+    ref = ref_verify_operator_identities(odd)
+    for key, value in ref.items():
+        assert rep[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
+    assert (rep["commutator_links_max"] > 0) == (J01[0] != -J01[1])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308, 1e-300])
+def test_identity_report_stays_finite(value):
+    """A wild stored entry gives finite positive bounds, never inf or NaN."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(3, 1), np.ones(4))
+    H = sys_.hamiltonian.copy()
+    H.data[3] = value
+    u = sys_.link_ops[1].copy()
+    u.data[5] = value
+    rep = spinham.verify_operator_identities(
+        dataclasses.replace(sys_, hamiltonian=H, link_ops=(sys_.link_ops[0], u,
+                                                           *sys_.link_ops[2:]))
+    )
+    json.dumps(rep, allow_nan=False)
+    for key in ("commutator_parity", "commutator_links_max", "link_involution_max"):
+        assert 0.0 < rep[key] <= np.finfo(float).max
+    assert not rep["links_exact_pm_one"] and rep["parity_diagonal_pm_one"]
+
+
+# -- reference: the identities from sparse matrix products -------------------
+
+
+def _fro(X) -> float:
+    if not X.nnz:
+        return 0.0
+    X.sum_duplicates()
+    return float(np.linalg.norm(X.data))
+
+
+def ref_verify_operator_identities(system):
+    """The report formed from the stored matrices alone, by sparse products."""
+    H = system.hamiltonian
+    P = system.parity
+    eye = sparse.identity(system.total_dim, dtype=complex, format="csr")
+    comm_parity = _fro(H @ P - P @ H)
+    comm_links = 0.0
+    link_inv = 0.0
+    exact_links = True
+    for u in system.link_ops:
+        comm_links = max(comm_links, _fro(H @ u - u @ H))
+        diff = (u @ u - eye).tocsr()
+        diff.eliminate_zeros()
+        herm = (u - u.conj().T).tocsr()
+        herm.eliminate_zeros()
+        link_inv = max(link_inv, _fro(diff))
+        if diff.nnz or herm.nnz or u.diagonal().sum() != 0:
+            exact_links = False
+    parity_diff = (P @ P - eye).tocsr()
+    parity_diff.eliminate_zeros()
+    residuals = {
+        "commutator_parity": comm_parity,
+        "commutator_links_max": comm_links,
+        "parity_involution": _fro(parity_diff),
+        "link_involution_max": link_inv,
+    }
+    residuals["max_residual"] = max(residuals.values())
+    residuals["links_exact_pm_one"] = exact_links
+    residuals["parity_diagonal_pm_one"] = bool(
+        np.all(np.abs(P.diagonal()) == 1.0) and parity_diff.nnz == 0
+    )
+    return residuals
+
+
+ORACLE_TORI = [(d, 1) for d in range(1, 12)] + [(1, N) for N in range(2, 6)] + [(2, 2)]
+
+
+@pytest.mark.parametrize("d,N", ORACLE_TORI)
+def test_identity_report_matches_sparse_products(d, N):
+    torus = build_torus(d, N)
+    systems = [spinham.build_spin_hamiltonian(torus, J)
+               for J in coupling_draws(d, 1000 + 10 * d + N)]
+    for sys_ in systems:
+        rep = spinham.verify_operator_identities(sys_)
+        assert rep == ref_verify_operator_identities(sys_)
+        assert not trips(rep)
+    for name, bad in corrupted_systems(systems[0]).items():
+        assert trips(spinham.verify_operator_identities(bad)), name
+        if name != "link string":  # the matrices are intact there
+            assert trips(ref_verify_operator_identities(bad)), name
 
 
 def test_link_operator_spectrum_split():
@@ -295,10 +454,16 @@ def test_plus_sector_dimension_matches_dense_oracle(d, N, want):
     assert got == dense_plus_sector_dimension(sys_) == want
 
 
-def test_plus_sector_dimension_capped():
-    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 2), J2)
-    with pytest.raises(ValueError):
-        spinham.plus_sector_dimension(sys_)
+@pytest.mark.parametrize(
+    "d,N,want",
+    [(10, 1, 1), (11, 1, 1), (12, 1, 1), (13, 1, 0), (14, 1, 1), (15, 1, 1),
+     (2, 2, 0), (1, 6, 0), (1, 8, 0)],
+)
+def test_plus_sector_dimension_uncapped(d, N, want):
+    """The GF(2) count needs no matrix, so tori up to 2^16 are counted too."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
+    assert sys_.total_dim > 1024
+    assert spinham.plus_sector_dimension(sys_) == want
 
 
 def test_hamiltonian_term_count():
