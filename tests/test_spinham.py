@@ -441,7 +441,7 @@ def dense_plus_sector_dimension(system):
 
 @pytest.mark.parametrize(
     "d,N,want",
-    # every torus under the default cap of 1024.  N >= 2: adjacent links
+    # every torus of dimension <= 1024.  N >= 2: adjacent links
     # anticommute; d = 1 mod 4 with N = 1: -Id lies in the generated group
     [(1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0), (1, 5, 0), (2, 1, 1), (3, 1, 1),
      (4, 1, 1), (5, 1, 0), (6, 1, 1), (7, 1, 1), (8, 1, 1), (9, 1, 0)],
