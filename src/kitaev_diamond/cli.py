@@ -7,6 +7,8 @@ errors.  All output is deterministic for a fixed (command line, seed) pair.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -27,25 +29,46 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ValueError(f"could not parse {what} list {text!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _emit_lines(lines, out: str | None) -> None:
+    """Write newline-terminated lines in blocks of ROW_BLOCK.
+
+    The first block is taken before the output is opened, so a generator
+    that validates its inputs before its first line leaves no partial output.
+    """
+    lines = iter(lines)
+    block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
+    with _output(out) as fh:
+        while block:
+            fh.write("\n".join(block) + "\n")
+            block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
 
 
 def cmd_bands(args) -> int:
     J = _parse_floats(args.J, "--J")
     spectrum.as_couplings(J, d=args.d)
     t = _parse_floats(args.t, "--t") if args.t else None
-    lines = list(spectrum.band_csv_lines(J, args.grid, hoppings=t))
     if args.format == "json":
-        cols = lines[0].split(",")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        _emit(json.dumps({"columns": cols, "rows": rows}, indent=2) + "\n", args.out)
+        cols, values = spectrum.band_table(J, args.grid, hoppings=t)
+        # json prints each float's repr, which parses back to the same bits
+        # as the CSV's 17 significant digits
+        payload = {"columns": cols, "rows": values.tolist()}
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
     return 0
 
 
@@ -66,8 +89,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_gapmap(args) -> int:
-    lines = gap_mod.gapmap_csv_lines(args.d, args.resolution)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_lines(gap_mod.gapmap_csv_lines(args.d, args.resolution), args.out)
     return 0
 
 

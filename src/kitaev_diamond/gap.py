@@ -12,11 +12,13 @@ in plain numpy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import TWO_PI, as_couplings
+from .lattice import check_budget, simplex_count
+from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, csv_floats
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
@@ -342,27 +344,48 @@ def gap_report(J, grid_n: int = 48) -> GapReport:
     )
 
 
-def barycentric_grid(d: int, resolution: int):
-    """All rational points (k_0/r, ..., k_d/r) with k summing to r, lex order."""
+def _compositions(d: int, resolution: int) -> np.ndarray:
+    """All compositions of `resolution` into d+1 parts, one int row each, in
+    lex order.
+
+    Stars and bars: the d bar positions among resolution + d slots, taken in
+    lex order, give the parts as the gaps between them, also in lex order.
+    The C(resolution + d, d) rows are checked against the budget first.
+    """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
+    n = simplex_count(d, resolution)
+    check_budget(n * (d + 1), f"simplex grid d={d}, resolution={resolution}")
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(resolution + d), d)),
+        dtype=np.int64,
+        count=n * d,
+    ).reshape(n, d)
+    return np.diff(bars, axis=1, prepend=-1, append=resolution + d) - 1
 
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            yield (*prefix, remaining)
-            return
-        for k in range(remaining + 1):
-            yield from rec((*prefix, k), remaining - k, slots - 1)
 
-    for ks in rec((), resolution, d + 1):
-        yield np.asarray(ks, dtype=float) / resolution
+def barycentric_grid(d: int, resolution: int) -> np.ndarray:
+    """All rational points (k_0/r, ..., k_d/r) with k summing to r, lex order,
+    one row each."""
+    return _compositions(d, resolution) / resolution
 
 
 def gapmap_csv_lines(d: int, resolution: int):
-    """CSV rows classifying every barycentric grid point of the simplex."""
+    """CSV rows classifying every barycentric grid point of the simplex.
+
+    A point is gapped when its float margin sum(x) - 2 max(x) is negative,
+    the test `gapped_region` makes, here on all points at once.  Rows are
+    joined in blocks of ROW_BLOCK from the resolution + 1 coordinate strings.
+    """
+    ks = _compositions(d, resolution)
+    x = ks / resolution
+    gapped = x.sum(axis=1) - 2.0 * x.max(axis=1) < 0.0
+    cells = np.array(csv_floats(np.arange(resolution + 1) / resolution), dtype=object)
     yield ",".join([f"x_{i}" for i in range(d + 1)] + ["gapped"])
-    for x in barycentric_grid(d, resolution):
-        flag = int(gapped_region(x))
-        yield ",".join([f"{v:.17g}" for v in x] + [str(flag)])
+    for start in range(0, len(ks), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        cols = [cells[k].tolist() for k in ks[block].T]
+        cols.append(np.where(gapped[block], "1", "0").tolist())
+        yield from map(",".join, zip(*cols))

@@ -11,10 +11,43 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+# Most array entries (table cells, matrix elements, coordinates) one request
+# may allocate.  Each function that builds a grid or a torus counts what it
+# would allocate with integer arithmetic and calls check_budget first, so an
+# oversized request is refused with ValueError instead of exhausting memory.
+ENTRY_BUDGET = 1 << 22
+# Exponents and binomial depths are capped here when counting: past it every
+# count is over the budget anyway, unless it is exactly 1.
+_COUNT_CAP = 64
+
+
+def check_budget(entries: int, what: str) -> None:
+    """Refuse a request that would allocate more than ENTRY_BUDGET entries."""
+    if entries > ENTRY_BUDGET:
+        raise ValueError(f"{what} is over the budget of {ENTRY_BUDGET} entries")
+
+
+def grid_count(n: int, d: int) -> int:
+    """n**d for n >= 1, or a number over ENTRY_BUDGET when n**d is.
+
+    The exponent is capped, so a huge d never builds a huge integer.
+    """
+    return n ** min(d, _COUNT_CAP)
+
+
+def simplex_count(d: int, r: int) -> int:
+    """C(r+d, d), the compositions of r into d+1 parts, or a number over
+    ENTRY_BUDGET when that is.
+
+    The depth of the binomial is capped, so huge d and r stay cheap.
+    """
+    return math.comb(r + d, min(r, d, _COUNT_CAP))
 
 
 @dataclass(frozen=True)
@@ -134,12 +167,16 @@ def build_torus(d: int, N: int) -> DiamondTorus:
 
     Direction 0 joins (mu, 1) to (mu, 0); direction i >= 1 joins (mu, 1) to
     (mu + e_i mod N, 0).  With N = 1 this leaves d+1 distinct parallel edges
-    between the two remaining vertices.
+    between the two remaining vertices.  The request counts as the larger of
+    its dense hopping form, (2N^d)^2 entries, and its 2N^d * d vertex
+    coordinates, and is refused above ENTRY_BUDGET before anything is built.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if N < 1:
         raise ValueError(f"torus size must be >= 1, got {N}")
+    order = 2 * grid_count(N, d)
+    check_budget(order * max(order, d), f"torus d={d}, N={N}")
     cells = list(itertools.product(range(N), repeat=d))
     vertices = [Vertex(mu, s) for s in (0, 1) for mu in cells]
     L = N**d

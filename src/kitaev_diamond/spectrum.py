@@ -15,9 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DiamondTorus
+from .lattice import DiamondTorus, check_budget, grid_count
 
 TWO_PI = 2.0 * np.pi
+# Rows of a CSV table formatted per vectorised block.
+ROW_BLOCK = 1 << 14
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def as_couplings(J, d: int | None = None) -> np.ndarray:
@@ -42,16 +45,39 @@ def as_phases(phi, d: int | None = None) -> np.ndarray:
     return np.mod(phi, TWO_PI)
 
 
+def _bloch_sum(c: np.ndarray, phi, prefactor: float | None = None):
+    """prefactor * (c_0 + sum_i c_{i+1} e^{i phi_i}) over the last axis of phi.
+
+    Only when 2 len(c) times the largest component of c could overflow is c
+    first scaled by a power of two, its largest component into [1/2, 1), and
+    the result scaled back component by component: a sum that overflows then
+    gives infinite components instead of inf - inf = NaN.  Every other input
+    keeps the unscaled arithmetic bit for bit.
+    """
+    phi = as_phases(phi, d=c.size - 1)
+    top = float(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
+    e = int(np.frexp(top)[1]) if 2.0 * c.size * top > _FLOAT_MAX else 0
+    if e:
+        c = c * 2.0**-e
+    val = c[0] + np.exp(1j * phi) @ c[1:]
+    if prefactor is not None:
+        val = prefactor * val
+    if e:
+        val, scaled = np.empty(np.shape(val), complex), val
+        with np.errstate(over="ignore"):
+            val.real = np.ldexp(np.real(scaled), e)
+            val.imag = np.ldexp(np.imag(scaled), e)
+    return complex(val) if val.ndim == 0 else val
+
+
 def f_of_q(J, phi) -> complex | np.ndarray:
     """Complex band amplitude f = 2*(J_1 + sum_i J_{i+1} e^{i phi_i}).
 
     phi may be a single phase vector or an array of shape (..., d); the
-    result is scalar or shaped (...) accordingly.
+    result is scalar or shaped (...) accordingly.  Couplings near the float
+    maximum give infinite components, never NaN.
     """
-    J = as_couplings(J)
-    phi = as_phases(phi, d=J.size - 1)
-    val = 2.0 * (J[0] + np.exp(1j * phi) @ J[1:])
-    return complex(val) if val.ndim == 0 else val
+    return _bloch_sum(as_couplings(J), phi, 2.0)
 
 
 class DispersionResult(NamedTuple):
@@ -76,11 +102,15 @@ def bloch_hamiltonian(J, phi) -> np.ndarray:
 
 
 def bz_grid(d: int, N: int) -> np.ndarray:
-    """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d)."""
+    """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d).
+
+    A grid of more than ENTRY_BUDGET phases is refused before it is built.
+    """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if N < 1:
         raise ValueError(f"grid size must be >= 1, got {N}")
+    check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
     axes = np.indices((N,) * d).reshape(d, -1).T
     return TWO_PI * axes / N
 
@@ -132,27 +162,56 @@ def verify_bloch_equivalence(torus: DiamondTorus, J) -> float:
     return float(np.abs(matrix_eigs - grid_eigs).max())
 
 
+def csv_floats(values: np.ndarray) -> list[str]:
+    """Each value with 17 significant digits, as the CSV tables print it."""
+    return list(map("{:.17g}".format, values.tolist()))
+
+
+def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
+    """Column names and values of the band table over the grid_n^d phase grid.
+
+    Rows are the grid points, row-major as `bz_grid`; columns are the d
+    phases, xi_plus = |f| and xi_minus = -|f|, then with hoppings E_plus =
+    |r| and E_minus = -|r|.  Every input, the hoppings' length included, is
+    validated and the grid checked against the budget before anything is
+    computed.
+    """
+    J = as_couplings(J)
+    d = J.size - 1
+    cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
+    if hoppings is not None:
+        from .tightbinding import as_hoppings, tb_energy
+
+        hoppings = as_hoppings(hoppings, d=d)
+        cols += ["E_plus", "E_minus"]
+    phi = bz_grid(d, grid_n)
+    xi = np.abs(f_of_q(J, phi))
+    values = [phi, xi[:, None], -xi[:, None]]
+    if hoppings is not None:
+        values += [e[:, None] for e in tb_energy(hoppings, phi)]
+    return cols, np.concatenate(values, axis=1)
+
+
 def band_csv_lines(J, grid_n: int, hoppings=None):
     """Rows of the band table over the full phase grid.
 
     Yields the header then one line per grid point, row-major, with 17
     significant digits.  With `hoppings` given, the tight-binding energies
-    are appended as extra columns.
+    are appended as extra columns.  Each axis's grid_n phases are formatted
+    once and looked up per row, each energy is formatted once and its
+    negative printed as "-" and that string (the same text for every value
+    >= 0, zero and inf included), and rows are joined in blocks of ROW_BLOCK.
     """
-    J = as_couplings(J)
-    d = J.size - 1
-    phis = bz_grid(d, grid_n)
-    xi = np.abs(f_of_q(J, phis))
-    cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
-    extra = None
-    if hoppings is not None:
-        from .tightbinding import tb_energy
-
-        extra = tb_energy(hoppings, phis)[0]
-        cols += ["E_plus", "E_minus"]
+    cols, values = band_table(J, grid_n, hoppings)
+    d = cols.index("xi_plus")
+    # the last axis runs fastest, so the first grid_n rows hold its phases
+    axis = np.array(csv_floats(values[:grid_n, d - 1]), dtype=object)
     yield ",".join(cols)
-    for row in range(phis.shape[0]):
-        vals = [*phis[row], xi[row], -xi[row]]
-        if extra is not None:
-            vals += [extra[row], -extra[row]]
-        yield ",".join(f"{v:.17g}" for v in vals)
+    for start in range(0, len(values), ROW_BLOCK):
+        block = values[start : start + ROW_BLOCK]
+        rows = np.arange(start, start + len(block))
+        out = [axis[rows // grid_n ** (d - 1 - i) % grid_n].tolist() for i in range(d)]
+        for j in range(d, len(cols), 2):
+            plus = csv_floats(block[:, j])
+            out += [plus, list(map("-".__add__, plus))]
+        yield from map(",".join, zip(*out))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import as_couplings, as_phases, f_of_q
+from .spectrum import _bloch_sum, as_couplings, f_of_q
 
 
 def as_hoppings(t, d: int | None = None) -> np.ndarray:
@@ -28,11 +28,11 @@ def as_hoppings(t, d: int | None = None) -> np.ndarray:
 
 
 def r_of_q(t, phi) -> complex | np.ndarray:
-    """Off-diagonal Bloch amplitude r = t_1 + sum_i t_{i+1} e^{i phi_i}."""
-    t = as_hoppings(t)
-    phi = as_phases(phi, d=t.size - 1)
-    val = t[0] + np.exp(1j * phi) @ t[1:]
-    return complex(val) if val.ndim == 0 else val
+    """Off-diagonal Bloch amplitude r = t_1 + sum_i t_{i+1} e^{i phi_i}.
+
+    Hoppings near the float maximum give infinite components, never NaN.
+    """
+    return _bloch_sum(as_hoppings(t), phi)
 
 
 def tb_energy(t, phi) -> tuple:

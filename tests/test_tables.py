@@ -1,0 +1,237 @@
+"""The array-native band table and simplex map against per-row references.
+
+The references are the per-row formatters the package used before its
+tables became array-native: one f-string per value for the band table, the
+CSV text parsed back to floats for its JSON form, and one `gapped_region`
+call per simplex point.  Output must match them byte for byte, and the size
+budget and the `--t` check must refuse before anything is printed.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from kitaev_diamond import cli, gap, lattice, spectrum
+from kitaev_diamond.tightbinding import r_of_q, tb_energy
+
+
+def ref_band_csv_lines(J, grid_n, hoppings=None):
+    J = spectrum.as_couplings(J)
+    d = J.size - 1
+    phis = spectrum.bz_grid(d, grid_n)
+    xi = np.abs(spectrum.f_of_q(J, phis))
+    cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
+    extra = None
+    if hoppings is not None:
+        extra = tb_energy(hoppings, phis)[0]
+        cols += ["E_plus", "E_minus"]
+    yield ",".join(cols)
+    for row in range(phis.shape[0]):
+        vals = [*phis[row], xi[row], -xi[row]]
+        if extra is not None:
+            vals += [extra[row], -extra[row]]
+        yield ",".join(f"{v:.17g}" for v in vals)
+
+
+def ref_bands_stdout(J, grid_n, hoppings, fmt):
+    lines = list(ref_band_csv_lines(J, grid_n, hoppings))
+    if fmt == "json":
+        cols = lines[0].split(",")
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        return json.dumps({"columns": cols, "rows": rows}, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def ref_gapmap_csv_lines(d, resolution):
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            yield (*prefix, remaining)
+            return
+        for k in range(remaining + 1):
+            yield from rec((*prefix, k), remaining - k, slots - 1)
+
+    yield ",".join([f"x_{i}" for i in range(d + 1)] + ["gapped"])
+    for ks in rec((), resolution, d + 1):
+        x = np.asarray(ks, dtype=float) / resolution
+        flag = int(gap.gapped_region(x))
+        yield ",".join([f"{v:.17g}" for v in x] + [str(flag)])
+
+
+def run_cli(capsys, tmp_path, argv):
+    """stdout of argv, checked equal to what --out writes to a file."""
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    target = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
+    return out
+
+
+def floats(flag, values):
+    return flag + "=" + ",".join(repr(float(v)) for v in values)
+
+
+GAPMAP_CASES = [(d, r) for d in range(1, 10) for r in (1, 2, 3, 5, 8)] + [(4, 40)]
+
+
+@pytest.mark.parametrize("d,r", GAPMAP_CASES)
+def test_gapmap_matches_per_point_reference(capsys, tmp_path, d, r):
+    want = list(ref_gapmap_csv_lines(d, r))
+    assert list(gap.gapmap_csv_lines(d, r)) == want
+    if r in (3, 40):
+        argv = ["gapmap", "--d", str(d), "--resolution", str(r)]
+        assert run_cli(capsys, tmp_path, argv) == "\n".join(want) + "\n"
+
+
+def test_barycentric_grid_matches_recursive_reference():
+    for d, r in ((1, 6), (3, 7), (9, 3)):
+        rows = [ln.split(",")[:-1] for ln in list(ref_gapmap_csv_lines(d, r))[1:]]
+        want = np.array(rows, dtype=float)
+        assert np.array_equal(gap.barycentric_grid(d, r), want)
+
+
+BAND_GRIDS = {1: (1, 2, 7, 64), 2: (1, 3, 40), 3: (2, 5, 16), 4: (3, 8)}
+
+
+@pytest.mark.parametrize("d", sorted(BAND_GRIDS))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("with_t", [False, True])
+def test_bands_match_per_row_reference(capsys, tmp_path, d, fmt, with_t):
+    rng = np.random.default_rng(40 + d)
+    for grid in BAND_GRIDS[d]:
+        J = rng.uniform(-2.0, 2.0, d + 1)
+        t = rng.uniform(-2.0, 2.0, d + 1) if with_t else None
+        argv = ["bands", "--d", str(d), floats("--J", J), "--grid", str(grid),
+                "--format", fmt]
+        if with_t:
+            argv.append(floats("--t", t))
+        assert run_cli(capsys, tmp_path, argv) == ref_bands_stdout(J, grid, t, fmt)
+        if fmt == "csv":
+            got = list(spectrum.band_csv_lines(J, grid, hoppings=t))
+            assert got == list(ref_band_csv_lines(J, grid, t))
+
+
+def test_tables_across_block_boundaries(capsys, tmp_path, monkeypatch):
+    # blocks of 7 rows: full blocks, a partial last block, and the CLI's
+    # blockwise writes all meet the per-row references
+    monkeypatch.setattr(spectrum, "ROW_BLOCK", 7)
+    monkeypatch.setattr(gap, "ROW_BLOCK", 7)
+    J, t = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
+    for grid in (2, 5, 7):
+        want = ref_bands_stdout(J, grid, t, "csv")
+        argv = ["bands", "--d", "2", floats("--J", J), floats("--t", t), "--grid", str(grid)]
+        assert run_cli(capsys, tmp_path, argv) == want
+    for r in (4, 5):
+        want = "\n".join(ref_gapmap_csv_lines(3, r)) + "\n"
+        assert run_cli(capsys, tmp_path, ["gapmap", "--d", "3", "--resolution", str(r)]) == want
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-310, 1e300, 1e307])
+def test_bands_at_extreme_scales_match_reference(capsys, tmp_path, scale):
+    rng = np.random.default_rng(7)
+    for d, grid in ((1, 9), (2, 6), (3, 4)):
+        J = rng.uniform(-2.0, 2.0, d + 1) * scale
+        t = rng.uniform(-2.0, 2.0, d + 1) * scale
+        for fmt in ("csv", "json"):
+            argv = ["bands", "--d", str(d), floats("--J", J), floats("--t", t),
+                    "--grid", str(grid), "--format", fmt]
+            want = ref_bands_stdout(J, grid, t, fmt)
+            assert "nan" not in want.lower()
+            assert run_cli(capsys, tmp_path, argv) == want
+
+
+def test_band_rows_with_zero_and_infinite_energies():
+    # xi_minus is "-" and xi_plus's text: "-0" at a zero, "-inf" past the range
+    J = [1e308, 1e308, -1e308, -1e308]
+    lines = list(spectrum.band_csv_lines(J, 2))
+    cells = [ln.split(",") for ln in lines[1:]]
+    assert ["0", "-0"] in [c[3:] for c in cells]
+    assert ["inf", "-inf"] in [c[3:] for c in cells]
+    for c in cells:
+        assert c[4] == f"{-float(c[3]):.17g}"
+
+
+def test_amplitudes_near_float_max_are_never_nan():
+    phi = spectrum.bz_grid(3, 4)
+    for J in ([1e308, 1e308, -1e308, -1e308], [1.7e308, -1.7e308, 1.7e308, 1e-300],
+              [-1.7976931348623157e308] * 4):
+        f = spectrum.f_of_q(J, phi)
+        r = r_of_q(J, phi)
+        for z in (f, r):
+            assert not np.isnan(z.real).any() and not np.isnan(z.imag).any()
+            assert not np.isnan(np.abs(z)).any()
+        # where the sum overflows the band reads +inf
+        assert np.isposinf(np.abs(f)).any()
+        _, values = spectrum.band_table(J, 4, hoppings=np.array(J) * (1 + 1j))
+        assert not np.isnan(values).any()
+    # a complex hopping whose modulus alone overflows keeps finite components
+    r = r_of_q([1.5e308 + 1.5e308j, 1.0], np.array([0.5]))
+    assert np.isfinite(r.real) and np.isfinite(r.imag)
+
+
+def test_scaled_amplitude_is_exact_where_nothing_overflows():
+    # couplings just over the scaling threshold give the bits of the same
+    # couplings scaled down by a power of two, scaled back up
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(0.0, 2 * np.pi, (50, 3))
+    J = rng.uniform(0.5, 1.0, 4) * 2.0**1023
+    small = spectrum.f_of_q(J * 2.0**-600, phi)
+    big = spectrum.f_of_q(J, phi)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(big.real, np.ldexp(small.real, 600))
+        assert np.array_equal(big.imag, np.ldexp(small.imag, 600))
+    assert np.isfinite(big).any()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--d", "6", "--J", "1,1,1,1,1,1,1", "--grid", "64"],
+    ["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1", "--grid", "4"],
+    ["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1,1,1", "--format", "json"],
+    ["gapmap", "--d", "4", "--resolution", "400"],
+    ["gapmap", "--d", "1000000000", "--resolution", "1000000000"],
+    ["lattice", "--d", "2", "--N", "33"],
+    ["lattice", "--d", "100000000", "--N", "1"],
+    ["verify", "--d", "3", "--N", "100", "--draws", "1"],
+])
+def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    target = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    assert not target.exists()
+
+
+def test_t_length_error_names_the_hoppings(capsys):
+    assert cli.main(["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1"]) == 2
+    assert "expected 3 hoppings for d=2, got 2" in capsys.readouterr().err
+
+
+def test_budget_counts_are_exact(monkeypatch):
+    cases = [
+        (lambda: spectrum.bz_grid(3, 4), 4**3 * 3),
+        (lambda: gap.barycentric_grid(2, 4), 15 * 3),
+        (lambda: list(gap.gapmap_csv_lines(2, 4)), 15 * 3),
+        (lambda: lattice.build_torus(2, 2), 8 * 8),
+        (lambda: lattice.build_torus(40, 1), 2 * 40),
+    ]
+    for build, entries in cases:
+        monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries)
+        build()
+        monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries - 1)
+        with pytest.raises(ValueError, match="over the budget"):
+            build()
+
+
+def test_budget_admits_the_benchmark_commands():
+    assert spectrum.bz_grid(3, 64).shape == (64**3, 3)  # bands --d 3 --grid 64
+    assert len(lattice.build_torus(2, 12).vertices) == 288  # verify --d 2 --N 12
+    assert len(lattice.build_torus(3, 6).vertices) == 432  # lattice --d 3 --N 6
+    assert lattice.simplex_count(4, 40) == 135751
+    # huge exponents and binomials are counted without huge integers
+    assert lattice.grid_count(2, 10**9) > lattice.ENTRY_BUDGET
+    assert lattice.grid_count(1, 10**9) == 1
+    assert lattice.simplex_count(10**9, 10**9) > lattice.ENTRY_BUDGET
