@@ -64,9 +64,10 @@ def cmd_bands(args) -> int:
     if args.format == "json":
         cols, values = spectrum.band_table(J, args.grid, hoppings=t)
         # json prints each float's repr, which parses back to the same bits
-        # as the CSV's 17 significant digits
+        # as the CSV's 17 significant digits; a band beyond the float range
+        # is refused, not printed as the non-JSON token Infinity
         payload = {"columns": cols, "rows": values.tolist()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
     return 0
@@ -128,13 +129,13 @@ def cmd_verify(args) -> int:
             )
     operator_suite = None
     algebra_torus = None
-    for candidate_N in (args.N, 1):
-        try:
-            spinham.tensor_dims(build_torus(args.d, candidate_N), spinham.DEFAULT_DIM_CAP)
-            algebra_torus = build_torus(args.d, candidate_N)
+    # the sweep's torus where it fits the spin dimension cap, else one cell
+    for candidate_N in dict.fromkeys((args.N, 1)):
+        candidate = torus if candidate_N == args.N else build_torus(args.d, candidate_N)
+        with contextlib.suppress(ValueError):
+            spinham.tensor_dims(candidate)
+            algebra_torus = candidate
             break
-        except ValueError:
-            continue
     if algebra_torus is not None and draws_J:
         system = spinham.build_spin_hamiltonian(algebra_torus, draws_J[0])
         operator_suite = verify_ops_payload(system)

@@ -4,11 +4,12 @@ The k generators c_1..c_k obey {c_i, c_j} = 2*delta_ij and are realised by
 Jordan-Wigner strings on m = floor(k/2) qubits.  Every operator here is a
 Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
 so products, commutation signs and the chirality sign are integer
-arithmetic.  Matrices are expanded from the masks on request; every entry is
-one of 0, +-1, +-i, so all algebraic identities below hold exactly in float
-arithmetic.  For odd k the last generator is a full Z string whose sign is
-fixed by the chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one of
-the two inequivalent irreducible representations.
+arithmetic.  Matrices are expanded from the masks on request into a
+`MaskMatrix`; every entry is one of 0, +-1, +-i, so all algebraic
+identities below hold exactly in float arithmetic.  For odd k the last
+generator is a full Z string whose sign is fixed by the chirality condition
+i^m c_1 ... c_{2m+1} = +Id, selecting one of the two inequivalent
+irreducible representations.
 """
 
 from __future__ import annotations
@@ -17,14 +18,39 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-# Highest generator count built without an explicit override; k = 17 is the
-# largest a two-site torus at the default tensor cap ever needs (d = 15).
-DEFAULT_K_CAP = 18
+# Highest generator count built; k = 17 is the largest a two-site torus under
+# the spin dimension cap ever needs (d = 15).
+K_CAP = 18
 
 # i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)
 _I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
+
+
+@dataclass(frozen=True, eq=False)
+class MaskMatrix:
+    """A sum of Pauli strings with distinct x masks, stored per mask.
+
+    Row r holds values[r, k] in column r ^ x[k], so each mask owns one entry
+    per row and distinct masks never share an entry.
+    """
+
+    x: np.ndarray  # (m,) distinct x masks
+    values: np.ndarray  # (dim, m) complex
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values.shape[0],) * 2
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.values))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        rows = np.arange(self.shape[0])[:, None]
+        out[rows, rows ^ self.x] = self.values
+        return out
 
 
 @dataclass(frozen=True)
@@ -62,11 +88,8 @@ class PauliString:
         n = self.n * n_sites
         return PauliString(n, self.x << shift, self.z << shift, self.phase)
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column and value of the one nonzero in each row r.
-
-        The column is c = r ^ x and the value i^phase (-1)^popcount(c & z).
-        """
+    def to_matrix(self) -> MaskMatrix:
+        """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
         # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time
         odd = np.zeros(1, dtype=bool)
         for q in range(self.n):
@@ -74,16 +97,10 @@ class PauliString:
         # the parity is linear: popcount(c & z) = popcount(r & z) + popcount(x & z) mod 2
         p = self.phase + 2 * (self.x & self.z).bit_count()
         even_odd = _I_POWERS[[p % 4, (p + 2) % 4]]
-        return np.arange(1 << self.n) ^ self.x, even_odd[odd.view(np.uint8)]
-
-    def to_csr(self) -> sparse.csr_matrix:
-        """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
-        cols, data = self.entries()
-        indptr = np.arange(cols.size + 1)
-        return sparse.csr_matrix((data, cols, indptr), shape=(cols.size, cols.size))
+        return MaskMatrix(np.array([self.x]), even_odd[odd.view(np.uint8), None])
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        return self.to_matrix().toarray()
 
 
 def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
@@ -126,8 +143,8 @@ class LadderOps:
     """Fermionic ladder operators a_i = (c_{2i-1} + i c_{2i})/2 and the vacuum.
 
     b is the leftover odd generator (present only for odd k).  vac is the
-    unique joint kernel vector of the a_i, normalised so its largest entry is
-    real positive.
+    basis state e_0: under Jordan-Wigner a_j = Z^(j-1) (x) |0><1| (x) I, so
+    every a_j annihilates it.
     """
 
     a: tuple[np.ndarray, ...]
@@ -136,7 +153,7 @@ class LadderOps:
     vac: np.ndarray
 
 
-def majorana_strings(k: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...]:
+def majorana_strings(k: int) -> tuple[PauliString, ...]:
     """Jordan-Wigner generators of Cl_k as Pauli strings on floor(k/2) qubits.
 
     c_{2j-1} = Z^(j-1) X I^(m-j), c_{2j} = Z^(j-1) Y I^(m-j); for odd k the
@@ -145,8 +162,8 @@ def majorana_strings(k: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...
     """
     if k < 1:
         raise ValueError(f"need at least one generator, got k={k}")
-    if k > cap:
-        raise ValueError(f"k={k} exceeds the representation cap {cap}")
+    if k > K_CAP:
+        raise ValueError(f"k={k} exceeds the representation cap {K_CAP}")
     m = k // 2
     c = []
     for j in range(1, m + 1):
@@ -167,40 +184,29 @@ def majorana_strings(k: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...
     return tuple(c)
 
 
-def majorana_rep(k: int, cap: int = DEFAULT_K_CAP) -> MajoranaRep:
+def majorana_rep(k: int) -> MajoranaRep:
     """Dense matrices of `majorana_strings`."""
-    c = tuple(s.to_dense() for s in majorana_strings(k, cap=cap))
+    c = tuple(s.to_dense() for s in majorana_strings(k))
     return MajoranaRep(k=k, dim=2 ** (k // 2), c=c)
 
 
 def ladder_ops(rep: MajoranaRep) -> LadderOps:
-    """Pair the generators into ladder operators and locate the Fock vacuum.
+    """Pair the generators into ladder operators; the Fock vacuum is e_0.
 
-    The vacuum is found as the joint kernel of all annihilators via SVD; a
-    kernel of dimension other than one signals a broken representation.
+    A nonzero in column 0 of some a_j signals a broken representation.
     """
     m = rep.k // 2
     a = tuple(0.5 * (rep.c[2 * i] + 1j * rep.c[2 * i + 1]) for i in range(m))
     a_dag = tuple(0.5 * (rep.c[2 * i] - 1j * rep.c[2 * i + 1]) for i in range(m))
     b = rep.c[-1] if rep.k % 2 == 1 else None
-    if m == 0:
-        vac = np.ones(1, dtype=complex)
-    else:
-        stacked = np.vstack(a)
-        _, sing, vh = np.linalg.svd(stacked)
-        null_mask = np.concatenate([sing, np.zeros(rep.dim - len(sing))]) < 1e-10
-        if np.count_nonzero(null_mask) != 1:
-            raise AssertionError(
-                f"joint kernel of the annihilators has dimension "
-                f"{np.count_nonzero(null_mask)}, expected 1"
-            )
-        vac = vh[-1].conj()
-        pivot = np.argmax(np.abs(vac))
-        vac = vac * (np.abs(vac[pivot]) / vac[pivot])
+    if any(np.any(op[:, 0]) for op in a):
+        raise AssertionError("an annihilator does not annihilate e_0; broken construction")
+    vac = np.zeros(rep.dim, dtype=complex)
+    vac[0] = 1.0
     return LadderOps(a=a, a_dag=a_dag, b=b, vac=vac)
 
 
-def d_operator_string(d: int, cap: int = DEFAULT_K_CAP) -> PauliString:
+def d_operator_string(d: int) -> PauliString:
     """Sublattice-site parity operator on the Cl_{d+2} representation space.
 
     D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1, and each factor
@@ -210,7 +216,7 @@ def d_operator_string(d: int, cap: int = DEFAULT_K_CAP) -> PauliString:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_strings(d + 2, cap=cap)
+    c = majorana_strings(d + 2)
     m = (d + 2) // 2
     out = PauliString(m, phase=m % 4)
     for g in c[: 2 * m]:
@@ -218,12 +224,12 @@ def d_operator_string(d: int, cap: int = DEFAULT_K_CAP) -> PauliString:
     return out
 
 
-def d_operator(d: int, cap: int = DEFAULT_K_CAP) -> np.ndarray:
+def d_operator(d: int) -> np.ndarray:
     """Dense matrix of `d_operator_string`."""
-    return d_operator_string(d, cap=cap).to_dense()
+    return d_operator_string(d).to_dense()
 
 
-def spin_strings(d: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...]:
+def spin_strings(d: int) -> tuple[PauliString, ...]:
     """Spin operators sigma^k = i c_k c_{d+2} for k = 1..d+1.
 
     Each is a Hermitian involution.  They commute with the parity operator D
@@ -233,11 +239,11 @@ def spin_strings(d: int, cap: int = DEFAULT_K_CAP) -> tuple[PauliString, ...]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_strings(d + 2, cap=cap)
+    c = majorana_strings(d + 2)
     i = PauliString(c[0].n, phase=1)
     return tuple(i * g * c[d + 1] for g in c[: d + 1])
 
 
-def spin_ops(d: int, cap: int = DEFAULT_K_CAP) -> tuple[np.ndarray, ...]:
+def spin_ops(d: int) -> tuple[np.ndarray, ...]:
     """Dense matrices of `spin_strings`."""
-    return tuple(s.to_dense() for s in spin_strings(d, cap=cap))
+    return tuple(s.to_dense() for s in spin_strings(d))

@@ -4,14 +4,14 @@ Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity are Pauli strings
 on the joint register (a site's string shifted to its tensor slot), and each
-sparse matrix is expanded straight from its string's bit masks: one nonzero
-per row, in column row ^ x, with sign (-1)^popcount(column & z).  The
-entries are 0, +-1, +-i, so every conserved-quantity identity below holds
-exactly, not just to rounding.  The identities are checked on the strings
-by bit arithmetic, and each stored matrix is tied to its string by a
-bitwise comparison with the string's expansion; no sparse product is
-formed.  The joint +1 sector of the links and the parity is counted on the
-strings by a GF(2) rank.
+matrix is a `MaskMatrix` expanded straight from its strings' bit masks: one
+entry per row and x mask, in column row ^ x, with sign
+(-1)^popcount(column & z).  The entries are 0, +-1, +-i, so every
+conserved-quantity identity below holds exactly, not just to rounding.  The
+identities are checked on the strings by bit arithmetic, and each stored
+matrix is tied to its strings by a bitwise comparison with their expansion;
+no matrix product is formed.  The joint +1 sector of the links and the
+parity is counted on the strings by a GF(2) rank.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .clifford import (
+    MaskMatrix,
     PauliString,
     d_operator_string,
     joint_plus_dimension,
@@ -32,7 +32,7 @@ from .clifford import (
 from .lattice import DiamondTorus
 from .spectrum import as_couplings
 
-DEFAULT_DIM_CAP = 2**16
+DIM_CAP = 2**16
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -52,9 +52,9 @@ class SpinSystem:
     couplings: np.ndarray
     site_dim: int
     total_dim: int
-    hamiltonian: sparse.csr_matrix
-    link_ops: tuple[sparse.csr_matrix, ...]
-    parity: sparse.csr_matrix
+    hamiltonian: MaskMatrix
+    link_ops: tuple[MaskMatrix, ...]
+    parity: MaskMatrix
     term_strings: tuple[PauliString, ...]
     link_strings: tuple[PauliString, ...]
     parity_string: PauliString
@@ -70,20 +70,18 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     )
 
 
-def tensor_dims(torus: DiamondTorus, dim_cap: int = DEFAULT_DIM_CAP) -> tuple[int, int]:
+def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
     site_dim = 2 ** (torus.d // 2 + 1)
     n_sites = len(torus.vertices)
     total_dim = site_dim**n_sites
-    if total_dim > dim_cap:
+    if total_dim > DIM_CAP:
         raise ValueError(
-            f"total dimension {site_dim}^{n_sites} exceeds the cap {dim_cap}"
+            f"total dimension {site_dim}^{n_sites} exceeds the cap {DIM_CAP}"
         )
     return site_dim, total_dim
 
 
-def link_operators(
-    torus: DiamondTorus, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[sparse.csr_matrix, ...]:
+def link_operators(torus: DiamondTorus) -> tuple[MaskMatrix, ...]:
     """Edge involutions u_e = c_l(s=1 end) c_l(s=0 end), one per edge.
 
     The two generators act on different tensor factors, so they commute and
@@ -94,33 +92,26 @@ def link_operators(
     vertex carry distinct labels, and distinct single-site generators always
     appear an even number of shared slots apart.
     """
-    tensor_dims(torus, dim_cap)
+    tensor_dims(torus)
     links = _edge_strings(majorana_strings(torus.d + 2), torus)
-    return tuple(u.to_csr() for u in links)
+    return tuple(u.to_matrix() for u in links)
 
 
-def _hamiltonian_csr(terms, J, dim: int) -> sparse.csr_matrix:
-    """CSR matrix of -sum_k J[k] terms[k], rounded as a term-by-term subtraction.
+def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
+    """-sum_k J[k] terms[k], each entry a running sum in term order.
 
-    Subtracting the terms one at a time from an empty CSR matrix computes
-    each entry as fl(0 - J s - J' s' - ...) over the terms that reach it, in
-    term order, and drops an entry whenever it becomes exactly 0; the next
-    term there starts again from +0.  A running sum never holds -0.0: it
-    starts at +0.0, and x - y is -0.0 only for x = -0.0 and y = +0.0.  So a
-    dropped entry equals the +0 it restarts from, and the zeros are dropped
-    once, at the end.  A term reaches column row ^ x in every row, so the
-    sums are kept per x mask.
+    Each entry is fl(0 - J s - J' s' - ...) over the terms that reach it,
+    the rounding of subtracting the terms one at a time from an empty sparse
+    matrix.  A running sum never holds -0.0: it starts at +0.0, and x - y is
+    -0.0 only for x = -0.0 and y = +0.0.  So an entry that cancels to zero
+    equals the +0 a sparse subtraction restarts from.  A term reaches column
+    row ^ x in every row, so the sums are kept per x mask.
     """
     slot = {x: k for k, x in enumerate(dict.fromkeys(t.x for t in terms))}
-    data = np.zeros((dim, len(slot)), dtype=complex)  # row, x mask -> running sum
+    values = np.zeros((dim, len(slot)), dtype=complex)  # row, x mask -> running sum
     for term, j in zip(terms, J):
-        data[:, slot[term.x]] -= term.entries()[1] * j
-    cols = np.arange(dim)[:, None] ^ np.array(list(slot), dtype=np.intp)
-    stored = data != 0
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    H = sparse.csr_matrix((data[stored], cols[stored], indptr), shape=(dim, dim))
-    H.sort_indices()  # columns within a row are distinct, so the order is unique
-    return H
+        values[:, slot[term.x]] -= term.to_matrix().values[:, 0] * j
+    return MaskMatrix(np.array(list(slot), dtype=np.int64), values)
 
 
 def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
@@ -128,15 +119,13 @@ def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
     return [J[e.label - 1] for e in torus.edges]
 
 
-def build_spin_hamiltonian(
-    torus: DiamondTorus, J, dim_cap: int = DEFAULT_DIM_CAP
-) -> SpinSystem:
+def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    Refuses tori whose tensor-product dimension exceeds dim_cap.
+    Refuses tori whose tensor-product dimension exceeds DIM_CAP.
     """
     J = as_couplings(J, d=torus.d)
-    site_dim, total_dim = tensor_dims(torus, dim_cap)
+    site_dim, total_dim = tensor_dims(torus)
     terms = _edge_strings(spin_strings(torus.d), torus)
     n_sites = len(torus.vertices)
     D_site = d_operator_string(torus.d)
@@ -149,9 +138,9 @@ def build_spin_hamiltonian(
         couplings=J,
         site_dim=site_dim,
         total_dim=total_dim,
-        hamiltonian=_hamiltonian_csr(terms, _edge_couplings(J, torus), total_dim),
-        link_ops=tuple(u.to_csr() for u in links),
-        parity=parity.to_csr(),
+        hamiltonian=_hamiltonian_matrix(terms, _edge_couplings(J, torus), total_dim),
+        link_ops=tuple(u.to_matrix() for u in links),
+        parity=parity.to_matrix(),
         term_strings=terms,
         link_strings=links,
         parity_string=parity,
@@ -187,28 +176,29 @@ def _norm(v: np.ndarray) -> float:
     return _saturate(top * float(np.sqrt(np.sum((a / top) ** 2))))
 
 
-def _same_bits(A, B) -> bool:
-    """Equal shapes, index arrays and data bits (-0.0 differs from 0.0)."""
+def _same_bits(A: MaskMatrix, B: MaskMatrix) -> bool:
+    """Equal masks and value bits (-0.0 differs from 0.0)."""
     return (
-        A.shape == B.shape
-        and A.data.dtype == B.data.dtype
-        and np.array_equal(A.indptr, B.indptr)
-        and np.array_equal(A.indices, B.indices)
-        and np.array_equal(A.data.view(np.uint64), B.data.view(np.uint64))
+        A.values.shape == B.values.shape
+        and A.values.dtype == B.values.dtype
+        and np.array_equal(A.x, B.x)
+        and np.array_equal(*(np.ascontiguousarray(M.values).view(np.uint64) for M in (A, B)))
     )
 
 
-def _coords(A) -> np.ndarray:
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    return rows * A.shape[1] + A.indices
+def _fro_distance(A: MaskMatrix, B: MaskMatrix) -> float:
+    """||A - B||_F, summed column by column per x mask.
 
-
-def _fro_distance(A, B) -> float:
-    """||A - B||_F from the coordinates of both, duplicates summed."""
-    keys, inverse = np.unique(np.concatenate([_coords(A), _coords(B)]), return_inverse=True)
-    diff = np.zeros(keys.size, dtype=complex)
-    np.add.at(diff, inverse.ravel(), np.concatenate([A.data, -B.data]))
-    return _norm(diff)
+    Distinct masks never share an entry; a matrix with fewer rows counts as
+    zero in the rows it lacks.
+    """
+    dim = max(A.values.shape[0], B.values.shape[0])
+    diff: dict[int, np.ndarray] = {}
+    for masks, values in ((A.x, A.values), (B.x, -B.values)):
+        for x, column in zip(masks.tolist(), values.T):
+            out = diff.setdefault(x, np.zeros(dim, dtype=complex))
+            out[: column.size] += column
+    return _norm(np.array(list(diff.values()), dtype=complex))
 
 
 def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
@@ -243,7 +233,7 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     Everything is computed on the Pauli strings by bit arithmetic.  The
     stored matrices are read too: each link and the parity is compared
     bitwise with its string's expansion, and H with the expansion of
-    -sum J_l term_strings (same rounding, same dropped zeros).  Where every
+    -sum J_l term_strings (same masks, same rounding).  Where every
     comparison holds, the values are those of the matrices; a commutator
     that does not vanish is that of the exact sum, which H rounds.  Where a
     comparison fails, the exactness flag of that matrix goes False and every
@@ -256,17 +246,17 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     dim = system.total_dim
     terms = system.term_strings
     J = _edge_couplings(system.couplings, system.torus)
-    H, H_ref = system.hamiltonian, _hamiltonian_csr(terms, J, dim)
+    H, H_ref = system.hamiltonian, _hamiltonian_matrix(terms, J, dim)
     delta_H = 0.0 if _same_bits(H, H_ref) else _fro_distance(H, H_ref)
 
     def check(M, S):
         """(commutator bound, involution bound, tied) of a stored matrix."""
-        E = S.to_csr()
+        E = S.to_matrix()
         if _same_bits(M, E):
             delta, tied = 0.0, True
         else:
             delta, tied = _fro_distance(M, E), False
-        h_norm = _norm(H_ref.data) + delta_H if delta else 0.0  # ||H||_2 <= this
+        h_norm = _norm(H_ref.values) + delta_H if delta else 0.0  # ||H||_2 <= this
         comm = _commutator_norm(terms, J, S, dim) + 2 * delta_H + 2 * h_norm * delta
         inv = _involution_norm(S, dim) + 2 * delta + delta * delta
         return _saturate(comm), _saturate(inv), tied

@@ -9,6 +9,7 @@ import pytest
 
 import kitaev_diamond
 from kitaev_diamond import cli
+from kitaev_diamond.lattice import build_torus
 from kitaev_diamond.spectrum import bz_grid, f_of_q
 
 
@@ -192,17 +193,13 @@ def test_console_entry_point():
     assert doc["has_zero"] is True
 
 
-def test_import_graph_has_no_scipy_optimize_or_linalg():
+def test_import_graph_has_no_scipy():
+    """The package runs on numpy alone: no scipy module is loaded or named."""
     pkg = Path(kitaev_diamond.__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(pkg.parent), os.environ.get("PYTHONPATH")]))
-    # scipy.linalg counts only where the package brings it in: some scipy
-    # releases load it from inside scipy.sparse itself
     code = (
-        "import sys, scipy.sparse; "
-        "pre = set(m for m in sys.modules if m.startswith('scipy.linalg')); "
-        "import kitaev_diamond, kitaev_diamond.cli; "
-        "print(sorted(m for m in sys.modules if m not in pre"
-        " and m.startswith(('scipy.optimize', 'scipy.linalg'))))"
+        "import sys, kitaev_diamond, kitaev_diamond.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -213,4 +210,35 @@ def test_import_graph_has_no_scipy_optimize_or_linalg():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     for source in pkg.rglob("*.py"):
-        assert "scipy.optimize" not in source.read_text(), source
+        assert "scipy" not in source.read_text(), source
+
+
+def test_bands_json_refuses_overflow(tmp_path, capsys):
+    """Bands beyond the float range exit 2 in JSON; CSV still prints inf."""
+    argv = ["bands", "--d", "3", "--J=1e308,1e308,-1e308,-1e308", "--grid", "2"]
+    target = tmp_path / "bands.json"
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(target))
+    assert code == 2 and out == "" and "error" in err
+    assert not target.exists()
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "inf" in out
+
+
+@pytest.mark.parametrize("N,calls", [(2, 1), (12, 2)])
+def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
+    """The sweep's torus carries the operator suite where it fits the spin cap."""
+    argv = ["verify", "--d", "2", "--N", str(N), "--draws", "2", "--seed", "3"]
+    _, want, _ = run_cli(capsys, *argv)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build_torus(*args)
+
+    monkeypatch.setattr(cli, "build_torus", counting)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    assert len(built) == calls
+    assert json.loads(out)["operator_suite"]["pass"] is True

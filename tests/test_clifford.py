@@ -78,6 +78,15 @@ def test_vacuum_is_annihilated():
             assert np.max(np.abs(a @ lad.vac)) < 1e-14
 
 
+def test_vacuum_is_exactly_annihilated():
+    # under Jordan-Wigner the vacuum is the basis state e_0, with no rounding
+    for k in range(2, 13):
+        lad = clifford.ladder_ops(clifford.majorana_rep(k))
+        assert np.array_equal(lad.vac, np.eye(2 ** (k // 2), dtype=complex)[0])
+        for a in lad.a:
+            assert np.array_equal(a @ lad.vac, np.zeros_like(lad.vac))
+
+
 def test_vacuum_b_parity():
     # b acts on the vacuum by (-1)^m, m = (k-1)/2; the sign alternates with m
     for k, sign in ((3, -1.0), (5, 1.0), (7, -1.0), (9, 1.0)):
@@ -199,6 +208,19 @@ def test_spin_ops_parity_pattern_with_d():
             assert np.max(np.abs(s @ D - sign * D @ s)) == 0.0
 
 
+PAULI = {(0, 0): np.eye(2), (1, 0): np.array([[0, 1], [1, 0]]),
+         (0, 1): np.diag([1, -1]), (1, 1): np.array([[0, -1], [1, 0]])}
+
+
+def kron_reference(s):
+    """i^phase X^x Z^z as a Kronecker chain, qubit 0 the first factor."""
+    out = np.array([[1j**s.phase]])
+    for q in range(s.n):
+        bit = s.n - 1 - q
+        out = np.kron(out, PAULI[s.x >> bit & 1, s.z >> bit & 1])
+    return out
+
+
 def random_strings(rng, n, count):
     top = 1 << n
     return [
@@ -214,7 +236,9 @@ def test_pauli_string_arithmetic_matches_matrices():
         strings = random_strings(rng, n, 12)
         for a in strings:
             A = a.to_dense()
-            assert np.array_equal(a.to_csr().toarray(), A)
+            assert np.array_equal(A, kron_reference(a))
+            M = a.to_matrix()
+            assert np.array_equal(M.x, [a.x]) and M.values.shape == (2**n, 1)
             assert np.array_equal(np.count_nonzero(A, axis=1), np.ones(2**n, int))
             assert a.is_hermitian() == np.array_equal(A, A.conj().T)
             for b in strings:

@@ -86,6 +86,27 @@ def ref_system(torus, J):
     return H.tocsr(), links, parity.tocsr()
 
 
+def csr(M):
+    """M as scipy CSR, exact zeros dropped and indices sorted, like the kron-chain references."""
+    dim = M.shape[0]
+    cols = np.arange(dim)[:, None] ^ M.x
+    stored = M.values != 0
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    A = sparse.csr_matrix((M.values[stored], cols[stored], indptr), shape=M.shape)
+    A.sort_indices()
+    return A
+
+
+def with_entry(M, i, edit):
+    """M with its i-th stored entry, in CSR order, replaced by edit(entry)."""
+    rows, ks = np.nonzero(M.values)
+    order = np.lexsort((rows ^ M.x[ks], rows))
+    r, k = rows[order[i]], ks[order[i]]
+    values = M.values.copy()
+    values[r, k] = edit(values[r, k])
+    return dataclasses.replace(M, values=values)
+
+
 def coupling_draws(d, seed):
     """A random draw, all ones, and +-1 alternating (couplings that cancel)."""
     yield np.random.default_rng(seed).uniform(-2.0, 2.0, size=d + 1)
@@ -94,6 +115,7 @@ def coupling_draws(d, seed):
 
 
 def assert_same_matrix(got, want):
+    got = csr(got)
     assert got.shape == want.shape
     assert (got != want).nnz == 0
     if got.shape[0] <= 1024:
@@ -110,11 +132,10 @@ def test_mask_operators_match_kron_chains(d, N):
         H, links, parity = ref_system(torus, J)
         assert_same_matrix(sys_.hamiltonian, H)
         # same per-entry rounding and dropped zeros, so H agrees bit for bit
-        assert np.array_equal(sys_.hamiltonian.indptr, H.indptr)
-        assert np.array_equal(sys_.hamiltonian.indices, H.indices)
-        assert np.array_equal(
-            sys_.hamiltonian.data.view(np.uint64), H.data.view(np.uint64)
-        )
+        got = csr(sys_.hamiltonian)
+        assert np.array_equal(got.indptr, H.indptr)
+        assert np.array_equal(got.indices, H.indices)
+        assert np.array_equal(got.data.view(np.uint64), H.data.view(np.uint64))
     assert len(sys_.link_ops) == len(links) == len(torus.edges)
     for got, want in zip(sys_.link_ops, links):
         assert_same_matrix(got, want)
@@ -152,7 +173,7 @@ def test_tensor_dims_cap():
 def test_hamiltonian_hermitian_and_real_spectrum():
     t = build_torus(2, 1)
     sys_ = spinham.build_spin_hamiltonian(t, J2)
-    H = sys_.hamiltonian
+    H = csr(sys_.hamiltonian)
     assert H.shape == (16, 16)
     diff = (H - H.conj().T).tocsr()
     diff.eliminate_zeros()
@@ -171,12 +192,9 @@ def test_operator_identities_exact():
 
 def corrupted_systems(sys_):
     """Copies of sys_ with one stored matrix or string broken, by name."""
-    u = sys_.link_ops[0].copy()
-    u.data[0] *= -1
-    P = sys_.parity.copy()
-    P.data[0] *= -1
-    H = sys_.hamiltonian.copy()
-    H.data[0] += 0.5
+    u = with_entry(sys_.link_ops[0], 0, lambda v: -v)
+    P = with_entry(sys_.parity, 0, lambda v: -v)
+    H = with_entry(sys_.hamiltonian, 0, lambda v: v + 0.5)
     return {
         "link sign": dataclasses.replace(sys_, link_ops=(u, *sys_.link_ops[1:])),
         "parity sign": dataclasses.replace(sys_, parity=P),
@@ -225,8 +243,8 @@ def test_hamiltonian_expansion_rounds_like_sequential_subtraction():
         J = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, 1e-17], size=8)
         want = sparse.csr_matrix((dim, dim), dtype=complex)
         for t, j in zip(terms, J):
-            want = want - j * t.to_csr()
-        got = spinham._hamiltonian_csr(terms, J, dim)
+            want = want - j * csr(t.to_matrix())
+        got = csr(spinham._hamiltonian_matrix(terms, J, dim))
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
@@ -245,7 +263,7 @@ def test_commutator_residual_on_strings(J01):
     sys_ = spinham.build_spin_hamiltonian(torus, J)
     c1 = clifford.majorana_strings(4)[0].on_site(0, 2)
     terms = (c1, c1, *sys_.term_strings[2:])
-    H = spinham._hamiltonian_csr(terms, spinham._edge_couplings(J, torus), sys_.total_dim)
+    H = spinham._hamiltonian_matrix(terms, spinham._edge_couplings(J, torus), sys_.total_dim)
     odd = dataclasses.replace(sys_, hamiltonian=H, term_strings=terms)
     rep = spinham.verify_operator_identities(odd)
     ref = ref_verify_operator_identities(odd)
@@ -258,10 +276,8 @@ def test_commutator_residual_on_strings(J01):
 def test_identity_report_stays_finite(value):
     """A wild stored entry gives finite positive bounds, never inf or NaN."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(3, 1), np.ones(4))
-    H = sys_.hamiltonian.copy()
-    H.data[3] = value
-    u = sys_.link_ops[1].copy()
-    u.data[5] = value
+    H = with_entry(sys_.hamiltonian, 3, lambda v: value)
+    u = with_entry(sys_.link_ops[1], 5, lambda v: value)
     rep = spinham.verify_operator_identities(
         dataclasses.replace(sys_, hamiltonian=H, link_ops=(sys_.link_ops[0], u,
                                                            *sys_.link_ops[2:]))
@@ -284,14 +300,14 @@ def _fro(X) -> float:
 
 def ref_verify_operator_identities(system):
     """The report formed from the stored matrices alone, by sparse products."""
-    H = system.hamiltonian
-    P = system.parity
+    H = csr(system.hamiltonian)
+    P = csr(system.parity)
     eye = sparse.identity(system.total_dim, dtype=complex, format="csr")
     comm_parity = _fro(H @ P - P @ H)
     comm_links = 0.0
     link_inv = 0.0
     exact_links = True
-    for u in system.link_ops:
+    for u in map(csr, system.link_ops):
         comm_links = max(comm_links, _fro(H @ u - u @ H))
         diff = (u @ u - eye).tocsr()
         diff.eliminate_zeros()
@@ -347,10 +363,10 @@ def test_link_operator_spectrum_split():
 def test_link_operators_commute_with_any_couplings():
     rng = np.random.default_rng(1)
     t = build_torus(3, 1)
-    ops = spinham.link_operators(t)
+    ops = [csr(u) for u in spinham.link_operators(t)]
     for _ in range(5):
         sys_ = spinham.build_spin_hamiltonian(t, rng.uniform(-2, 2, size=4))
-        H = sys_.hamiltonian
+        H = csr(sys_.hamiltonian)
         for u in ops:
             comm = (H @ u - u @ H).tocsr()
             comm.eliminate_zeros()
@@ -360,7 +376,7 @@ def test_link_operators_commute_with_any_couplings():
 def test_adjacent_links_anticommute():
     """Link operators on edges sharing exactly one vertex anticommute."""
     t = build_torus(2, 2)
-    ops = spinham.link_operators(t)
+    ops = [csr(u) for u in spinham.link_operators(t)]
     for i, ei in enumerate(t.edges):
         for j in range(i + 1, len(t.edges)):
             ej = t.edges[j]
@@ -392,9 +408,9 @@ def test_projector_cross_block_vanishes():
         t = build_torus(d, N)
         sys_ = spinham.build_spin_hamiltonian(t, np.linspace(0.5, 2.0, d + 1))
         eye = sparse.identity(sys_.total_dim, dtype=complex, format="csr")
-        plus = (eye + sys_.parity) * 0.5
-        minus = (eye - sys_.parity) * 0.5
-        cross = (plus @ sys_.hamiltonian @ minus).tocsr()
+        plus = (eye + csr(sys_.parity)) * 0.5
+        minus = (eye - csr(sys_.parity)) * 0.5
+        cross = (plus @ csr(sys_.hamiltonian) @ minus).tocsr()
         cross.eliminate_zeros()
         assert cross.nnz == 0
 
@@ -413,9 +429,9 @@ def test_joint_plus_sector_on_one_cell_tori():
         sys_ = spinham.build_spin_hamiltonian(build_torus(d, 1), np.ones(d + 1))
         assert spinham.plus_sector_dimension(sys_) == want
         if d % 2 == 1:
-            prod = sys_.parity.copy()
+            prod = csr(sys_.parity)
             for u in sys_.link_ops:
-                prod = prod @ u
+                prod = prod @ csr(u)
             lam = (-1) ** ((d + 1) // 2)
             resid = (prod - lam * sparse.identity(sys_.total_dim, format="csr")).tocsr()
             resid.eliminate_zeros()
@@ -464,6 +480,96 @@ def test_plus_sector_dimension_uncapped(d, N, want):
     sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
     assert sys_.total_dim > 1024
     assert spinham.plus_sector_dimension(sys_) == want
+
+
+# nnz of H recorded from its scipy CSR build, for a seeded draw
+# uniform(-2, 2) from default_rng(d) and for J = 1 (where terms cancel)
+CSR_NNZ = {
+    (2, 1): (32, 24),
+    (3, 1): (32, 16),
+    (4, 1): (192, 128),
+    (5, 1): (192, 96),
+    (6, 1): (1024, 640),
+    (7, 1): (1024, 512),
+    (8, 1): (5120, 3072),
+    (9, 1): (5120, 2560),
+    (10, 1): (24576, 14336),
+    (11, 1): (24576, 12288),
+    (12, 1): (114688, 65536),
+    (13, 1): (114688, 57344),
+    (14, 1): (524288, 294912),
+    (15, 1): (524288, 262144),
+    (2, 2): (565248, 565248),
+    (1, 3): (384, 384),
+}
+
+
+def test_hamiltonian_nnz_matches_the_csr_count():
+    for (d, N), (nnz_draw, nnz_ones) in CSR_NNZ.items():
+        torus = build_torus(d, N)
+        draw = np.random.default_rng(d).uniform(-2, 2, d + 1)
+        for J, want in ((draw, nnz_draw), (np.ones(d + 1), nnz_ones)):
+            H = spinham.build_spin_hamiltonian(torus, J).hamiltonian
+            assert H.nnz == csr(H).nnz == want, (d, N)
+
+
+def test_wrong_shape_or_masks_trip_with_finite_bounds():
+    """A stored matrix with the wrong shape or x masks trips the report, finitely."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+    H, u, P = sys_.hamiltonian, sys_.link_ops[0], sys_.parity
+    free = min(set(range(sys_.total_dim)) - set(H.x.tolist()))
+    bad_H = {
+        "H shape": dataclasses.replace(H, values=H.values[:-1]),
+        "H mask": dataclasses.replace(H, x=np.where(H.x == H.x[0], free, H.x)),
+    }
+    bad_link = {
+        "link shape": dataclasses.replace(u, values=u.values[1:]),
+        "link mask": dataclasses.replace(u, x=u.x ^ 1),
+    }
+    bad_parity = {
+        "parity shape": dataclasses.replace(P, values=np.vstack([P.values, P.values[:1]])),
+        "parity mask": dataclasses.replace(P, x=P.x ^ 1),
+    }
+    systems = {
+        **{k: dataclasses.replace(sys_, hamiltonian=M) for k, M in bad_H.items()},
+        **{k: dataclasses.replace(sys_, link_ops=(M, *sys_.link_ops[1:]))
+           for k, M in bad_link.items()},
+        **{k: dataclasses.replace(sys_, parity=M) for k, M in bad_parity.items()},
+    }
+    for name, system in systems.items():
+        rep = spinham.verify_operator_identities(system)
+        json.dumps(rep, allow_nan=False)
+        assert trips(rep), name
+        assert 0.0 < rep["max_residual"] <= np.finfo(float).max, name
+    for name in bad_link:
+        assert not spinham.verify_operator_identities(systems[name])["links_exact_pm_one"]
+    for name in bad_parity:
+        rep = spinham.verify_operator_identities(systems[name])
+        assert not rep["parity_diagonal_pm_one"], name
+    # the same matrices in another memory layout or mask order are no fault
+    exact = spinham.verify_operator_identities(sys_)
+    for same in (dataclasses.replace(H, values=np.asfortranarray(H.values)),
+                 dataclasses.replace(H, x=H.x[::-1], values=H.values[:, ::-1])):
+        assert spinham.verify_operator_identities(
+            dataclasses.replace(sys_, hamiltonian=same)) == exact
+
+
+def test_fro_distance_matches_dense():
+    """Shared, disjoint and missing masks, and matrices of different sizes."""
+    rng = np.random.default_rng(11)
+
+    def random_matrix(dim):
+        x = rng.permutation(dim)[: rng.integers(1, 5)]
+        values = rng.normal(size=(dim, x.size)) + 1j * rng.normal(size=(dim, x.size))
+        return clifford.MaskMatrix(x, values * (rng.random((dim, x.size)) < 0.8))
+
+    for _ in range(100):
+        A, B = random_matrix(16), random_matrix(int(rng.choice([8, 16])))
+        dense_B = np.zeros((16, 16), dtype=complex)
+        dense_B[: B.shape[0], : B.shape[0]] = B.toarray()
+        want = np.linalg.norm(A.toarray() - dense_B)
+        assert spinham._fro_distance(A, B) == pytest.approx(want, rel=1e-14)
+        assert spinham._fro_distance(B, A) == pytest.approx(want, rel=1e-14)
 
 
 def test_hamiltonian_term_count():
