@@ -113,37 +113,27 @@ def _triangle_angles(x: float, y: float, z: float) -> np.ndarray:
 def _closed_angles(a: np.ndarray) -> np.ndarray:
     """Direction angles theta with sum_j a_j e^{i theta_j} = 0, any input order.
 
-    Recursive construction: split off the shortest and longest sides into a
-    triangle against a synthetic side e = a_max - a_min + eps, close the
-    remaining polygon recursively, then glue the two along e with opposite
-    orientations.  Near-degenerate margins fall back to the exact collinear
-    solution.
+    One triangle closes the polygon.  The sides other than the longest,
+    sorted from the longest down as s_1 >= s_2 >= ..., go alternately into
+    two straight chains b = s_1 + s_3 + ... and c = s_2 + s_4 + ....  Then
+    0 <= b - c <= s_1 <= longest <= b + c (the polygon inequality), so
+    (longest, b, c) is a triangle, and every side takes its chain's
+    direction.  Near-degenerate margins take the exact collinear solution.
     """
-    order = np.argsort(a, kind="stable")
+    order = np.argsort(a, kind="stable")[::-1]
     s = a[order]
-    n = s.size
-    rest = float(s[:-1].sum())
-    longest = float(s[-1])
+    rest = float(s[1:].sum())
+    longest = float(s[0])
     if longest > rest + _DEGENERATE_RTOL * (rest + longest):
         raise ValueError("longest side exceeds the sum of the rest; no closed polygon")
-    out = np.empty(n)
+    theta = np.zeros(s.size)
     if longest >= rest - _DEGENERATE_RTOL * (rest + longest):
         # collinear: the longest side runs back along all the others
-        theta = np.zeros(n)
-        theta[-1] = np.pi
-    elif n == 3:
-        theta = _triangle_angles(s[0], s[1], s[2])
+        theta[0] = np.pi
     else:
-        eps = 0.5 * min(float(s[0]), rest - longest)
-        e = longest - float(s[0]) + eps
-        tri = _triangle_angles(float(s[0]), longest, e)
-        sub = _closed_angles(np.concatenate([[e], s[1:-1]]))
-        # rotate the triangle so its e-side opposes the sub-polygon's e-side
-        chi = sub[0] + np.pi - tri[2]
-        theta = np.empty(n)
-        theta[0] = tri[0] + chi
-        theta[-1] = tri[1] + chi
-        theta[1:-1] = sub[1:]
+        tri = _triangle_angles(longest, float(s[1::2].sum()), float(s[2::2].sum()))
+        theta[0], theta[1::2], theta[2::2] = tri
+    out = np.empty(s.size)
     out[order] = theta
     return out
 

@@ -255,12 +255,9 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
     return FundamentalDomainCheck(t1=t1, t2=t2, residual1=res1, residual2=res2)
 
 
-def torus_to_dict(torus: DiamondTorus, basis: LatticeBasis | None = None) -> dict:
+def torus_to_dict(torus: DiamondTorus) -> dict:
     """JSON-ready description of the torus with embedded vertex positions."""
-    if basis is None:
-        basis = make_basis(torus.d)
-    if basis.d != torus.d:
-        raise ValueError(f"basis dimension {basis.d} != torus dimension {torus.d}")
+    basis = make_basis(torus.d)
     return {
         "d": torus.d,
         "N": torus.N,
@@ -279,5 +276,5 @@ def torus_to_dict(torus: DiamondTorus, basis: LatticeBasis | None = None) -> dic
     }
 
 
-def torus_to_json(torus: DiamondTorus, basis: LatticeBasis | None = None) -> str:
-    return json.dumps(torus_to_dict(torus, basis), indent=2)
+def torus_to_json(torus: DiamondTorus) -> str:
+    return json.dumps(torus_to_dict(torus), indent=2)

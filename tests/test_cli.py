@@ -95,6 +95,13 @@ def test_gap_json_near_float_max(capsys):
     assert "error" in err
 
 
+def test_gap_refuses_oversized_dimension(capsys):
+    # the zero construction works at any d; the oracle's scan cap refuses
+    code, out, err = run_cli(capsys, "gap", "--d", "1100", "--J", ",".join(["1"] * 1101))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_gapmap_csv(capsys):
     code, out, _ = run_cli(capsys, "gapmap", "--d", "2", "--resolution", "4")
     assert code == 0
@@ -125,9 +132,11 @@ def test_verify_passes(capsys):
     assert doc["failures"] == []
 
 
-def test_verify_corrupt_sign_trips(capsys):
+@pytest.mark.parametrize("d, N", [(2, 2), (2, 1), (5, 1)])
+def test_verify_corrupt_sign_trips(capsys, d, N):
+    # at N = 1 every bond shares one matrix entry; reversing one still trips
     code, out, _ = run_cli(
-        capsys, "verify", "--d", "2", "--N", "2", "--draws", "3", "--seed", "1",
+        capsys, "verify", "--d", str(d), "--N", str(N), "--draws", "3", "--seed", "1",
         "--corrupt-sign",
     )
     assert code == 1

@@ -74,6 +74,32 @@ def test_polygon_angles_closure_random():
         done += 1
 
 
+def test_polygon_angles_closure_stays_at_rounding_as_sides_grow():
+    # the closure error must not grow with the number of sides
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    done = 0
+    while done < 2000:
+        n = int(rng.integers(3, 66))
+        a = rng.uniform(0.05, 5.0, size=n)
+        if 2 * a.max() >= a.sum():
+            continue
+        theta = gap.polygon_angles(a)
+        worst = max(worst, abs(np.sum(a * np.exp(1j * theta))) / a.sum())
+        done += 1
+    assert worst < 2e-15
+
+
+def test_polygon_angles_and_find_zero_at_thousands_of_sides():
+    a = np.ones(3000)
+    theta = gap.polygon_angles(a)
+    assert abs(np.sum(a * np.exp(1j * theta))) < 1e-15 * a.sum()
+    J = np.ones(1101)
+    phi = gap.find_zero(J)
+    assert phi.shape == (1100,)
+    assert abs(f_of_q(J, phi)) < 1e-13 * J.sum()
+
+
 def test_polygon_angles_degenerate_collinear():
     # a flat "polygon": longest side exactly matches the rest
     theta = gap.polygon_angles([1.0, 1.0, 2.0])
