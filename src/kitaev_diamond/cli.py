@@ -30,20 +30,6 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ValueError(f"could not parse {what} list {text!r}")
 
 
-@contextlib.contextmanager
-def _output(out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
-def _emit(text: str, out: str | None) -> None:
-    with _output(out) as fh:
-        fh.write(text)
-
-
 def _emit_lines(lines, out: str | None) -> None:
     """Write newline-terminated lines in blocks of ROW_BLOCK.
 
@@ -52,7 +38,7 @@ def _emit_lines(lines, out: str | None) -> None:
     """
     lines = iter(lines)
     block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
-    with _output(out) as fh:
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         while block:
             fh.write("\n".join(block) + "\n")
             block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
@@ -68,7 +54,7 @@ def cmd_bands(args) -> int:
         # as the CSV's 17 significant digits; a band beyond the float range
         # is refused, not printed as the non-JSON token Infinity
         payload = {"columns": cols, "rows": values.tolist()}
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+        _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], args.out)
     else:
         _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
     return 0
@@ -86,7 +72,7 @@ def cmd_gap(args) -> int:
     }
     # a margin or minimum beyond the float range is refused, not printed as
     # the non-JSON token Infinity
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
+    _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], args.out)
     return 0
 
 
@@ -97,7 +83,7 @@ def cmd_gapmap(args) -> int:
 
 def cmd_lattice(args) -> int:
     torus = build_torus(args.d, args.N)
-    _emit(json.dumps(torus_to_dict(torus), indent=2) + "\n", args.out)
+    _emit_lines([json.dumps(torus_to_dict(torus), indent=2)], args.out)
     return 0
 
 
@@ -126,7 +112,7 @@ def cmd_verify(args) -> int:
             )
     operator_suite = None
     algebra_torus = None
-    # the sweep's torus where it fits the spin dimension cap, else one cell
+    # the sweep's torus where the spin model fits the entry budget, else one cell
     for candidate_N in dict.fromkeys((args.N, 1)):
         candidate = torus if candidate_N == args.N else build_torus(args.d, candidate_N)
         with contextlib.suppress(ValueError):
@@ -152,7 +138,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "pass": not failures,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_lines([json.dumps(payload, indent=2)], args.out)
     return 0 if not failures else 1
 
 
@@ -176,7 +162,7 @@ def cmd_verify_algebra(args) -> int:
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_lines([json.dumps(payload, indent=2)], args.out)
     return 0 if payload["pass"] else 1
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Highest generator count built; k = 17 is the largest a two-site torus under
-# the spin dimension cap ever needs (d = 15).
+# Highest generator count built; k = 17 is the largest a two-site torus within
+# the spin model's entry budget ever needs (d = 15).
 K_CAP = 18
 
 # i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)

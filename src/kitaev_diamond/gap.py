@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import check_budget, simplex_count
-from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, csv_floats
+from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
 _DEGENERATE_RTOL = 32.0 * np.finfo(float).eps
-_FLOAT_MAX = float(np.finfo(float).max)
 
 # The numeric oracle refuses a scan whose slice of grid points exceeds this.
 _SCAN_CAP = 50_000_000
@@ -40,23 +39,23 @@ _NEWTON_MU_MIN = 1e-8
 def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
     """Shared primitive for the boundary tests: (sum |J|, sum |J| - 2 max |J|).
 
-    Both classifiers compare against the same floating-point values, which is
-    what makes them exact complements even on boundary inputs.  Only when
-    sum |J| or 2 max |J| could overflow are the magnitudes first scaled by a
-    power of two so the largest lies in [1/2, 1), and the results scaled
-    back.  Where nothing overflows that scaling gives the same bits, and
-    every other input keeps the unscaled arithmetic; a margin that overflows
-    even so keeps its sign as an infinity instead of turning into NaN.
+    Every classifier compares against the same floating-point values, which
+    is what makes them exact complements even on boundary inputs.  The
+    magnitudes are scaled by the power of two of `range_exponent`, summed,
+    and the results scaled back, so a margin that overflows keeps its sign
+    as an infinity instead of turning into NaN.
     """
     mags = np.abs(J)
     top = float(mags.max())
-    if 2.0 * mags.size * top > _FLOAT_MAX:
-        e = int(np.frexp(top)[1])
-        total, margin = _abs_sum_and_margin(np.ldexp(mags, -e))
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(total, e)), float(np.ldexp(margin, e))
+    e = range_exponent(top, mags.size)
+    if e:
+        mags, top = np.ldexp(mags, -e), np.ldexp(top, -e)
     total = float(mags.sum())
-    return total, total - 2.0 * top
+    margin = total - 2.0 * top
+    if e:
+        with np.errstate(over="ignore"):
+            total, margin = float(np.ldexp(total, e)), float(np.ldexp(margin, e))
+    return total, margin
 
 
 def has_zero(J) -> bool:
@@ -93,8 +92,7 @@ def polygon_exists(a) -> bool:
     a = a[a > 0]
     if a.size < 2:
         raise ValueError(f"need at least two positive sides, got {a.size}")
-    longest = float(a.max())
-    return longest < float(a.sum()) - longest
+    return _abs_sum_and_margin(a)[1] > 0.0
 
 
 def _triangle_angles(x: float, y: float, z: float) -> np.ndarray:
@@ -119,7 +117,12 @@ def _closed_angles(a: np.ndarray) -> np.ndarray:
     0 <= b - c <= s_1 <= longest <= b + c (the polygon inequality), so
     (longest, b, c) is a triangle, and every side takes its chain's
     direction.  Near-degenerate margins take the exact collinear solution.
+    The sides are first scaled by a power of two so the longest lies in
+    [1, 2), since the triangle squares side lengths, which under- or
+    overflows at extreme scales.  The scaling is exact (only sides over
+    2^1021 times shorter than the longest can round).
     """
+    a = np.ldexp(a, 1 - np.frexp(a.max())[1])
     order = np.argsort(a, kind="stable")[::-1]
     s = a[order]
     rest = float(s[1:].sum())
@@ -151,7 +154,7 @@ def polygon_angles(a) -> np.ndarray:
         raise ValueError("side lengths must be a 1-d sequence of two or more entries")
     if np.any(a <= 0) or not np.all(np.isfinite(a)):
         raise ValueError("side lengths must be finite and positive")
-    return np.mod(_closed_angles(a), TWO_PI)
+    return as_phases(_closed_angles(a))
 
 
 def find_zero(J) -> np.ndarray | None:
@@ -160,11 +163,8 @@ def find_zero(J) -> np.ndarray | None:
     Couplings become polygon sides |J_l|; negative couplings add a half-turn
     to their side's angle; the phase of the label-1 side is rotated away so
     only the d relative phases remain.  Zero couplings drop out of the
-    polygon and contribute nothing at any angle.  The sides are first scaled
-    by a power of two so the longest lies in [1, 2), since the construction
-    squares side lengths, which under- or overflows at extreme scales.  The
-    scaling is exact (only sides over 2^1021 times shorter than the longest
-    can round), so inputs already in that range give the same phases.
+    polygon and contribute nothing at any angle.  Couplings that differ by a
+    power of two give the same phases.
     """
     J = as_couplings(J)
     d = J.size - 1
@@ -173,13 +173,11 @@ def find_zero(J) -> np.ndarray | None:
         return None
     if total == 0.0:
         return np.zeros(d)
-    mags = np.abs(J)
-    mags = np.ldexp(mags, 1 - np.frexp(mags.max())[1])
     theta = np.zeros(J.size)
-    nz = np.flatnonzero(mags)
-    theta[nz] = _closed_angles(mags[nz])
+    nz = np.flatnonzero(J)
+    theta[nz] = _closed_angles(np.abs(J[nz]))
     theta[J < 0] += np.pi
-    return np.mod(theta[1:] - theta[0], TWO_PI)
+    return as_phases(theta[1:] - theta[0])
 
 
 def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:

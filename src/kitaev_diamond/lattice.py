@@ -73,9 +73,9 @@ class LatticeBasis:
 def make_basis(d: int) -> LatticeBasis:
     """Construct the translation generators, bond vectors and dual basis.
 
-    All vectors lie in the zero-sum hyperplane of R^(d+1).  The dual basis is
-    obtained by solving the Gram system of the alpha_i inside that hyperplane,
-    so no pseudo-inverse of the ambient embedding is needed.
+    All vectors lie in the zero-sum hyperplane of R^(d+1).  The bond vectors
+    beta_1..beta_d are already the dual basis: <alpha_j, alpha_i> = 1 +
+    delta_ij and <p, alpha_i> = 1, so <beta_j, alpha_i> = delta_ij.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -87,11 +87,7 @@ def make_basis(d: int) -> LatticeBasis:
     beta = np.empty((d + 1, d + 1))
     beta[0] = -p
     beta[1:] = alpha - p
-    # dual_b[j] = sum_i (G^-1)_{ji} alpha_i with G the Gram matrix of the alphas;
-    # the result automatically lies in the span of the alphas (the hyperplane).
-    gram = alpha @ alpha.T
-    dual_b = np.linalg.solve(gram, alpha)
-    return LatticeBasis(d=d, alpha=alpha, p=p, beta=beta, dual_b=dual_b)
+    return LatticeBasis(d=d, alpha=alpha, p=p, beta=beta, dual_b=beta[1:])
 
 
 class Vertex(NamedTuple):

@@ -20,7 +20,7 @@ from .lattice import DiamondTorus, check_budget, grid_count
 TWO_PI = 2.0 * np.pi
 # Rows of a CSV table formatted per vectorised block.
 ROW_BLOCK = 1 << 14
-_FLOAT_MAX = float(np.finfo(float).max)
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def as_couplings(J, d: int | None = None) -> np.ndarray:
@@ -42,21 +42,32 @@ def as_phases(phi, d: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {d} phases, got shape {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phases must be finite")
-    return np.mod(phi, TWO_PI)
+    phi = np.mod(phi, TWO_PI)
+    # np.mod rounds a tiny negative phase up to exactly 2pi
+    return np.where(phi == TWO_PI, 0.0, phi)
+
+
+def range_exponent(top: float, n: int) -> int:
+    """Power-of-two exponent e that brings top * 2^-e into [1/2, 1), or 0.
+
+    The exponent is nonzero only when a doubled sum of n terms of magnitude
+    top could overflow, so every other input keeps its unscaled arithmetic.
+    """
+    return int(np.frexp(top)[1]) if 2.0 * n * top > FLOAT_MAX else 0
 
 
 def _bloch_sum(c: np.ndarray, phi, prefactor: float | None = None):
     """prefactor * (c_0 + sum_i c_{i+1} e^{i phi_i}) over the last axis of phi.
 
-    Only when 2 len(c) times the largest component of c could overflow is c
-    first scaled by a power of two, its largest component into [1/2, 1), and
-    the result scaled back component by component: a sum that overflows then
-    gives infinite components instead of inf - inf = NaN.  Every other input
-    keeps the unscaled arithmetic bit for bit.
+    c is scaled by the power of two of `range_exponent` over its largest
+    component, and the result scaled back component by component: a sum
+    that overflows then gives infinite components instead of inf - inf =
+    NaN.  Scaling only where a sum could overflow keeps the imaginary part
+    of couplings more than 2^1022 apart, which a scaled sum would flush.
     """
     phi = as_phases(phi, d=c.size - 1)
     top = float(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
-    e = int(np.frexp(top)[1]) if 2.0 * c.size * top > _FLOAT_MAX else 0
+    e = range_exponent(top, c.size)
     if e:
         c = c * 2.0**-e
     val = c[0] + np.exp(1j * phi) @ c[1:]
@@ -151,7 +162,12 @@ def majorana_spectrum(A: np.ndarray) -> np.ndarray:
 
 def verify_bloch_equivalence(torus: DiamondTorus, J) -> float:
     """Max deviation between the grid dispersion multiset and the exact
-    spectrum of the hopping form.  Zero (to rounding) certifies both routes."""
+    spectrum of the hopping form.  Zero (to rounding) certifies both routes.
+    J is scaled by `range_exponent` over the edges, the deviation scaled back.
+    """
+    J = as_couplings(J, d=torus.d)
+    e = range_exponent(float(np.abs(J).max()), len(torus.edges))
+    J = np.ldexp(J, -e)
     matrix_eigs = majorana_spectrum(quadratic_form(torus, J))
     grid_eigs = bloch_multiset(J, torus.N)
     if matrix_eigs.size != grid_eigs.size:
@@ -159,7 +175,8 @@ def verify_bloch_equivalence(torus: DiamondTorus, J) -> float:
             f"multiset sizes differ: {matrix_eigs.size} matrix eigenvalues "
             f"vs {grid_eigs.size} grid values"
         )
-    return float(np.abs(matrix_eigs - grid_eigs).max())
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.abs(matrix_eigs - grid_eigs).max(), e))
 
 
 def csv_floats(values: np.ndarray) -> list[str]:

@@ -29,12 +29,8 @@ from .clifford import (
     majorana_strings,
     spin_strings,
 )
-from .lattice import DiamondTorus
-from .spectrum import as_couplings
-
-DIM_CAP = 2**16
-
-_FLOAT_MAX = float(np.finfo(float).max)
+from .lattice import DiamondTorus, check_budget, grid_count
+from .spectrum import FLOAT_MAX, as_couplings
 
 
 @dataclass(frozen=True)
@@ -71,14 +67,13 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
 
 
 def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
+    """(site_dim, total_dim), refused when the total_dim x (2E + 1) entries
+    stored (H's mask columns, one per link, the parity) exceed ENTRY_BUDGET."""
     site_dim = 2 ** (torus.d // 2 + 1)
     n_sites = len(torus.vertices)
-    total_dim = site_dim**n_sites
-    if total_dim > DIM_CAP:
-        raise ValueError(
-            f"total dimension {site_dim}^{n_sites} exceeds the cap {DIM_CAP}"
-        )
-    return site_dim, total_dim
+    entries = grid_count(site_dim, n_sites) * (2 * len(torus.edges) + 1)
+    check_budget(entries, f"spin model on torus d={torus.d}, N={torus.N}")
+    return site_dim, site_dim**n_sites
 
 
 def link_operators(torus: DiamondTorus) -> tuple[MaskMatrix, ...]:
@@ -122,7 +117,7 @@ def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    Refuses tori whose tensor-product dimension exceeds DIM_CAP.
+    Refuses tori whose stored entries exceed ENTRY_BUDGET (`tensor_dims`).
     """
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus)
@@ -162,18 +157,20 @@ def plus_sector_dimension(system: SpinSystem) -> int:
 
 def _saturate(x: float) -> float:
     """x, or the float maximum where x overflowed or is NaN."""
-    return x if x <= _FLOAT_MAX else _FLOAT_MAX
+    return x if x <= FLOAT_MAX else FLOAT_MAX
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm of an array, scaled so that no square overflows; saturated."""
+    """2-norm of an array, scaled by a power of two so no square overflows; saturated."""
     a = np.abs(v)
     top = float(a.max(initial=0.0))
-    if not top <= _FLOAT_MAX:
-        return _FLOAT_MAX
+    if not top <= FLOAT_MAX:
+        return FLOAT_MAX
     if top == 0.0:
         return 0.0
-    return _saturate(top * float(np.sqrt(np.sum((a / top) ** 2))))
+    e = int(np.frexp(top)[1])
+    with np.errstate(over="ignore"):
+        return _saturate(float(np.ldexp(np.sqrt(np.sum(np.ldexp(a, -e) ** 2)), e)))
 
 
 def _same_bits(A: MaskMatrix, B: MaskMatrix) -> bool:

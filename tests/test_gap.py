@@ -106,6 +106,26 @@ def test_polygon_angles_degenerate_collinear():
     assert abs(np.sum(np.array([1.0, 1.0, 2.0]) * np.exp(1j * theta))) < 1e-12
 
 
+@pytest.mark.parametrize("a", [
+    [1e200] * 3,
+    [1e-200] * 3,
+    [1.7e308] * 3,
+    [3e-320, 4e-320, 5e-320],
+])
+def test_polygon_angles_close_at_extreme_scales(a):
+    theta = gap.polygon_angles(a)
+    # scaled by a power of two so the check itself cannot over- or underflow
+    a = np.ldexp(a, -int(np.frexp(max(a))[1]))
+    assert abs(np.sum(a * np.exp(1j * theta))) < 1e-15 * a.sum()
+
+
+def test_polygon_exists_when_the_perimeter_overflows():
+    a = [1.79e308, 5e307, 5e307]
+    assert not gap.polygon_exists(a)
+    with pytest.raises(ValueError):
+        gap.polygon_angles(a)
+
+
 def test_polygon_angles_validation():
     with pytest.raises(ValueError):
         gap.polygon_angles([1.0, -1.0, 1.0])

@@ -125,3 +125,21 @@ def test_band_csv_lines_with_hoppings():
     for row in lines[1:]:
         cols = [float(x) for x in row.split(",")]
         assert cols[2] == cols[4] and cols[3] == cols[5]
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (2, 12), (3, 1), (5, 1)])
+def test_bloch_equivalence_at_every_scale(d, N):
+    torus = build_torus(d, N)
+    base = np.random.default_rng(d * 100 + N).uniform(-1.0, 1.0, size=d + 1)
+    base /= np.abs(base).max()
+    for scale in [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300, 8.9e307, 1.79e308]:
+        dev = spectrum.verify_bloch_equivalence(torus, base * scale)
+        # 1e-12 sum |J|, in an order that cannot overflow
+        assert np.isfinite(dev) and dev < 1e-12 * scale * np.abs(base).sum()
+
+
+def test_phase_wrap_never_returns_two_pi():
+    phi = spectrum.as_phases([-1e-20, -0.0, 2 * np.pi, -2 * np.pi, 7.0])
+    assert np.all((0.0 <= phi) & (phi < spectrum.TWO_PI))
+    assert phi[0] == 0.0
+    assert np.array_equal(spectrum.as_phases(phi), phi)

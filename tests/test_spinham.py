@@ -166,8 +166,22 @@ def test_tensor_dims():
 def test_tensor_dims_cap():
     with pytest.raises(ValueError):
         spinham.tensor_dims(build_torus(3, 2))
-    # d=2, N=2 sits exactly at the default cap
+    # d=2, N=2 stores 2^16 x 25 entries, within the entry budget
     assert spinham.tensor_dims(build_torus(2, 2)) == (4, 65536)
+
+
+def test_admitted_spin_tori():
+    admitted = []
+    for d in range(1, 40):
+        for N in range(1, 40):
+            try:
+                spinham.tensor_dims(build_torus(d, N))
+            except ValueError:
+                continue
+            admitted.append((d, N))
+    want = [(1, N) for N in range(1, 9)] + [(2, 1), (2, 2)]
+    want += [(d, 1) for d in range(3, 16)]
+    assert admitted == want
 
 
 def test_hamiltonian_hermitian_and_real_spectrum():

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from kitaev_diamond import cli, gap, lattice, spectrum
+from kitaev_diamond import cli, gap, lattice, spectrum, spinham
 from kitaev_diamond.tightbinding import r_of_q, tb_energy
 
 
@@ -195,6 +195,7 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     ["lattice", "--d", "2", "--N", "33"],
     ["lattice", "--d", "100000000", "--N", "1"],
     ["verify", "--d", "3", "--N", "100", "--draws", "1"],
+    ["verify-algebra", "--d", "16"],
 ])
 def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
     assert cli.main(argv) == 2
@@ -211,12 +212,15 @@ def test_t_length_error_names_the_hoppings(capsys):
 
 
 def test_budget_counts_are_exact(monkeypatch):
+    torus_2_2 = lattice.build_torus(2, 2)
     cases = [
         (lambda: spectrum.bz_grid(3, 4), 4**3 * 3),
         (lambda: gap.barycentric_grid(2, 4), 15 * 3),
         (lambda: list(gap.gapmap_csv_lines(2, 4)), 15 * 3),
         (lambda: lattice.build_torus(2, 2), 8 * 8),
         (lambda: lattice.build_torus(40, 1), 2 * 40),
+        # 4^8 states times 2 * 12 edges + 1 columns
+        (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 25),
     ]
     for build, entries in cases:
         monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries)
