@@ -2,16 +2,17 @@
 
 Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
-the edge label.  Every term, link operator and the parity are Pauli strings
-on the joint register (a site's string shifted to its tensor slot), and each
-matrix is a `MaskMatrix` expanded straight from its strings' bit masks: one
-entry per row and x mask, in column row ^ x, with sign
+the edge label.  Every term, link operator and the parity is a Pauli string
+on the joint register (a site's string shifted to its tensor slot).  The
+links and the parity are kept as strings only; the Hamiltonian is the one
+stored matrix, a `MaskMatrix` expanded straight from its terms' bit masks:
+one entry per row and x mask, in column row ^ x, with sign
 (-1)^popcount(column & z).  The entries are 0, +-1, +-i, so every
 conserved-quantity identity below holds exactly, not just to rounding.  The
-identities are checked on the strings by bit arithmetic, and each stored
-matrix is tied to its strings by a bitwise comparison with their expansion;
-no matrix product is formed.  The joint +1 sector of the links and the
-parity is counted on the strings by a GF(2) rank.
+identities are checked on the strings by bit arithmetic, and H is tied to
+its terms by a bitwise comparison with their expansion; no matrix product
+is formed.  The joint +1 sector of the links and the parity is counted on
+the strings by a GF(2) rank.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ class SpinSystem:
     """Hamiltonian and its commuting frame on one torus.
 
     link_ops[k] is the involution attached to torus.edges[k]; parity is the
-    site-wise tensor power of the single-site parity operator.  The *_strings
-    fields hold the Pauli strings the matrices were expanded from:
-    term_strings[k] is the spin product on torus.edges[k], so
-    H = -sum_k J_{label_k} term_strings[k].
+    site-wise tensor power of the single-site parity operator; both are Pauli
+    strings.  term_strings[k] is the spin product on torus.edges[k], and
+    hamiltonian is the matrix of H = -sum_k J_{label_k} term_strings[k].
     """
 
     torus: DiamondTorus
@@ -49,11 +49,9 @@ class SpinSystem:
     site_dim: int
     total_dim: int
     hamiltonian: MaskMatrix
-    link_ops: tuple[MaskMatrix, ...]
-    parity: MaskMatrix
+    link_ops: tuple[PauliString, ...]
+    parity: PauliString
     term_strings: tuple[PauliString, ...]
-    link_strings: tuple[PauliString, ...]
-    parity_string: PauliString
 
 
 def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -67,16 +65,17 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
 
 
 def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
-    """(site_dim, total_dim), refused when the total_dim x (2E + 1) entries
-    stored (H's mask columns, one per link, the parity) exceed ENTRY_BUDGET."""
+    """(site_dim, total_dim), refused when the total_dim x 2E entries allocated
+    (H's at most E mask columns and the expansion it is checked against)
+    exceed ENTRY_BUDGET."""
     site_dim = 2 ** (torus.d // 2 + 1)
     n_sites = len(torus.vertices)
-    entries = grid_count(site_dim, n_sites) * (2 * len(torus.edges) + 1)
+    entries = grid_count(site_dim, n_sites) * 2 * len(torus.edges)
     check_budget(entries, f"spin model on torus d={torus.d}, N={torus.N}")
     return site_dim, site_dim**n_sites
 
 
-def link_operators(torus: DiamondTorus) -> tuple[MaskMatrix, ...]:
+def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
     """Edge involutions u_e = c_l(s=1 end) c_l(s=0 end), one per edge.
 
     The two generators act on different tensor factors, so they commute and
@@ -87,9 +86,7 @@ def link_operators(torus: DiamondTorus) -> tuple[MaskMatrix, ...]:
     vertex carry distinct labels, and distinct single-site generators always
     appear an even number of shared slots apart.
     """
-    tensor_dims(torus)
-    links = _edge_strings(majorana_strings(torus.d + 2), torus)
-    return tuple(u.to_matrix() for u in links)
+    return _edge_strings(majorana_strings(torus.d + 2), torus)
 
 
 def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
@@ -117,7 +114,7 @@ def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    Refuses tori whose stored entries exceed ENTRY_BUDGET (`tensor_dims`).
+    Refuses tori whose allocated entries exceed ENTRY_BUDGET (`tensor_dims`).
     """
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus)
@@ -127,18 +124,15 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     parity = PauliString(D_site.n * n_sites)
     for v in range(n_sites):
         parity = parity * D_site.on_site(v, n_sites)
-    links = _edge_strings(majorana_strings(torus.d + 2), torus)
     return SpinSystem(
         torus=torus,
         couplings=J,
         site_dim=site_dim,
         total_dim=total_dim,
         hamiltonian=_hamiltonian_matrix(terms, _edge_couplings(J, torus), total_dim),
-        link_ops=tuple(u.to_matrix() for u in links),
-        parity=parity.to_matrix(),
+        link_ops=link_operators(torus),
+        parity=parity,
         term_strings=terms,
-        link_strings=links,
-        parity_string=parity,
     )
 
 
@@ -152,7 +146,7 @@ def plus_sector_dimension(system: SpinSystem) -> int:
     picture lives in.  On larger tori links sharing one vertex anticommute,
     so the joint sector is empty.
     """
-    return joint_plus_dimension((*system.link_strings, system.parity_string))
+    return joint_plus_dimension((*system.link_ops, system.parity))
 
 
 def _saturate(x: float) -> float:
@@ -227,17 +221,13 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     together these force eigenvalues exactly +-1 with equal multiplicity --
     and that the parity is diagonal with entries +-1.
 
-    Everything is computed on the Pauli strings by bit arithmetic.  The
-    stored matrices are read too: each link and the parity is compared
-    bitwise with its string's expansion, and H with the expansion of
-    -sum J_l term_strings (same masks, same rounding).  Where every
-    comparison holds, the values are those of the matrices; a commutator
-    that does not vanish is that of the exact sum, which H rounds.  Where a
-    comparison fails, the exactness flag of that matrix goes False and every
-    residual involving it becomes an upper bound through the Frobenius
-    distance Delta to the expansion: ||[H, M]|| <= ||[H, S]|| + 2 Delta_H
-    + 2 ||H|| Delta_M and ||M M - Id|| <= ||S S - Id|| + 2 Delta_M
-    + Delta_M^2.  Values beyond the float range saturate at its maximum, so
+    Everything is computed on the Pauli strings by bit arithmetic.  The one
+    stored matrix, H, is compared bitwise with the expansion of
+    -sum J_l term_strings (same masks, same rounding).  Where they agree, a
+    commutator that does not vanish is that of the exact sum, which H rounds.
+    Where they differ, each commutator becomes an upper bound through the
+    Frobenius distance Delta_H to the expansion: ||[H, S]|| <= ||[sum, S]||
+    + 2 Delta_H.  Values beyond the float range saturate at its maximum, so
     the report never holds inf or NaN.
     """
     dim = system.total_dim
@@ -246,39 +236,22 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     H, H_ref = system.hamiltonian, _hamiltonian_matrix(terms, J, dim)
     delta_H = 0.0 if _same_bits(H, H_ref) else _fro_distance(H, H_ref)
 
-    def check(M, S):
-        """(commutator bound, involution bound, tied) of a stored matrix."""
-        E = S.to_matrix()
-        if _same_bits(M, E):
-            delta, tied = 0.0, True
-        else:
-            delta, tied = _fro_distance(M, E), False
-        h_norm = _norm(H_ref.values) + delta_H if delta else 0.0  # ||H||_2 <= this
-        comm = _commutator_norm(terms, J, S, dim) + 2 * delta_H + 2 * h_norm * delta
-        inv = _involution_norm(S, dim) + 2 * delta + delta * delta
-        return _saturate(comm), _saturate(inv), tied
+    def commutator(S: PauliString) -> float:
+        return _saturate(_commutator_norm(terms, J, S, dim) + 2 * delta_H)
 
-    comm_links = 0.0
-    link_inv = 0.0
-    exact_links = True
-    identity = PauliString(system.parity_string.n)
-    for u, s in zip(system.link_ops, system.link_strings, strict=True):
-        comm, inv, tied = check(u, s)
-        comm_links = max(comm_links, comm)
-        link_inv = max(link_inv, inv)
-        if not (tied and s * s == identity and s.is_hermitian() and (s.x or s.z)):
-            exact_links = False
-    P = system.parity_string
-    comm_parity, parity_inv, parity_tied = check(system.parity, P)
+    links, P = system.link_ops, system.parity
+    identity = PauliString(P.n)
     residuals = {
-        "commutator_parity": comm_parity,
-        "commutator_links_max": comm_links,
-        "parity_involution": parity_inv,
-        "link_involution_max": link_inv,
+        "commutator_parity": commutator(P),
+        "commutator_links_max": max(map(commutator, links), default=0.0),
+        "parity_involution": _involution_norm(P, dim),
+        "link_involution_max": max((_involution_norm(u, dim) for u in links), default=0.0),
     }
     residuals["max_residual"] = max(residuals.values())
-    residuals["links_exact_pm_one"] = exact_links
-    residuals["parity_diagonal_pm_one"] = bool(
-        parity_tied and P.x == 0 and P.phase % 2 == 0 and P * P == identity
+    residuals["links_exact_pm_one"] = all(
+        u * u == identity and u.is_hermitian() and (u.x or u.z) for u in links
+    )
+    residuals["parity_diagonal_pm_one"] = (
+        P.x == 0 and P.phase % 2 == 0 and P * P == identity
     )
     return residuals

@@ -28,6 +28,13 @@ def _nonzero(J):
     return np.count_nonzero(J) >= 2
 
 
+def _moves(data, n):
+    """A permutation of n labels and a sign for each."""
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    return np.array(perm), np.array(signs)
+
+
 @fixed
 @given(couplings, exponents)
 def test_verdicts_invariant_under_power_of_two_scaling(J, k):
@@ -53,10 +60,8 @@ def test_min_gap_numeric_scales_by_the_same_power(J, k):
 @fixed
 @given(couplings, st.data())
 def test_verdicts_covariant_under_permutation_and_sign(J, data):
-    perm = data.draw(st.permutations(range(J.size)))
-    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=J.size,
-                               max_size=J.size))
-    moved = np.array(signs) * J[perm]
+    perm, signs = _moves(data, J.size)
+    moved = signs * J[perm]
     assert gap.has_zero(moved) == gap.has_zero(J)
     if _nonzero(J):
         assert gap.polygon_exists(np.abs(moved)) == gap.polygon_exists(np.abs(J))
@@ -93,3 +98,38 @@ def test_phase_wrap_lands_in_range_and_is_idempotent(phi):
     wrapped = spectrum.as_phases(phi)
     assert np.all((wrapped >= 0.0) & (wrapped < spectrum.TWO_PI))
     assert np.array_equal(spectrum.as_phases(wrapped), wrapped)
+
+
+# nonzero magnitudes, pairwise distinct, so the polygon's side order is the same
+# for every relabelling
+distinct = st.lists(
+    st.tuples(st.floats(2.0**-20, 2.0), st.booleans()),
+    min_size=2,
+    max_size=8,
+    unique_by=lambda m: m[0],
+).map(lambda ms: np.array([-m if negative else m for m, negative in ms]))
+
+
+def _angle_distance(a, b):
+    return np.abs((a - b + np.pi) % spectrum.TWO_PI - np.pi)
+
+
+@fixed
+@given(distinct, st.data())
+def test_find_zero_covariant_under_permutation_and_sign(J, data):
+    perm, signs = _moves(data, J.size)
+    phi, moved = gap.find_zero(J), gap.find_zero(signs * J[perm])
+    assert (phi is None) == (moved is None)
+    if phi is not None:
+        # side l of the moved polygon is side perm[l], turned by pi if flipped
+        full = np.concatenate([[0.0], phi])[perm] + np.pi * (signs < 0)
+        assert np.all(_angle_distance(moved, full[1:] - full[0]) <= 1e-12)
+
+
+@fixed
+@given(couplings.filter(lambda J: J.size <= 5), st.data())
+def test_min_gap_numeric_invariant_under_permutation_and_sign(J, data):
+    perm, signs = _moves(data, J.size)
+    want = gap.min_gap_numeric(J)
+    got = gap.min_gap_numeric(signs * J[perm])
+    assert abs(got - want) <= 1e-6 * np.abs(J).sum()
