@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gap as gap_mod
 from . import spectrum, spinham
-from .lattice import build_torus, torus_to_dict
+from .lattice import build_torus, torus_to_json
 
 BLOCH_TOL = 1e-8
 ALGEBRA_TOL = 1e-12
@@ -83,7 +83,7 @@ def cmd_gapmap(args) -> int:
 
 def cmd_lattice(args) -> int:
     torus = build_torus(args.d, args.N)
-    _emit_lines([json.dumps(torus_to_dict(torus), indent=2)], args.out)
+    _emit_lines([torus_to_json(torus)], args.out)
     return 0
 
 

@@ -3,16 +3,14 @@
 Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
-on the joint register (a site's string shifted to its tensor slot).  The
-links and the parity are kept as strings only; the Hamiltonian is the one
-stored matrix, a `MaskMatrix` expanded straight from its terms' bit masks:
-one entry per row and x mask, in column row ^ x, with sign
-(-1)^popcount(column & z).  The entries are 0, +-1, +-i, so every
-conserved-quantity identity below holds exactly, not just to rounding.  The
-identities are checked on the strings by bit arithmetic, and H is tied to
-its terms by a bitwise comparison with their expansion; no matrix product
-is formed.  The joint +1 sector of the links and the parity is counted on
-the strings by a GF(2) rank.
+on the joint register (a site's string shifted to its tensor slot), and the
+strings are the only stored form of the model.  The Hamiltonian's matrix is
+expanded from its terms' bit masks on request: one entry per row and x mask,
+in column row ^ x, with sign (-1)^popcount(column & z).  The entries are 0,
++-1, +-i, so every conserved-quantity identity below holds exactly, not just
+to rounding.  The identities are checked on the strings by bit arithmetic;
+no matrix is formed.  The joint +1 sector of the links and the parity is
+counted on the strings by a GF(2) rank.
 """
 
 from __future__ import annotations
@@ -36,22 +34,27 @@ from .spectrum import FLOAT_MAX, as_couplings
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Hamiltonian and its commuting frame on one torus.
+    """Hamiltonian and its commuting frame on one torus, as Pauli strings.
 
     link_ops[k] is the involution attached to torus.edges[k]; parity is the
-    site-wise tensor power of the single-site parity operator; both are Pauli
-    strings.  term_strings[k] is the spin product on torus.edges[k], and
-    hamiltonian is the matrix of H = -sum_k J_{label_k} term_strings[k].
+    site-wise tensor power of the single-site parity operator.
+    term_strings[k] is the spin product on torus.edges[k], so that
+    H = -sum_k J_{label_k} term_strings[k].
     """
 
     torus: DiamondTorus
     couplings: np.ndarray
     site_dim: int
     total_dim: int
-    hamiltonian: MaskMatrix
     link_ops: tuple[PauliString, ...]
     parity: PauliString
     term_strings: tuple[PauliString, ...]
+
+    @property
+    def hamiltonian(self) -> MaskMatrix:
+        """The matrix of H, expanded from term_strings and couplings on each access."""
+        J = _edge_couplings(self.couplings, self.torus)
+        return _hamiltonian_matrix(self.term_strings, J, self.total_dim)
 
 
 def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -65,12 +68,11 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
 
 
 def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
-    """(site_dim, total_dim), refused when the total_dim x 2E entries allocated
-    (H's at most E mask columns and the expansion it is checked against)
-    exceed ENTRY_BUDGET."""
+    """(site_dim, total_dim), refused when the total_dim x E entries of H's
+    at most E mask columns exceed ENTRY_BUDGET."""
     site_dim = 2 ** (torus.d // 2 + 1)
     n_sites = len(torus.vertices)
-    entries = grid_count(site_dim, n_sites) * 2 * len(torus.edges)
+    entries = grid_count(site_dim, n_sites) * len(torus.edges)
     check_budget(entries, f"spin model on torus d={torus.d}, N={torus.N}")
     return site_dim, site_dim**n_sites
 
@@ -114,7 +116,7 @@ def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    Refuses tori whose allocated entries exceed ENTRY_BUDGET (`tensor_dims`).
+    Refuses tori whose matrix would exceed ENTRY_BUDGET (`tensor_dims`).
     """
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus)
@@ -129,7 +131,6 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
         couplings=J,
         site_dim=site_dim,
         total_dim=total_dim,
-        hamiltonian=_hamiltonian_matrix(terms, _edge_couplings(J, torus), total_dim),
         link_ops=link_operators(torus),
         parity=parity,
         term_strings=terms,
@@ -167,31 +168,6 @@ def _norm(v: np.ndarray) -> float:
         return _saturate(float(np.ldexp(np.sqrt(np.sum(np.ldexp(a, -e) ** 2)), e)))
 
 
-def _same_bits(A: MaskMatrix, B: MaskMatrix) -> bool:
-    """Equal masks and value bits (-0.0 differs from 0.0)."""
-    return (
-        A.values.shape == B.values.shape
-        and A.values.dtype == B.values.dtype
-        and np.array_equal(A.x, B.x)
-        and np.array_equal(*(np.ascontiguousarray(M.values).view(np.uint64) for M in (A, B)))
-    )
-
-
-def _fro_distance(A: MaskMatrix, B: MaskMatrix) -> float:
-    """||A - B||_F, summed column by column per x mask.
-
-    Distinct masks never share an entry; a matrix with fewer rows counts as
-    zero in the rows it lacks.
-    """
-    dim = max(A.values.shape[0], B.values.shape[0])
-    diff: dict[int, np.ndarray] = {}
-    for masks, values in ((A.x, A.values), (B.x, -B.values)):
-        for x, column in zip(masks.tolist(), values.T):
-            out = diff.setdefault(x, np.zeros(dim, dtype=complex))
-            out[: column.size] += column
-    return _norm(np.array(list(diff.values()), dtype=complex))
-
-
 def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
     """||[H, S]||_F for H = -sum_k J[k] terms[k].
 
@@ -221,29 +197,21 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     together these force eigenvalues exactly +-1 with equal multiplicity --
     and that the parity is diagonal with entries +-1.
 
-    Everything is computed on the Pauli strings by bit arithmetic.  The one
-    stored matrix, H, is compared bitwise with the expansion of
-    -sum J_l term_strings (same masks, same rounding).  Where they agree, a
-    commutator that does not vanish is that of the exact sum, which H rounds.
-    Where they differ, each commutator becomes an upper bound through the
-    Frobenius distance Delta_H to the expansion: ||[H, S]|| <= ||[sum, S]||
-    + 2 Delta_H.  Values beyond the float range saturate at its maximum, so
-    the report never holds inf or NaN.
+    Everything is computed on the Pauli strings by bit arithmetic.  A
+    commutator that does not vanish is that of the exact sum, which the
+    expanded H rounds.  Values beyond the float range saturate at its
+    maximum, so the report never holds inf or NaN.
     """
     dim = system.total_dim
     terms = system.term_strings
     J = _edge_couplings(system.couplings, system.torus)
-    H, H_ref = system.hamiltonian, _hamiltonian_matrix(terms, J, dim)
-    delta_H = 0.0 if _same_bits(H, H_ref) else _fro_distance(H, H_ref)
-
-    def commutator(S: PauliString) -> float:
-        return _saturate(_commutator_norm(terms, J, S, dim) + 2 * delta_H)
-
     links, P = system.link_ops, system.parity
     identity = PauliString(P.n)
     residuals = {
-        "commutator_parity": commutator(P),
-        "commutator_links_max": max(map(commutator, links), default=0.0),
+        "commutator_parity": _commutator_norm(terms, J, P, dim),
+        "commutator_links_max": max(
+            (_commutator_norm(terms, J, u, dim) for u in links), default=0.0
+        ),
         "parity_involution": _involution_norm(P, dim),
         "link_involution_max": max((_involution_norm(u, dim) for u in links), default=0.0),
     }

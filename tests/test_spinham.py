@@ -97,16 +97,6 @@ def csr(M):
     return A
 
 
-def with_entry(M, i, edit):
-    """M with its i-th stored entry, in CSR order, replaced by edit(entry)."""
-    rows, ks = np.nonzero(M.values)
-    order = np.lexsort((rows ^ M.x[ks], rows))
-    r, k = rows[order[i]], ks[order[i]]
-    values = M.values.copy()
-    values[r, k] = edit(values[r, k])
-    return dataclasses.replace(M, values=values)
-
-
 def coupling_draws(d, seed):
     """A random draw, all ones, and +-1 alternating (couplings that cancel)."""
     yield np.random.default_rng(seed).uniform(-2.0, 2.0, size=d + 1)
@@ -166,7 +156,7 @@ def test_tensor_dims():
 def test_tensor_dims_cap():
     with pytest.raises(ValueError):
         spinham.tensor_dims(build_torus(3, 2))
-    # d=2, N=2 allocates 2^16 x 24 entries, within the entry budget
+    # d=2, N=2 allocates 2^16 x 12 entries, within the entry budget
     assert spinham.tensor_dims(build_torus(2, 2)) == (4, 65536)
 
 
@@ -204,10 +194,20 @@ def test_operator_identities_exact():
         assert rep["parity_diagonal_pm_one"]
 
 
+def odd_term_system(sys_):
+    """sys_ with term 0 replaced by one Majorana generator on site 0.
+
+    The generator anticommutes with the parity and with every link on site 0
+    whose label is not 1.
+    """
+    torus = sys_.torus
+    c1 = clifford.majorana_strings(torus.d + 2)[0].on_site(0, len(torus.vertices))
+    return dataclasses.replace(sys_, term_strings=(c1, *sys_.term_strings[1:]))
+
+
 def corrupted_systems(sys_):
-    """Copies of sys_ with H or one frame string broken, by name."""
+    """Copies of sys_ with one term or frame string broken, by name."""
     u, P = sys_.link_ops[0], sys_.parity
-    H = with_entry(sys_.hamiltonian, 0, lambda v: v + 0.5)
     # i u is not Hermitian, nor is u with a z bit flipped under one of its x
     # bits (X and Y = i X Z differ by that i); an X on the parity's first
     # qubit makes it off-diagonal
@@ -217,7 +217,7 @@ def corrupted_systems(sys_):
     return {
         "link sign": dataclasses.replace(sys_, link_ops=(odd_phase, *sys_.link_ops[1:])),
         "parity sign": dataclasses.replace(sys_, parity=off_diagonal),
-        "H entry": dataclasses.replace(sys_, hamiltonian=H),
+        "term string": odd_term_system(sys_),
         "link string": dataclasses.replace(sys_, link_ops=(lost_i, *sys_.link_ops[1:])),
     }
 
@@ -231,15 +231,15 @@ def trips(rep):
 
 
 def test_identity_checks_read_the_matrices():
-    """A corrupted H, or a link or parity string that is not an involution of
-    the right kind, trips the checks."""
+    """A term that breaks the symmetries, or a link or parity string that is
+    not an involution of the right kind, trips the checks."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
     bad = corrupted_systems(sys_)
     rep = spinham.verify_operator_identities(bad["link sign"])
     assert rep["link_involution_max"] > 0 and not rep["links_exact_pm_one"]
     rep = spinham.verify_operator_identities(bad["parity sign"])
     assert rep["commutator_parity"] > 0 and not rep["parity_diagonal_pm_one"]
-    rep = spinham.verify_operator_identities(bad["H entry"])
+    rep = spinham.verify_operator_identities(bad["term string"])
     assert rep["commutator_links_max"] > 0 and rep["commutator_parity"] > 0
     assert trips(rep)
     rep = spinham.verify_operator_identities(bad["link string"])
@@ -281,8 +281,7 @@ def test_commutator_residual_on_strings(J01):
     sys_ = spinham.build_spin_hamiltonian(torus, J)
     c1 = clifford.majorana_strings(4)[0].on_site(0, 2)
     terms = (c1, c1, *sys_.term_strings[2:])
-    H = spinham._hamiltonian_matrix(terms, spinham._edge_couplings(J, torus), sys_.total_dim)
-    odd = dataclasses.replace(sys_, hamiltonian=H, term_strings=terms)
+    odd = dataclasses.replace(sys_, term_strings=terms)
     rep = spinham.verify_operator_identities(odd)
     ref = ref_verify_operator_identities(odd)
     for key, value in ref.items():
@@ -292,10 +291,12 @@ def test_commutator_residual_on_strings(J01):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308, 1e-300])
 def test_identity_report_stays_finite(value):
-    """A wild entry of H gives finite positive bounds, never inf or NaN."""
-    sys_ = spinham.build_spin_hamiltonian(build_torus(3, 1), np.ones(4))
-    H = with_entry(sys_.hamiltonian, 3, lambda v: value)
-    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, hamiltonian=H))
+    """A wild coupling on a symmetry-breaking term gives finite positive
+    residuals, never inf or NaN."""
+    sys_ = odd_term_system(spinham.build_spin_hamiltonian(build_torus(3, 1), np.ones(4)))
+    couplings = sys_.couplings.copy()
+    couplings[0] = value
+    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, couplings=couplings))
     json.dumps(rep, allow_nan=False)
     for key in ("commutator_parity", "commutator_links_max"):
         assert 0.0 < rep[key] <= np.finfo(float).max
@@ -527,44 +528,14 @@ def test_hamiltonian_nnz_matches_the_csr_count():
             assert H.nnz == csr(H).nnz == want, (d, N)
 
 
-def test_wrong_shape_or_masks_trip_with_finite_bounds():
-    """An H with the wrong shape or x masks trips the report, finitely."""
+def test_hamiltonian_follows_the_fields():
+    """H is expanded from the system's current couplings and term strings."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
     H = sys_.hamiltonian
-    free = min(set(range(sys_.total_dim)) - set(H.x.tolist()))
-    bad_H = {
-        "H shape": dataclasses.replace(H, values=H.values[:-1]),
-        "H mask": dataclasses.replace(H, x=np.where(H.x == H.x[0], free, H.x)),
-    }
-    for name, M in bad_H.items():
-        rep = spinham.verify_operator_identities(dataclasses.replace(sys_, hamiltonian=M))
-        json.dumps(rep, allow_nan=False)
-        assert trips(rep), name
-        assert 0.0 < rep["max_residual"] <= np.finfo(float).max, name
-    # the same matrices in another memory layout or mask order are no fault
-    exact = spinham.verify_operator_identities(sys_)
-    for same in (dataclasses.replace(H, values=np.asfortranarray(H.values)),
-                 dataclasses.replace(H, x=H.x[::-1], values=H.values[:, ::-1])):
-        assert spinham.verify_operator_identities(
-            dataclasses.replace(sys_, hamiltonian=same)) == exact
-
-
-def test_fro_distance_matches_dense():
-    """Shared, disjoint and missing masks, and matrices of different sizes."""
-    rng = np.random.default_rng(11)
-
-    def random_matrix(dim):
-        x = rng.permutation(dim)[: rng.integers(1, 5)]
-        values = rng.normal(size=(dim, x.size)) + 1j * rng.normal(size=(dim, x.size))
-        return clifford.MaskMatrix(x, values * (rng.random((dim, x.size)) < 0.8))
-
-    for _ in range(100):
-        A, B = random_matrix(16), random_matrix(int(rng.choice([8, 16])))
-        dense_B = np.zeros((16, 16), dtype=complex)
-        dense_B[: B.shape[0], : B.shape[0]] = B.toarray()
-        want = np.linalg.norm(A.toarray() - dense_B)
-        assert spinham._fro_distance(A, B) == pytest.approx(want, rel=1e-14)
-        assert spinham._fro_distance(B, A) == pytest.approx(want, rel=1e-14)
+    doubled = dataclasses.replace(sys_, couplings=2 * sys_.couplings).hamiltonian
+    assert np.array_equal(doubled.x, H.x)
+    assert np.array_equal(doubled.values.view(np.uint64), (2 * H.values).view(np.uint64))
+    assert not np.array_equal(odd_term_system(sys_).hamiltonian.toarray(), H.toarray())
 
 
 def test_hamiltonian_term_count():

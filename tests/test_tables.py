@@ -219,8 +219,8 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: list(gap.gapmap_csv_lines(2, 4)), 15 * 3),
         (lambda: lattice.build_torus(2, 2), 8 * 8),
         (lambda: lattice.build_torus(40, 1), 2 * 40),
-        # 4^8 states times 2 * 12 edges columns
-        (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 24),
+        # 4^8 states times 12 edge columns
+        (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 12),
     ]
     for build, entries in cases:
         monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries)
