@@ -47,7 +47,7 @@ def _emit_lines(lines, out: str | None) -> None:
 def cmd_bands(args) -> int:
     J = _parse_floats(args.J, "--J")
     spectrum.as_couplings(J, d=args.d)
-    t = _parse_floats(args.t, "--t") if args.t else None
+    t = _parse_floats(args.t, "--t") if args.t is not None else None
     if args.format == "json":
         cols, values = spectrum.band_table(J, args.grid, hoppings=t)
         # json prints each float's repr, which parses back to the same bits
@@ -88,6 +88,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.draws < 0:
+        raise ValueError(f"--draws must be >= 0, got {args.draws}")
     torus = build_torus(args.d, args.N)
     swept = torus
     if args.corrupt_sign:
@@ -154,7 +156,7 @@ def verify_ops_payload(system) -> dict:
 
 def cmd_verify_algebra(args) -> int:
     torus = build_torus(args.d, args.N)
-    if args.J:
+    if args.J is not None:
         J = _parse_floats(args.J, "--J")
         spectrum.as_couplings(J, d=args.d)
     else:

@@ -4,12 +4,13 @@ The k generators c_1..c_k obey {c_i, c_j} = 2*delta_ij and are realised by
 Jordan-Wigner strings on m = floor(k/2) qubits.  Every operator here is a
 Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
 so products, commutation signs and the chirality sign are integer
-arithmetic.  Matrices are expanded from the masks on request into a
-`MaskMatrix`; every entry is one of 0, +-1, +-i, so all algebraic
-identities below hold exactly in float arithmetic.  For odd k the last
-generator is a full Z string whose sign is fixed by the chirality condition
-i^m c_1 ... c_{2m+1} = +Id, selecting one of the two inequivalent
-irreducible representations.
+arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
+return strings, the only form kept; a string's matrix is expanded from its
+masks on request (`to_matrix`, `to_dense`).  Every entry is one of 0, +-1,
++-i, so all algebraic identities below hold exactly in float arithmetic.
+For odd k the last generator is a full Z string whose sign is fixed by the
+chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one of the two
+inequivalent irreducible representations.
 """
 
 from __future__ import annotations
@@ -129,31 +130,7 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     return 1 << (n - len(pivots))
 
 
-@dataclass(frozen=True)
-class MajoranaRep:
-    """Generators of Cl_k on 2^floor(k/2) dimensions."""
-
-    k: int
-    dim: int
-    c: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class LadderOps:
-    """Fermionic ladder operators a_i = (c_{2i-1} + i c_{2i})/2 and the vacuum.
-
-    b is the leftover odd generator (present only for odd k).  vac is the
-    basis state e_0: under Jordan-Wigner a_j = Z^(j-1) (x) |0><1| (x) I, so
-    every a_j annihilates it.
-    """
-
-    a: tuple[np.ndarray, ...]
-    a_dag: tuple[np.ndarray, ...]
-    b: np.ndarray | None
-    vac: np.ndarray
-
-
-def majorana_strings(k: int) -> tuple[PauliString, ...]:
+def majorana_rep(k: int) -> tuple[PauliString, ...]:
     """Jordan-Wigner generators of Cl_k as Pauli strings on floor(k/2) qubits.
 
     c_{2j-1} = Z^(j-1) X I^(m-j), c_{2j} = Z^(j-1) Y I^(m-j); for odd k the
@@ -184,39 +161,17 @@ def majorana_strings(k: int) -> tuple[PauliString, ...]:
     return tuple(c)
 
 
-def majorana_rep(k: int) -> MajoranaRep:
-    """Dense matrices of `majorana_strings`."""
-    c = tuple(s.to_dense() for s in majorana_strings(k))
-    return MajoranaRep(k=k, dim=2 ** (k // 2), c=c)
-
-
-def ladder_ops(rep: MajoranaRep) -> LadderOps:
-    """Pair the generators into ladder operators; the Fock vacuum is e_0.
-
-    A nonzero in column 0 of some a_j signals a broken representation.
-    """
-    m = rep.k // 2
-    a = tuple(0.5 * (rep.c[2 * i] + 1j * rep.c[2 * i + 1]) for i in range(m))
-    a_dag = tuple(0.5 * (rep.c[2 * i] - 1j * rep.c[2 * i + 1]) for i in range(m))
-    b = rep.c[-1] if rep.k % 2 == 1 else None
-    if any(np.any(op[:, 0]) for op in a):
-        raise AssertionError("an annihilator does not annihilate e_0; broken construction")
-    vac = np.zeros(rep.dim, dtype=complex)
-    vac[0] = 1.0
-    return LadderOps(a=a, a_dag=a_dag, b=b, vac=vac)
-
-
-def d_operator_string(d: int) -> PauliString:
+def d_operator(d: int) -> PauliString:
     """Sublattice-site parity operator on the Cl_{d+2} representation space.
 
-    D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1, and each factor
-    is -i c_{2i-1} c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal
-    Hermitian involution whose +1 eigenspace has dimension 2^floor(d/2),
-    half the representation.
+    D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1 and the ladder
+    operators a_i = (c_{2i-1} + i c_{2i})/2.  Each factor is -i c_{2i-1}
+    c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal Hermitian involution
+    whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_strings(d + 2)
+    c = majorana_rep(d + 2)
     m = (d + 2) // 2
     out = PauliString(m, phase=m % 4)
     for g in c[: 2 * m]:
@@ -224,12 +179,7 @@ def d_operator_string(d: int) -> PauliString:
     return out
 
 
-def d_operator(d: int) -> np.ndarray:
-    """Dense matrix of `d_operator_string`."""
-    return d_operator_string(d).to_dense()
-
-
-def spin_strings(d: int) -> tuple[PauliString, ...]:
+def spin_ops(d: int) -> tuple[PauliString, ...]:
     """Spin operators sigma^k = i c_k c_{d+2} for k = 1..d+1.
 
     Each is a Hermitian involution.  They commute with the parity operator D
@@ -239,11 +189,6 @@ def spin_strings(d: int) -> tuple[PauliString, ...]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_strings(d + 2)
+    c = majorana_rep(d + 2)
     i = PauliString(c[0].n, phase=1)
     return tuple(i * g * c[d + 1] for g in c[: d + 1])
-
-
-def spin_ops(d: int) -> tuple[np.ndarray, ...]:
-    """Dense matrices of `spin_strings`."""
-    return tuple(s.to_dense() for s in spin_strings(d))

@@ -75,10 +75,12 @@ def make_basis(d: int) -> LatticeBasis:
 
     All vectors lie in the zero-sum hyperplane of R^(d+1).  The bond vectors
     beta_1..beta_d are already the dual basis: <alpha_j, alpha_i> = 1 +
-    delta_ij and <p, alpha_i> = 1, so <beta_j, alpha_i> = delta_ij.
+    delta_ij and <p, alpha_i> = 1, so <beta_j, alpha_i> = delta_ij.  The
+    (2d+1)(d+1) entries of alpha and beta are refused above ENTRY_BUDGET.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    check_budget((2 * d + 1) * (d + 1), f"lattice basis d={d}")
     alpha = np.zeros((d, d + 1))
     for i in range(d):
         alpha[i, i] = 1.0

@@ -23,10 +23,10 @@ import numpy as np
 from .clifford import (
     MaskMatrix,
     PauliString,
-    d_operator_string,
+    d_operator,
     joint_plus_dimension,
-    majorana_strings,
-    spin_strings,
+    majorana_rep,
+    spin_ops,
 )
 from .lattice import DiamondTorus, check_budget, grid_count
 from .spectrum import FLOAT_MAX, as_couplings
@@ -88,7 +88,7 @@ def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
     vertex carry distinct labels, and distinct single-site generators always
     appear an even number of shared slots apart.
     """
-    return _edge_strings(majorana_strings(torus.d + 2), torus)
+    return _edge_strings(majorana_rep(torus.d + 2), torus)
 
 
 def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
@@ -120,9 +120,9 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """
     J = as_couplings(J, d=torus.d)
     site_dim, total_dim = tensor_dims(torus)
-    terms = _edge_strings(spin_strings(torus.d), torus)
+    terms = _edge_strings(spin_ops(torus.d), torus)
     n_sites = len(torus.vertices)
-    D_site = d_operator_string(torus.d)
+    D_site = d_operator(torus.d)
     parity = PauliString(D_site.n * n_sites)
     for v in range(n_sites):
         parity = parity * D_site.on_site(v, n_sites)

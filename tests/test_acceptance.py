@@ -160,63 +160,68 @@ def test_criterion_5_complementarity_exhaustive():
 
 
 def test_criterion_6_clifford_suite():
+    def generators(k):
+        return [s.to_dense() for s in clifford.majorana_rep(k)]
+
     # exact anticommutation through k = 12
     anti_exact = True
     for k in range(1, 13):
-        rep = clifford.majorana_rep(k)
-        eye2 = 2.0 * np.eye(rep.dim, dtype=complex)
+        c = generators(k)
+        eye2 = 2.0 * np.eye(2 ** (k // 2), dtype=complex)
         for i in range(k):
             for j in range(k):
                 want = eye2 if i == j else np.zeros_like(eye2)
-                if not np.array_equal(rep.c[i] @ rep.c[j] + rep.c[j] @ rep.c[i], want):
+                if not np.array_equal(c[i] @ c[j] + c[j] @ c[i], want):
                     anti_exact = False
 
-    # ladder relations to 1e-14
+    # ladder relations to 1e-14, for a_i = (c_{2i-1} + i c_{2i})/2 and the
+    # odd generator b
     ladder_worst = 0.0
     for k in range(2, 13):
-        rep = clifford.majorana_rep(k)
-        lad = clifford.ladder_ops(rep)
+        c = generators(k)
         m = k // 2
-        eye = np.eye(rep.dim, dtype=complex)
+        a = [0.5 * (c[2 * i] + 1j * c[2 * i + 1]) for i in range(m)]
+        a_dag = [0.5 * (c[2 * i] - 1j * c[2 * i + 1]) for i in range(m)]
+        b = c[-1] if k % 2 == 1 else None
+        eye = np.eye(2**m, dtype=complex)
         for i in range(m):
             for j in range(m):
                 ladder_worst = max(
                     ladder_worst,
-                    np.max(np.abs(lad.a[i] @ lad.a[j] + lad.a[j] @ lad.a[i])),
+                    np.max(np.abs(a[i] @ a[j] + a[j] @ a[i])),
                     np.max(np.abs(
-                        lad.a[i] @ lad.a_dag[j] + lad.a_dag[j] @ lad.a[i]
+                        a[i] @ a_dag[j] + a_dag[j] @ a[i]
                         - (eye if i == j else 0.0)
                     )),
                 )
-            if lad.b is not None:
+            if b is not None:
                 ladder_worst = max(
                     ladder_worst,
-                    np.max(np.abs(lad.a[i] @ lad.b + lad.b @ lad.a[i])),
-                    np.max(np.abs(lad.a_dag[i] @ lad.b + lad.b @ lad.a_dag[i])),
+                    np.max(np.abs(a[i] @ b + b @ a[i])),
+                    np.max(np.abs(a_dag[i] @ b + b @ a_dag[i])),
                 )
-        if lad.b is not None:
-            ladder_worst = max(ladder_worst, np.max(np.abs(lad.b @ lad.b - eye)))
+        if b is not None:
+            ladder_worst = max(ladder_worst, np.max(np.abs(b @ b - eye)))
     ladder_ok = ladder_worst < 1e-14
 
     # odd-generator chirality is the identity, bitwise
     chirality_exact = True
     for k in (1, 3, 5, 7, 9, 11):
-        rep = clifford.majorana_rep(k)
-        prod = np.eye(rep.dim, dtype=complex)
-        for c in rep.c:
+        eye = np.eye(2 ** (k // 2), dtype=complex)
+        prod = eye
+        for c in generators(k):
             prod = prod @ c
-        if not np.array_equal((1j) ** ((k - 1) // 2) * prod,
-                              np.eye(rep.dim, dtype=complex)):
+        if not np.array_equal((1j) ** ((k - 1) // 2) * prod, eye):
             chirality_exact = False
 
     # D eigenspace dimension and the two-dimensional anchor
     nu_ok = all(
-        int(np.sum(np.real(np.diag(clifford.d_operator(d))) > 0)) == 2 ** (d // 2)
+        int(np.sum(np.real(np.diag(clifford.d_operator(d).to_dense())) > 0))
+        == 2 ** (d // 2)
         for d in range(2, 7)
     )
-    rep4 = clifford.majorana_rep(4)
     anchor_ok = np.array_equal(
-        clifford.d_operator(2), -np.linalg.multi_dot(rep4.c)
+        clifford.d_operator(2).to_dense(), -np.linalg.multi_dot(generators(4))
     )
 
     ok = anti_exact and ladder_ok and chirality_exact and nu_ok and anchor_ok

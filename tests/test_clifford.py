@@ -8,34 +8,53 @@ def anticommutator(x, y):
     return x @ y + y @ x
 
 
+def generators(k):
+    """Dense matrices of the Cl_k generators."""
+    return [s.to_dense() for s in clifford.majorana_rep(k)]
+
+
+def ladder(k):
+    """Ladder operators a_i = (c_{2i-1} + i c_{2i})/2, their adjoints, the
+    odd generator b (None for even k) and the vacuum e_0, from the generators.
+    """
+    c = generators(k)
+    m = k // 2
+    a = [0.5 * (c[2 * i] + 1j * c[2 * i + 1]) for i in range(m)]
+    a_dag = [0.5 * (c[2 * i] - 1j * c[2 * i + 1]) for i in range(m)]
+    b = c[-1] if k % 2 == 1 else None
+    vac = np.zeros(2**m, dtype=complex)
+    vac[0] = 1.0
+    return a, a_dag, b, vac
+
+
 def test_generators_are_exact_involutions():
     for k in range(1, 11):
-        rep = clifford.majorana_rep(k)
-        assert rep.dim == 2 ** (k // 2)
-        eye = np.eye(rep.dim, dtype=complex)
+        c = generators(k)
+        dim = 2 ** (k // 2)
+        assert len(c) == k and all(g.shape == (dim, dim) for g in c)
+        eye = np.eye(dim, dtype=complex)
         for i in range(k):
             for j in range(k):
                 want = 2.0 * eye if i == j else np.zeros_like(eye)
                 # monomial matrices with entries 0, +-1, +-i: no rounding at all
-                assert np.array_equal(anticommutator(rep.c[i], rep.c[j]), want)
+                assert np.array_equal(anticommutator(c[i], c[j]), want)
 
 
 def test_generators_hermitian_and_monomial():
-    rep = clifford.majorana_rep(6)
-    for c in rep.c:
+    for c in generators(6):
         assert np.array_equal(c, c.conj().T)
         assert np.all(np.isin(np.abs(c), (0.0, 1.0)))
-        assert np.array_equal(np.count_nonzero(c, axis=0), np.ones(rep.dim, int))
+        assert np.array_equal(np.count_nonzero(c, axis=0), np.ones(8, int))
 
 
 def test_odd_k_chirality_is_plus_identity():
     for k in (1, 3, 5, 7, 9, 11):
         m = (k - 1) // 2
-        rep = clifford.majorana_rep(k)
-        prod = np.eye(rep.dim, dtype=complex)
-        for c in rep.c:
+        eye = np.eye(2**m, dtype=complex)
+        prod = eye
+        for c in generators(k):
             prod = prod @ c
-        assert np.array_equal((1j) ** m * prod, np.eye(rep.dim, dtype=complex))
+        assert np.array_equal((1j) ** m * prod, eye)
 
 
 def test_cap_rejects_oversized_k():
@@ -48,55 +67,54 @@ def test_cap_rejects_oversized_k():
 def test_ladder_relations():
     """{a_i,a_j} = {a_i^+,a_j^+} = 0, {a_i,a_j^+} = delta_ij, plus b relations."""
     for k in (2, 3, 4, 5, 6, 7, 8, 9):
-        rep = clifford.majorana_rep(k)
-        lad = clifford.ladder_ops(rep)
+        a, a_dag, b, _ = ladder(k)
         m = k // 2
-        assert len(lad.a) == m
-        eye = np.eye(rep.dim, dtype=complex)
+        assert len(a) == m
+        eye = np.eye(2**m, dtype=complex)
         zero = np.zeros_like(eye)
         for i in range(m):
             for j in range(m):
-                assert np.max(np.abs(anticommutator(lad.a[i], lad.a[j]))) < 1e-14
-                dag = anticommutator(lad.a[i], lad.a_dag[j])
+                assert np.max(np.abs(anticommutator(a[i], a[j]))) < 1e-14
+                dag = anticommutator(a[i], a_dag[j])
                 want = eye if i == j else zero
                 assert np.max(np.abs(dag - want)) < 1e-14
         if k % 2 == 1:
-            assert lad.b is not None
-            assert np.max(np.abs(lad.b @ lad.b - eye)) < 1e-14
+            assert b is not None
+            assert np.max(np.abs(b @ b - eye)) < 1e-14
             for i in range(m):
-                assert np.max(np.abs(anticommutator(lad.a[i], lad.b))) < 1e-14
-                assert np.max(np.abs(anticommutator(lad.a_dag[i], lad.b))) < 1e-14
+                assert np.max(np.abs(anticommutator(a[i], b))) < 1e-14
+                assert np.max(np.abs(anticommutator(a_dag[i], b))) < 1e-14
         else:
-            assert lad.b is None
+            assert b is None
 
 
 def test_vacuum_is_annihilated():
     for k in (2, 3, 4, 5, 6, 7, 8, 9, 10):
-        lad = clifford.ladder_ops(clifford.majorana_rep(k))
-        assert abs(np.linalg.norm(lad.vac) - 1.0) < 1e-14
-        for a in lad.a:
-            assert np.max(np.abs(a @ lad.vac)) < 1e-14
+        a, _, _, vac = ladder(k)
+        assert abs(np.linalg.norm(vac) - 1.0) < 1e-14
+        for op in a:
+            assert np.max(np.abs(op @ vac)) < 1e-14
 
 
 def test_vacuum_is_exactly_annihilated():
     # under Jordan-Wigner the vacuum is the basis state e_0, with no rounding
     for k in range(2, 13):
-        lad = clifford.ladder_ops(clifford.majorana_rep(k))
-        assert np.array_equal(lad.vac, np.eye(2 ** (k // 2), dtype=complex)[0])
-        for a in lad.a:
-            assert np.array_equal(a @ lad.vac, np.zeros_like(lad.vac))
+        a, _, _, vac = ladder(k)
+        assert np.array_equal(vac, np.eye(2 ** (k // 2), dtype=complex)[0])
+        for op in a:
+            assert np.array_equal(op @ vac, np.zeros_like(vac))
 
 
 def test_vacuum_b_parity():
     # b acts on the vacuum by (-1)^m, m = (k-1)/2; the sign alternates with m
     for k, sign in ((3, -1.0), (5, 1.0), (7, -1.0), (9, 1.0)):
-        lad = clifford.ladder_ops(clifford.majorana_rep(k))
-        assert np.allclose(lad.b @ lad.vac, sign * lad.vac, atol=1e-14)
+        _, _, b, vac = ladder(k)
+        assert np.allclose(b @ vac, sign * vac, atol=1e-14)
 
 
 def test_d_operator_diagonal_pm_one():
     for d in range(2, 8):
-        D = clifford.d_operator(d)
+        D = clifford.d_operator(d).to_dense()
         dim = D.shape[0]
         assert np.array_equal(D, np.diag(np.diag(D)))
         diag = np.real(np.diag(D))
@@ -106,15 +124,14 @@ def test_d_operator_diagonal_pm_one():
 
 def test_d_operator_eigenspace_dimension():
     for d in range(2, 7):
-        D = clifford.d_operator(d)
+        D = clifford.d_operator(d).to_dense()
         nplus = int(np.sum(np.real(np.diag(D)) > 0))
         assert nplus == 2 ** (d // 2)
 
 
 def test_d_operator_low_dim_anchor():
-    rep = clifford.majorana_rep(4)
-    want = -np.linalg.multi_dot(rep.c)
-    assert np.array_equal(clifford.d_operator(2), want)
+    want = -np.linalg.multi_dot(generators(4))
+    assert np.array_equal(clifford.d_operator(2).to_dense(), want)
 
 
 def d_operator_pair_product(d):
@@ -124,19 +141,20 @@ def d_operator_pair_product(d):
     exponent bookkeeping; the sign is anchored by the d=2 requirement
     D = -c_1 c_2 c_3 c_4 and by agreement with `d_operator` for every d.
     """
-    rep = clifford.majorana_rep(d + 2)
+    c = generators(d + 2)
     half = d // 2 + 1
     sign = (-1.0) ** ((d + 1) // 2 + half)
     pref = sign * (1 / 1j) ** half
-    out = pref * np.eye(rep.dim, dtype=complex)
+    out = pref * np.eye(2**half, dtype=complex)
     for i in range(d + 1):
-        out = out @ rep.c[i] @ rep.c[d + 1]
+        out = out @ c[i] @ c[d + 1]
     return out
 
 
 def test_d_operator_pair_product_matches():
     for d in range(2, 9):
-        assert np.array_equal(clifford.d_operator(d), d_operator_pair_product(d))
+        assert np.array_equal(clifford.d_operator(d).to_dense(),
+                              d_operator_pair_product(d))
 
 
 def test_two_mode_ladder_matrices_explicit():
@@ -144,7 +162,7 @@ def test_two_mode_ladder_matrices_explicit():
 
     Swapping the two middle basis vectors moves the sign string from the
     first slot to the second, giving the familiar explicit matrices."""
-    lad = clifford.ladder_ops(clifford.majorana_rep(4))
+    a, a_dag, _, _ = ladder(4)
     P = np.zeros((4, 4))
     P[0, 0] = P[3, 3] = P[1, 2] = P[2, 1] = 1.0
     a1 = np.array(
@@ -153,10 +171,10 @@ def test_two_mode_ladder_matrices_explicit():
     a2 = np.array(
         [[0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
     )
-    assert np.array_equal(P @ lad.a[0] @ P, a1)
-    assert np.array_equal(P @ lad.a[1] @ P, a2)
-    assert np.array_equal(P @ lad.a_dag[0] @ P, a1.conj().T)
-    assert np.array_equal(P @ lad.a_dag[1] @ P, a2.conj().T)
+    assert np.array_equal(P @ a[0] @ P, a1)
+    assert np.array_equal(P @ a[1] @ P, a2)
+    assert np.array_equal(P @ a_dag[0] @ P, a1.conj().T)
+    assert np.array_equal(P @ a_dag[1] @ P, a2.conj().T)
 
 
 def test_restricted_spin_ops_form_pauli_frame():
@@ -166,10 +184,10 @@ def test_restricted_spin_ops_form_pauli_frame():
     traceless Hermitian involutions that pairwise anticommute, with triple
     product -i times the identity (the uniform i c_k c_4 convention lands
     on the sign-flipped frame -sigma_x, -sigma_y, -sigma_z)."""
-    D = clifford.d_operator(2)
+    D = clifford.d_operator(2).to_dense()
     idx = np.where(np.real(np.diag(D)) > 0)[0]
     assert list(idx) == [0, 3]
-    restricted = [s[np.ix_(idx, idx)] for s in clifford.spin_ops(2)]
+    restricted = [s.to_dense()[np.ix_(idx, idx)] for s in clifford.spin_ops(2)]
     eye = np.eye(2, dtype=complex)
     for s in restricted:
         assert np.array_equal(s, s.conj().T)
@@ -186,7 +204,7 @@ def test_restricted_spin_ops_form_pauli_frame():
 
 def test_spin_ops_algebra():
     for d in (2, 3, 4, 5):
-        sig = clifford.spin_ops(d)
+        sig = [s.to_dense() for s in clifford.spin_ops(d)]
         assert len(sig) == d + 1
         dim = sig[0].shape[0]
         eye = np.eye(dim, dtype=complex)
@@ -202,9 +220,10 @@ def test_spin_ops_parity_pattern_with_d():
     # sigma^k commutes with D for even d and anticommutes for odd d; either
     # way two-site products commute with the doubled operator
     for d in (2, 3, 4, 5):
-        D = clifford.d_operator(d)
+        D = clifford.d_operator(d).to_dense()
         sign = 1.0 if d % 2 == 0 else -1.0
         for s in clifford.spin_ops(d):
+            s = s.to_dense()
             assert np.max(np.abs(s @ D - sign * D @ s)) == 0.0
 
 

@@ -196,6 +196,10 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     ["lattice", "--d", "100000000", "--N", "1"],
     ["verify", "--d", "3", "--N", "100", "--draws", "1"],
     ["verify-algebra", "--d", "16"],
+    ["lattice", "--d", "1448", "--N", "1"],
+    ["verify", "--d", "2", "--draws", "-3"],
+    ["verify-algebra", "--d", "2", "--J="],
+    ["bands", "--d", "2", "--J", "1,1,1", "--t=", "--grid", "4"],
 ])
 def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
     assert cli.main(argv) == 2
@@ -219,6 +223,8 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: list(gap.gapmap_csv_lines(2, 4)), 15 * 3),
         (lambda: lattice.build_torus(2, 2), 8 * 8),
         (lambda: lattice.build_torus(40, 1), 2 * 40),
+        # alpha is 3 x 4 and beta 4 x 4
+        (lambda: lattice.make_basis(3), 7 * 4),
         # 4^8 states times 12 edge columns
         (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 12),
     ]
