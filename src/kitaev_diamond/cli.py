@@ -101,10 +101,11 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     failures = []
     max_dev = 0.0
-    draws_J = []
+    first_J = None
     for k in range(args.draws):
         J = rng.uniform(-2.0, 2.0, size=args.d + 1)
-        draws_J.append(J)
+        if k == 0:
+            first_J = J
         dev = spectrum.verify_bloch_equivalence(swept, J)
         max_dev = max(max_dev, dev)
         if not dev < BLOCH_TOL:
@@ -121,13 +122,13 @@ def cmd_verify(args) -> int:
             spinham.tensor_dims(candidate)
             algebra_torus = candidate
             break
-    if algebra_torus is not None and draws_J:
-        system = spinham.build_spin_hamiltonian(algebra_torus, draws_J[0])
+    if algebra_torus is not None and first_J is not None:
+        system = spinham.build_spin_hamiltonian(algebra_torus, first_J)
         operator_suite = verify_ops_payload(system)
         if not operator_suite["pass"]:
             failures.append(
                 {"suite": "operator-identities", "d": args.d,
-                 "N": algebra_torus.N, "seed": args.seed, "J": list(draws_J[0])}
+                 "N": algebra_torus.N, "seed": args.seed, "J": list(first_J)}
             )
     payload = {
         "d": args.d,

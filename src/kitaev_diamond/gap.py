@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_budget, simplex_count
+from .lattice import check_budget, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
@@ -198,7 +198,7 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
         shape[i - 2] = grid_n
         tail = tail + J[i] * w.reshape(shape)
     tail = tail.ravel()
-    idx: tuple[int, ...] = ()
+    idx: list[int] = []
     z = tail[0]
     if d > 1:
         lead = J[1] * w
@@ -211,7 +211,7 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
             if dev.flat[k] < best:
                 best = dev.flat[k]
                 z = zs.flat[k]
-                idx = np.unravel_index(m * tail.size + k, (grid_n,) * (d - 1))
+                idx = [(m * tail.size + k) // v % grid_n for v in place_values(grid_n, d - 1)]
     phi = np.empty(d)
     phi[:-1] = (TWO_PI / grid_n) * np.asarray(idx, dtype=float)
     phi[-1] = np.angle(-J[d] * z)

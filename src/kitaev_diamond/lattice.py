@@ -41,6 +41,12 @@ def grid_count(n: int, d: int) -> int:
     return n ** min(d, _COUNT_CAP)
 
 
+def place_values(N: int, d: int) -> list[int]:
+    """N^(d-1), ..., N, 1: every torus and phase grid ranks cell (m_1, ..., m_d)
+    as sum_i m_i N^(d-i), row-major, and reads m_i off rank r as r // N^(d-i) % N."""
+    return [N**k for k in range(d - 1, -1, -1)]
+
+
 def simplex_count(d: int, r: int) -> int:
     """C(r+d, d), the compositions of r into d+1 parts, or a number over
     ENTRY_BUDGET when that is.
@@ -146,14 +152,11 @@ class DiamondTorus:
 
     def index(self, v: Vertex) -> int:
         """Index of a vertex in the stable ordering."""
-        if v.s not in (0, 1) or len(v.mu) != self.d:
+        ok = v.s in (0, 1) and len(v.mu) == self.d and all(0 <= c < self.N for c in v.mu)
+        if not ok:
             raise KeyError(f"not a vertex of this torus: {v}")
-        rank = 0
-        for c in v.mu:
-            if not 0 <= c < self.N:
-                raise KeyError(f"not a vertex of this torus: {v}")
-            rank = rank * self.N + c
-        return v.s * self.N**self.d + rank
+        w = place_values(self.N, self.d)
+        return v.s * self.n_cells + sum(c * wi for c, wi in zip(v.mu, w))
 
     @property
     def n_cells(self) -> int:
@@ -165,9 +168,11 @@ def build_torus(d: int, N: int) -> DiamondTorus:
 
     Direction 0 joins (mu, 1) to (mu, 0); direction i >= 1 joins (mu, 1) to
     (mu + e_i mod N, 0).  With N = 1 this leaves d+1 distinct parallel edges
-    between the two remaining vertices.  The request counts as the larger of
-    its dense hopping form, (2N^d)^2 entries, and its 2N^d * d vertex
-    coordinates, and is refused above ENTRY_BUDGET before anything is built.
+    between the two remaining vertices.  With the `place_values` w_i, the step
+    along e_i adds w_i to the cell's rank, or (1-N) w_i where mu_i wraps, so
+    the build costs O(N^d d).  The request counts as the larger of its dense
+    hopping form, (2N^d)^2 entries, and its 2N^d * d vertex coordinates, and
+    is refused above ENTRY_BUDGET before anything is built.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -177,18 +182,14 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     check_budget(order * max(order, d), f"torus d={d}, N={N}")
     cells = list(itertools.product(range(N), repeat=d))
     vertices = [Vertex(mu, s) for s in (0, 1) for mu in cells]
-    L = N**d
+    L, w = N**d, place_values(N, d)
     edges = []
     for rank, mu in enumerate(cells):
         frm = L + rank
         edges.append(Edge(frm, rank, 0, 1))
-        for i in range(d):
-            shifted = list(mu)
-            shifted[i] = (shifted[i] + 1) % N
-            to_rank = 0
-            for c in shifted:
-                to_rank = to_rank * N + c
-            edges.append(Edge(frm, to_rank, i + 1, i + 2))
+        for i, c in enumerate(mu):
+            to = rank + w[i] if c < N - 1 else rank - (N - 1) * w[i]
+            edges.append(Edge(frm, to, i + 1, i + 2))
     return DiamondTorus(d=d, N=N, vertices=tuple(vertices), edges=tuple(edges))
 
 
@@ -213,8 +214,7 @@ def vertex_position(basis: LatticeBasis, v: Vertex, N: int) -> np.ndarray:
         raise ValueError(f"sublattice bit must be 0 or 1, got {v.s}")
     if any(not 0 <= c < N for c in v.mu):
         raise ValueError(f"coordinates of {v} not reduced mod {N}")
-    mu = np.asarray(v.mu, dtype=float)
-    return mu @ basis.alpha + v.s * basis.p
+    return np.asarray(v.mu, dtype=float) @ basis.alpha + v.s * basis.p
 
 
 @dataclass(frozen=True)
@@ -254,18 +254,18 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
 
 
 def torus_to_dict(torus: DiamondTorus) -> dict:
-    """JSON-ready description of the torus with embedded vertex positions."""
+    """JSON-ready description of the torus with embedded vertex positions,
+    mu @ alpha + s*p for all vertices in one product.  The entries of alpha
+    are 0 and +-1, so each sum in mu @ alpha is an exact integer."""
     basis = make_basis(torus.d)
+    mu = np.array([v.mu for v in torus.vertices], dtype=float)
+    s = np.array([v.s for v in torus.vertices], dtype=float)
+    pos = (mu @ basis.alpha + s[:, None] * basis.p).tolist()
     return {
         "d": torus.d,
         "N": torus.N,
         "vertices": [
-            {
-                "mu": list(v.mu),
-                "s": v.s,
-                "pos": vertex_position(basis, v, torus.N).tolist(),
-            }
-            for v in torus.vertices
+            {"mu": list(v.mu), "s": v.s, "pos": x} for v, x in zip(torus.vertices, pos)
         ],
         "edges": [
             {"from": e.frm, "to": e.to, "direction": e.direction, "label": e.label}

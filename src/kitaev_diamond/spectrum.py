@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DiamondTorus, check_budget, grid_count
+from .lattice import DiamondTorus, check_budget, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
 # Rows of a CSV table formatted per vectorised block.
@@ -115,15 +115,19 @@ def bloch_hamiltonian(J, phi) -> np.ndarray:
 def bz_grid(d: int, N: int) -> np.ndarray:
     """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d).
 
-    A grid of more than ENTRY_BUDGET phases is refused before it is built.
+    The digits m_i come from `place_values`, at any d.  A grid of more than
+    ENTRY_BUDGET phases is refused before it is built.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if N < 1:
         raise ValueError(f"grid size must be >= 1, got {N}")
     check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
-    axes = np.indices((N,) * d).reshape(d, -1).T
-    return TWO_PI * axes / N
+    w = np.array(place_values(N, d))
+    # the transpose of a C-ordered (d, N^d) array, as np.indices gives it:
+    # exp(1j*phi) @ c rounds differently on a C-ordered (N^d, d) array
+    digits = (np.arange(N**d) // w[:, None] % N).T
+    return TWO_PI * digits / N
 
 
 def bloch_multiset(J, N: int) -> np.ndarray:
@@ -227,7 +231,7 @@ def band_csv_lines(J, grid_n: int, hoppings=None):
     for start in range(0, len(values), ROW_BLOCK):
         block = values[start : start + ROW_BLOCK]
         rows = np.arange(start, start + len(block))
-        out = [axis[rows // grid_n ** (d - 1 - i) % grid_n].tolist() for i in range(d)]
+        out = [axis[rows // w % grid_n].tolist() for w in place_values(grid_n, d)]
         for j in range(d, len(cols), 2):
             plus = csv_floats(block[:, j])
             out += [plus, list(map("-".__add__, plus))]

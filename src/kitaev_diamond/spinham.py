@@ -44,7 +44,6 @@ class SpinSystem:
 
     torus: DiamondTorus
     couplings: np.ndarray
-    site_dim: int
     total_dim: int
     link_ops: tuple[PauliString, ...]
     parity: PauliString
@@ -119,7 +118,7 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     Refuses tori whose matrix would exceed ENTRY_BUDGET (`tensor_dims`).
     """
     J = as_couplings(J, d=torus.d)
-    site_dim, total_dim = tensor_dims(torus)
+    total_dim = tensor_dims(torus)[1]
     terms = _edge_strings(spin_ops(torus.d), torus)
     n_sites = len(torus.vertices)
     D_site = d_operator(torus.d)
@@ -129,7 +128,6 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     return SpinSystem(
         torus=torus,
         couplings=J,
-        site_dim=site_dim,
         total_dim=total_dim,
         link_ops=link_operators(torus),
         parity=parity,
@@ -155,19 +153,6 @@ def _saturate(x: float) -> float:
     return x if x <= FLOAT_MAX else FLOAT_MAX
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm of an array, scaled by a power of two so no square overflows; saturated."""
-    a = np.abs(v)
-    top = float(a.max(initial=0.0))
-    if not top <= FLOAT_MAX:
-        return FLOAT_MAX
-    if top == 0.0:
-        return 0.0
-    e = int(np.frexp(top)[1])
-    with np.errstate(over="ignore"):
-        return _saturate(float(np.ldexp(np.sqrt(np.sum(np.ldexp(a, -e) ** 2)), e)))
-
-
 def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
     """||[H, S]||_F for H = -sum_k J[k] terms[k].
 
@@ -180,7 +165,7 @@ def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
         if not t.commutes(S):
             p = t * S
             coef[p.x, p.z] = coef.get((p.x, p.z), 0) - 2 * float(j) * 1j**p.phase
-    return _saturate(_norm(np.array(list(coef.values()), dtype=complex)) * math.sqrt(dim))
+    return _saturate(math.hypot(*map(abs, coef.values())) * math.sqrt(dim))
 
 
 def _involution_norm(S: PauliString, dim: int) -> float:

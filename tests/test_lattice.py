@@ -63,8 +63,12 @@ def test_torus_vertex_order_and_index():
     assert t.vertices[0] == lattice.Vertex(mu=(0, 0), s=0)
     assert t.vertices[1] == lattice.Vertex(mu=(0, 1), s=0)
     assert t.vertices[9] == lattice.Vertex(mu=(0, 0), s=1)
-    for i, v in enumerate(t.vertices):
-        assert t.index(v) == i
+    assert lattice.place_values(3, 4) == [27, 9, 3, 1]
+    # 70 coordinates: more axes than one numpy array may have
+    for d, N in ((2, 3), (3, 4), (70, 1)):
+        t = lattice.build_torus(d, N)
+        for i, v in enumerate(t.vertices):
+            assert t.index(v) == i
 
 
 def test_torus_regular_and_properly_coloured():
@@ -81,16 +85,17 @@ def test_torus_regular_and_properly_coloured():
 
 
 def test_torus_edge_directions():
-    t = lattice.build_torus(2, 2)
-    for e in t.edges:
-        v, w = t.vertices[e.frm], t.vertices[e.to]
-        if e.direction == 0:
-            assert v.mu == w.mu
-        else:
-            step = list(v.mu)
-            step[e.direction - 1] = (step[e.direction - 1] + 1) % t.N
-            assert tuple(step) == w.mu
-        assert e.label == e.direction + 1
+    for d, N in ((2, 2), (3, 3), (1, 5), (4, 1)):
+        t = lattice.build_torus(d, N)
+        for e in t.edges:
+            v, w = t.vertices[e.frm], t.vertices[e.to]
+            if e.direction == 0:
+                assert v.mu == w.mu
+            else:
+                step = list(v.mu)
+                step[e.direction - 1] = (step[e.direction - 1] + 1) % t.N
+                assert tuple(step) == w.mu
+            assert e.label == e.direction + 1
 
 
 def test_bipartite_no_same_side_edges():
@@ -128,6 +133,15 @@ def test_vertex_position():
     assert np.allclose(offset, b.p)
     # positions live in the zero-sum hyperplane
     assert abs(offset.sum()) < 1e-13
+    # the export's one product gives each vertex's position bit for bit,
+    # signed zeros included
+    for d, N in ((1, 1), (1, 4), (2, 3), (3, 2), (5, 1)):
+        t = lattice.build_torus(d, N)
+        b = lattice.make_basis(d)
+        doc = lattice.torus_to_dict(t)
+        for v, entry in zip(t.vertices, doc["vertices"]):
+            want = lattice.vertex_position(b, v, N).tolist()
+            assert list(map(repr, entry["pos"])) == list(map(repr, want))
 
 
 def test_edge_vectors_are_beta():

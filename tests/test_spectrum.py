@@ -53,6 +53,16 @@ def test_bz_grid_layout():
     # row-major: second component varies fastest
     assert np.allclose(g[1], [0.0, 2 * np.pi / 3])
     assert np.allclose(g[3], [2 * np.pi / 3, 0.0])
+    # the np.indices layout, bit for bit and stride for stride: the Bloch
+    # sum exp(1j*phi) @ c rounds differently on a C-ordered copy
+    for d, N in ((1, 7), (2, 5), (3, 4), (4, 3), (5, 2), (6, 3)):
+        ref = 2 * np.pi * np.indices((N,) * d).reshape(d, -1).T / N
+        g = spectrum.bz_grid(d, N)
+        assert g.strides == ref.strides
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64))
+    # more axes than one numpy array may have
+    g = spectrum.bz_grid(70, 1)
+    assert g.shape == (1, 70) and not g.any()
 
 
 def test_quadratic_form_antisymmetric():
@@ -89,6 +99,7 @@ def test_bloch_multiset_matches_torus():
 def test_bloch_multiset_contents():
     ms = spectrum.bloch_multiset(EQUAL_J2, 1)
     assert np.array_equal(ms, [-6.0, 6.0])
+    assert np.array_equal(spectrum.bloch_multiset([1.0] * 71, 1), [-142.0, 142.0])
     ms2 = spectrum.bloch_multiset(EQUAL_J2, 2)
     assert ms2.shape == (8,)
     assert np.all(np.diff(ms2) >= 0)
