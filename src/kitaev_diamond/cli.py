@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import sys
 
@@ -30,18 +29,30 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ValueError(f"could not parse {what} list {text!r}")
 
 
-def _emit_lines(lines, out: str | None) -> None:
-    """Write newline-terminated lines in blocks of ROW_BLOCK.
+def _emit_lines(chunks, out: str | None) -> None:
+    """Write each chunk followed by a newline.
 
-    The first block is taken before the output is opened, so a generator
-    that validates its inputs before its first line leaves no partial output.
+    The first chunk is taken before the output is opened, so a generator
+    that validates its inputs before its first chunk leaves no partial
+    output.  An output that cannot be opened is a usage error.
     """
-    lines = iter(lines)
-    block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while block:
-            fh.write("\n".join(block) + "\n")
-            block = list(itertools.islice(lines, spectrum.ROW_BLOCK))
+    chunks = iter(chunks)
+    chunk = next(chunks, None)
+    try:
+        target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}")
+    with target as fh:
+        while chunk is not None:
+            fh.write(chunk)
+            fh.write("\n")
+            chunk = next(chunks, None)
+
+
+def _emit_json(payload, out: str | None) -> None:
+    # a value beyond the float range is refused, not printed as the non-JSON
+    # token Infinity or NaN
+    _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], out)
 
 
 def cmd_bands(args) -> int:
@@ -51,10 +62,8 @@ def cmd_bands(args) -> int:
     if args.format == "json":
         cols, values = spectrum.band_table(J, args.grid, hoppings=t)
         # json prints each float's repr, which parses back to the same bits
-        # as the CSV's 17 significant digits; a band beyond the float range
-        # is refused, not printed as the non-JSON token Infinity
-        payload = {"columns": cols, "rows": values.tolist()}
-        _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], args.out)
+        # as the CSV's 17 significant digits
+        _emit_json({"columns": cols, "rows": values.tolist()}, args.out)
     else:
         _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
     return 0
@@ -63,16 +72,10 @@ def cmd_bands(args) -> int:
 def cmd_gap(args) -> int:
     J = _parse_floats(args.J, "--J")
     spectrum.as_couplings(J, d=args.d)
-    report = gap_mod.gap_report(J, grid_n=args.grid)
-    payload = {
-        "has_zero": report.has_zero,
-        "margin": report.margin,
-        "zero_phi": None if report.zero_phi is None else list(report.zero_phi),
-        "min_numeric": report.min_numeric,
-    }
-    # a margin or minimum beyond the float range is refused, not printed as
-    # the non-JSON token Infinity
-    _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], args.out)
+    report = dataclasses.asdict(gap_mod.gap_report(J, grid_n=args.grid))
+    if report["zero_phi"] is not None:
+        report["zero_phi"] = report["zero_phi"].tolist()
+    _emit_json(report, args.out)
     return 0
 
 
@@ -141,7 +144,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "pass": not failures,
     }
-    _emit_lines([json.dumps(payload, indent=2)], args.out)
+    _emit_json(payload, args.out)
     return 0 if not failures else 1
 
 
@@ -165,7 +168,7 @@ def cmd_verify_algebra(args) -> int:
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})
-    _emit_lines([json.dumps(payload, indent=2)], args.out)
+    _emit_json(payload, args.out)
     return 0 if payload["pass"] else 1
 
 

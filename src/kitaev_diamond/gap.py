@@ -361,11 +361,12 @@ def barycentric_grid(d: int, resolution: int) -> np.ndarray:
 
 
 def gapmap_csv_lines(d: int, resolution: int):
-    """CSV rows classifying every barycentric grid point of the simplex.
+    """CSV text classifying every barycentric grid point of the simplex.
 
-    A point is gapped when its float margin sum(x) - 2 max(x) is negative,
-    the test `gapped_region` makes, here on all points at once.  Rows are
-    joined in blocks of ROW_BLOCK from the resolution + 1 coordinate strings.
+    Yields the header, then each block of up to ROW_BLOCK rows, built from
+    the resolution + 1 coordinate strings, as one newline-joined string.  A
+    point is gapped when its float margin sum(x) - 2 max(x) is negative, the
+    test `gapped_region` makes, here on all points at once.
     """
     ks = _compositions(d, resolution)
     x = ks / resolution
@@ -376,4 +377,4 @@ def gapmap_csv_lines(d: int, resolution: int):
         block = slice(start, start + ROW_BLOCK)
         cols = [cells[k].tolist() for k in ks[block].T]
         cols.append(np.where(gapped[block], "1", "0").tolist())
-        yield from map(",".join, zip(*cols))
+        yield "\n".join(map(",".join, zip(*cols)))

@@ -66,14 +66,12 @@ class LatticeBasis:
     alpha : (d, d+1) array, translation generators alpha_i = e_i - e_{d+1}
     p : (d+1,) array, sublattice offset p = (alpha_1 + ... + alpha_d)/(d+1)
     beta : (d+1, d+1) array, bond vectors; row 0 is -p, row i is alpha_i - p
-    dual_b : (d, d+1) array, vectors in the hyperplane with <b_j, alpha_i> = delta_ij
     """
 
     d: int
     alpha: np.ndarray
     p: np.ndarray
     beta: np.ndarray
-    dual_b: np.ndarray
 
 
 def make_basis(d: int) -> LatticeBasis:
@@ -87,15 +85,11 @@ def make_basis(d: int) -> LatticeBasis:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     check_budget((2 * d + 1) * (d + 1), f"lattice basis d={d}")
-    alpha = np.zeros((d, d + 1))
-    for i in range(d):
-        alpha[i, i] = 1.0
-        alpha[i, d] = -1.0
+    alpha = np.eye(d, d + 1)
+    alpha[:, d] = -1.0
     p = alpha.sum(axis=0) / (d + 1)
-    beta = np.empty((d + 1, d + 1))
-    beta[0] = -p
-    beta[1:] = alpha - p
-    return LatticeBasis(d=d, alpha=alpha, p=p, beta=beta, dual_b=beta[1:])
+    beta = np.vstack([-p, alpha - p])
+    return LatticeBasis(d=d, alpha=alpha, p=p, beta=beta)
 
 
 class Vertex(NamedTuple):

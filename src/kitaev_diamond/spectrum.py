@@ -214,14 +214,14 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
 
 
 def band_csv_lines(J, grid_n: int, hoppings=None):
-    """Rows of the band table over the full phase grid.
+    """The band table over the full phase grid, as CSV text.
 
-    Yields the header then one line per grid point, row-major, with 17
-    significant digits.  With `hoppings` given, the tight-binding energies
-    are appended as extra columns.  Each axis's grid_n phases are formatted
-    once and looked up per row, each energy is formatted once and its
-    negative printed as "-" and that string (the same text for every value
-    >= 0, zero and inf included), and rows are joined in blocks of ROW_BLOCK.
+    Yields the header, then each block of up to ROW_BLOCK rows as one
+    newline-joined string: one row per grid point, row-major, 17 significant
+    digits, and with `hoppings` the tight-binding energies as extra columns.
+    Each axis's grid_n phases are formatted once and looked up per row, and
+    each energy is formatted once and its negative printed as "-" and that
+    string (the same text for every value >= 0, zero and inf included).
     """
     cols, values = band_table(J, grid_n, hoppings)
     d = cols.index("xi_plus")
@@ -235,4 +235,4 @@ def band_csv_lines(J, grid_n: int, hoppings=None):
         for j in range(d, len(cols), 2):
             plus = csv_floats(block[:, j])
             out += [plus, list(map("-".__add__, plus))]
-        yield from map(",".join, zip(*out))
+        yield "\n".join(map(",".join, zip(*out)))

@@ -14,6 +14,8 @@ import numpy as np
 
 from kitaev_diamond import clifford, gap, lattice, spectrum, spinham, tightbinding
 
+EPS = float(np.finfo(float).eps)
+
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -49,7 +51,7 @@ def test_criterion_2_honeycomb_reproduction():
 
     # the published band picture: exactly two conical minima on a 64x64 grid
     n = 64
-    rows = list(spectrum.band_csv_lines(J, n))[1:]
+    rows = "\n".join(spectrum.band_csv_lines(J, n)).split("\n")[1:]
     vals = np.array([float(r.split(",")[2]) for r in rows]).reshape(n, n)
     minima = []
     for i in range(n):
@@ -78,6 +80,9 @@ def test_criterion_3_zero_classifier_vs_numeric():
     t0 = time.perf_counter()
     checked = 0
     disagreements = 0
+    # on gapped draws the minimum is the closed form 2*(2 max|J| - sum|J|);
+    # worst oracle deviation from it, in units of eps * sum|J|
+    worst_excess = 0.0
     for d in (2, 3, 4):
         for _ in range(1000):
             J = rng.uniform(-2.0, 2.0, size=d + 1)
@@ -85,15 +90,20 @@ def test_criterion_3_zero_classifier_vs_numeric():
             margin = total - 2.0 * float(np.max(np.abs(J)))
             if abs(margin) < 1e-3 * total:
                 continue
-            numeric_zero = gap.min_gap_numeric(J, grid_n=48) < 1e-4 * total
-            if gap.has_zero(J) != numeric_zero:
+            numeric = gap.min_gap_numeric(J, grid_n=48)
+            if gap.has_zero(J) != (numeric < 1e-4 * total):
                 disagreements += 1
+            if margin < 0.0:
+                closed = 2.0 * (2.0 * float(np.max(np.abs(J))) - total)
+                worst_excess = max(worst_excess, abs(numeric - closed) / (EPS * total))
             checked += 1
     elapsed = time.perf_counter() - t0
-    ok = disagreements == 0 and elapsed < 120.0
+    ok = disagreements == 0 and worst_excess <= 16.0 and elapsed < 120.0
     report(3, "zero classifier vs numeric oracle", ok,
-           f"{checked} draws, {disagreements} disagreements, {elapsed:.1f}s")
+           f"{checked} draws, {disagreements} disagreements, gapped draws within "
+           f"{worst_excess:.1f} eps of the closed form, {elapsed:.1f}s")
     assert disagreements == 0
+    assert worst_excess <= 16.0, worst_excess
     assert elapsed < 120.0, elapsed
 
 

@@ -198,6 +198,14 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     text = target.read_text()
     assert text.startswith("phi_1,phi_2,")
+    # an output that cannot be opened is a usage error
+    for argv in (
+        ["bands", "--d", "2", "--J", "1,1,1", "--out", str(tmp_path / "missing" / "x.csv")],
+        ["verify", "--d", "2", "--N", "2", "--draws", "2", "--out", str(tmp_path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ")
 
 
 def test_console_entry_point():

@@ -37,9 +37,9 @@ def test_beta_norms_and_angles():
 def test_dual_basis_pairing():
     for d in range(1, 7):
         b = lattice.make_basis(d)
-        assert np.allclose(b.dual_b @ b.alpha.T, np.eye(d), atol=1e-12)
-        # the solved dual agrees with the closed form b_j = beta_j
-        assert np.allclose(b.dual_b, b.beta[1:], atol=1e-12)
+        # beta_1..beta_d are the dual basis, in the zero-sum hyperplane
+        assert np.allclose(b.beta[1:] @ b.alpha.T, np.eye(d), atol=1e-12)
+        assert np.allclose(b.beta[1:].sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_base_graph():

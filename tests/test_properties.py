@@ -133,3 +133,14 @@ def test_min_gap_numeric_invariant_under_permutation_and_sign(J, data):
     want = gap.min_gap_numeric(J)
     got = gap.min_gap_numeric(signs * J[perm])
     assert abs(got - want) <= 1e-6 * np.abs(J).sum()
+
+
+@fixed
+@given(couplings.filter(lambda J: J.size <= 5))
+def test_min_gap_numeric_meets_the_closed_form_on_gapped_couplings(J):
+    # gapped, the minimum of 2|f| is 2*(2 max|J| - sum|J|), to a few eps
+    a = np.abs(J)
+    assume(2.0 * a.max() > a.sum())
+    closed = 2.0 * (2.0 * a.max() - a.sum())
+    excess = gap.min_gap_numeric(J, grid_n=48) - closed
+    assert abs(excess) <= 16.0 * np.finfo(float).eps * a.sum()

@@ -118,7 +118,7 @@ def test_couplings_validation():
 
 
 def test_band_csv_lines():
-    lines = list(spectrum.band_csv_lines(EQUAL_J2, 2))
+    lines = "\n".join(spectrum.band_csv_lines(EQUAL_J2, 2)).split("\n")
     assert lines[0] == "phi_1,phi_2,xi_plus,xi_minus"
     assert len(lines) == 5
     first = lines[1].split(",")
@@ -131,7 +131,7 @@ def test_band_csv_lines():
 
 
 def test_band_csv_lines_with_hoppings():
-    lines = list(spectrum.band_csv_lines(EQUAL_J2, 2, hoppings=2.0 * EQUAL_J2))
+    lines = "\n".join(spectrum.band_csv_lines(EQUAL_J2, 2, hoppings=2.0 * EQUAL_J2)).split("\n")
     assert lines[0].endswith("E_plus,E_minus")
     for row in lines[1:]:
         cols = [float(x) for x in row.split(",")]
