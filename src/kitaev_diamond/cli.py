@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gap as gap_mod
 from . import spectrum, spinham
-from .lattice import build_torus, torus_to_json
+from .lattice import build_torus, check_size, torus_to_dict
 
 BLOCH_TOL = 1e-8
 ALGEBRA_TOL = 1e-12
@@ -56,8 +56,7 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def cmd_bands(args) -> int:
-    J = _parse_floats(args.J, "--J")
-    spectrum.as_couplings(J, d=args.d)
+    J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     t = _parse_floats(args.t, "--t") if args.t is not None else None
     if args.format == "json":
         cols, values = spectrum.band_table(J, args.grid, hoppings=t)
@@ -70,8 +69,7 @@ def cmd_bands(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    J = _parse_floats(args.J, "--J")
-    spectrum.as_couplings(J, d=args.d)
+    J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     report = dataclasses.asdict(gap_mod.gap_report(J, grid_n=args.grid))
     if report["zero_phi"] is not None:
         report["zero_phi"] = report["zero_phi"].tolist()
@@ -85,14 +83,12 @@ def cmd_gapmap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    torus = build_torus(args.d, args.N)
-    _emit_lines([torus_to_json(torus)], args.out)
+    _emit_json(torus_to_dict(build_torus(args.d, args.N)), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.draws < 0:
-        raise ValueError(f"--draws must be >= 0, got {args.draws}")
+    check_size(args.draws, 0, "--draws")
     torus = build_torus(args.d, args.N)
     swept = torus
     if args.corrupt_sign:
@@ -161,8 +157,7 @@ def verify_ops_payload(system) -> dict:
 def cmd_verify_algebra(args) -> int:
     torus = build_torus(args.d, args.N)
     if args.J is not None:
-        J = _parse_floats(args.J, "--J")
-        spectrum.as_couplings(J, d=args.d)
+        J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     else:
         J = np.random.default_rng(args.seed).uniform(-2.0, 2.0, size=args.d + 1)
     system = spinham.build_spin_hamiltonian(torus, J)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import check_size
+
 # Highest generator count built; k = 17 is the largest a two-site torus within
 # the spin model's entry budget ever needs (d = 15).
 K_CAP = 18
@@ -169,9 +171,7 @@ def d_operator(d: int) -> PauliString:
     c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal Hermitian involution
     whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_rep(d + 2)
+    c = majorana_rep(check_size(d, 1, "dimension") + 2)
     m = (d + 2) // 2
     out = PauliString(m, phase=m % 4)
     for g in c[: 2 * m]:
@@ -187,8 +187,6 @@ def spin_ops(d: int) -> tuple[PauliString, ...]:
     involves every pairwise generator except c_{d+2}); two-site products
     sigma (x) sigma always commute with D (x) D.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    c = majorana_rep(d + 2)
+    c = majorana_rep(check_size(d, 1, "dimension") + 2)
     i = PauliString(c[0].n, phase=1)
     return tuple(i * g * c[d + 1] for g in c[: d + 1])

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_budget, place_values, simplex_count
+from .lattice import check_budget, check_size, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
+from .spectrum import _as_real
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
@@ -60,9 +61,7 @@ def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
 
 def has_zero(J) -> bool:
     """True iff every |J_l| is at most the sum of the other magnitudes."""
-    J = as_couplings(J)
-    _, margin = _abs_sum_and_margin(J)
-    return margin >= 0.0
+    return _abs_sum_and_margin(as_couplings(J))[1] >= 0.0
 
 
 def gapped_region(J) -> bool:
@@ -70,11 +69,18 @@ def gapped_region(J) -> bool:
 
     Exact complement of `has_zero` by construction.
     """
-    J = as_couplings(J)
-    total, margin = _abs_sum_and_margin(J)
+    total, margin = _abs_sum_and_margin(as_couplings(J))
     if total == 0.0:
         raise ValueError("all couplings vanish; the normalised point is undefined")
     return margin < 0.0
+
+
+def _sides(a) -> np.ndarray:
+    """a as float side lengths, refused unless real, 1-d, finite and nonnegative."""
+    a = _as_real(a, "side lengths")
+    if a.ndim != 1 or not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError("side lengths must be a finite, nonnegative 1-d sequence")
+    return a
 
 
 def polygon_exists(a) -> bool:
@@ -84,11 +90,7 @@ def polygon_exists(a) -> bool:
     error.  Equality (a degenerate, collinear polygon) returns False here but
     is still usable by the constructive routines.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("side lengths must be a 1-d sequence")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("side lengths must be finite and nonnegative")
+    a = _sides(a)
     a = a[a > 0]
     if a.size < 2:
         raise ValueError(f"need at least two positive sides, got {a.size}")
@@ -149,11 +151,9 @@ def polygon_angles(a) -> np.ndarray:
     wrapped to [0, 2pi), with closure residual |sum a_j e^{i theta_j}| at
     machine-precision scale.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("side lengths must be a 1-d sequence of two or more entries")
-    if np.any(a <= 0) or not np.all(np.isfinite(a)):
-        raise ValueError("side lengths must be finite and positive")
+    a = _sides(a)
+    if a.size < 2 or not np.all(a > 0):
+        raise ValueError("need at least two side lengths, all positive")
     return as_phases(_closed_angles(a))
 
 
@@ -287,8 +287,7 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     _SCAN_CAP before anything is allocated.
     """
     J = as_couplings(J)
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    grid_n = check_size(grid_n, 2, "grid_n")
     d = J.size - 1
     if grid_n ** max(d - 2, 1) > _SCAN_CAP:
         raise ValueError(
@@ -340,10 +339,8 @@ def _compositions(d: int, resolution: int) -> np.ndarray:
     lex order, give the parts as the gaps between them, also in lex order.
     The C(resolution + d, d) rows are checked against the budget first.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    d = check_size(d, 1, "dimension")
+    resolution = check_size(resolution, 1, "resolution")
     n = simplex_count(d, resolution)
     check_budget(n * (d + 1), f"simplex grid d={d}, resolution={resolution}")
     bars = np.fromiter(

@@ -10,7 +10,6 @@ beta_0, ..., beta_d which sum to zero and share a common length.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,12 +24,22 @@ ENTRY_BUDGET = 1 << 22
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.
 _COUNT_CAP = 64
+_INTEGER = (int, np.integer)
 
 
 def check_budget(entries: int, what: str) -> None:
     """Refuse a request that would allocate more than ENTRY_BUDGET entries."""
     if entries > ENTRY_BUDGET:
         raise ValueError(f"{what} is over the budget of {ENTRY_BUDGET} entries")
+
+
+def check_size(value, low: int, what: str) -> int:
+    """value as an int; refused unless a Python or numpy integer >= low."""
+    if not isinstance(value, _INTEGER):
+        raise ValueError(f"{what} must be an integer, got {value}")
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    return int(value)
 
 
 def grid_count(n: int, d: int) -> int:
@@ -82,8 +91,7 @@ def make_basis(d: int) -> LatticeBasis:
     delta_ij and <p, alpha_i> = 1, so <beta_j, alpha_i> = delta_ij.  The
     (2d+1)(d+1) entries of alpha and beta are refused above ENTRY_BUDGET.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = check_size(d, 1, "dimension")
     check_budget((2 * d + 1) * (d + 1), f"lattice basis d={d}")
     alpha = np.eye(d, d + 1)
     alpha[:, d] = -1.0
@@ -100,6 +108,12 @@ class Vertex(NamedTuple):
 
     mu: tuple[int, ...]
     s: int
+
+
+def _is_vertex(v: Vertex, d: int, N: int) -> bool:
+    """Whether v has d integer coordinates in 0..N-1 and an integer bit s in {0, 1}."""
+    return isinstance(v.s, _INTEGER) and v.s in (0, 1) and len(v.mu) == d and all(
+        isinstance(c, _INTEGER) and 0 <= c < N for c in v.mu)
 
 
 class Edge(NamedTuple):
@@ -125,8 +139,7 @@ class BaseGraph:
 
 
 def base_graph(d: int) -> BaseGraph:
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = check_size(d, 1, "dimension")
     return BaseGraph(d=d, vertices=(0, 1), labels=tuple(i + 1 for i in range(d + 1)))
 
 
@@ -146,8 +159,7 @@ class DiamondTorus:
 
     def index(self, v: Vertex) -> int:
         """Index of a vertex in the stable ordering."""
-        ok = v.s in (0, 1) and len(v.mu) == self.d and all(0 <= c < self.N for c in v.mu)
-        if not ok:
+        if not _is_vertex(v, self.d, self.N):
             raise KeyError(f"not a vertex of this torus: {v}")
         w = place_values(self.N, self.d)
         return v.s * self.n_cells + sum(c * wi for c, wi in zip(v.mu, w))
@@ -168,10 +180,8 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     hopping form, (2N^d)^2 entries, and its 2N^d * d vertex coordinates, and
     is refused above ENTRY_BUDGET before anything is built.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if N < 1:
-        raise ValueError(f"torus size must be >= 1, got {N}")
+    d = check_size(d, 1, "dimension")
+    N = check_size(N, 1, "torus size")
     order = 2 * grid_count(N, d)
     check_budget(order * max(order, d), f"torus d={d}, N={N}")
     cells = list(itertools.product(range(N), repeat=d))
@@ -202,12 +212,8 @@ def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
 
 def vertex_position(basis: LatticeBasis, v: Vertex, N: int) -> np.ndarray:
     """Embedded position sum_i mu_i alpha_i + s*p of a torus-orbit representative."""
-    if len(v.mu) != basis.d:
-        raise ValueError(f"vertex has {len(v.mu)} coordinates, expected {basis.d}")
-    if v.s not in (0, 1):
-        raise ValueError(f"sublattice bit must be 0 or 1, got {v.s}")
-    if any(not 0 <= c < N for c in v.mu):
-        raise ValueError(f"coordinates of {v} not reduced mod {N}")
+    if not _is_vertex(v, basis.d, N):
+        raise ValueError(f"not a vertex of the torus of size {N}: {v}")
     return np.asarray(v.mu, dtype=float) @ basis.alpha + v.s * basis.p
 
 
@@ -266,7 +272,3 @@ def torus_to_dict(torus: DiamondTorus) -> dict:
             for e in torus.edges
         ],
     }
-
-
-def torus_to_json(torus: DiamondTorus) -> str:
-    return json.dumps(torus_to_dict(torus), indent=2)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DiamondTorus, check_budget, grid_count, place_values
+from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
 # Rows of a CSV table formatted per vectorised block.
@@ -23,21 +23,33 @@ ROW_BLOCK = 1 << 14
 FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _as_real(x, what: str) -> np.ndarray:
+    """x as a float array; a complex x is refused, never cast to its real part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{what} must be real")
+    return x.astype(float, copy=False)
+
+
+def _edge_vector(c: np.ndarray, d: int | None, what: str) -> np.ndarray:
+    """c, refused unless 1-d, finite, with two or more entries (d+1 given d)."""
+    if c.ndim != 1 or c.size < 2:
+        raise ValueError(f"{what} must be a 1-d sequence with at least two entries")
+    if d is not None and c.size != d + 1:
+        raise ValueError(f"expected {d + 1} {what} for d={d}, got {c.size}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"{what} must be finite")
+    return c
+
+
 def as_couplings(J, d: int | None = None) -> np.ndarray:
-    """Validate a coupling vector J_1..J_{d+1} (indexed by edge label)."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 1 or J.size < 2:
-        raise ValueError("couplings must be a 1-d sequence with at least two entries")
-    if d is not None and J.size != d + 1:
-        raise ValueError(f"expected {d + 1} couplings for d={d}, got {J.size}")
-    if not np.all(np.isfinite(J)):
-        raise ValueError("couplings must be finite")
-    return J
+    """Validate a real coupling vector J_1..J_{d+1} (indexed by edge label)."""
+    return _edge_vector(_as_real(J, "couplings"), d, "couplings")
 
 
 def as_phases(phi, d: int | None = None) -> np.ndarray:
     """Wrap phases into [0, 2pi).  Accepts shape (..., d)."""
-    phi = np.asarray(phi, dtype=float)
+    phi = _as_real(phi, "phases")
     if d is not None and (phi.ndim == 0 or phi.shape[-1] != d):
         raise ValueError(f"expected {d} phases, got shape {phi.shape}")
     if not np.all(np.isfinite(phi)):
@@ -118,10 +130,8 @@ def bz_grid(d: int, N: int) -> np.ndarray:
     The digits m_i come from `place_values`, at any d.  A grid of more than
     ENTRY_BUDGET phases is refused before it is built.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if N < 1:
-        raise ValueError(f"grid size must be >= 1, got {N}")
+    d = check_size(d, 1, "dimension")
+    N = check_size(N, 1, "grid size")
     check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
     w = np.array(place_values(N, d))
     # the transpose of a C-ordered (d, N^d) array, as np.indices gives it:
@@ -155,11 +165,17 @@ def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
 
 
 def majorana_spectrum(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of i*A in ascending order, for antisymmetric real A."""
-    A = np.asarray(A, dtype=float)
+    """Eigenvalues of i*A in ascending order, for a real, finite, square A
+    with max|A + A^T| <= 1e-12 (1 + max|A|); any other A is refused."""
+    A = _as_real(A, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, -A.T, atol=1e-12 * (1.0 + np.abs(A).max())):
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix must be finite")
+    # a sum past the float range is an infinite asymmetry, refused below
+    with np.errstate(over="ignore"):
+        asym = np.abs(A + A.T).max()
+    if asym > 1e-12 * (1.0 + np.abs(A).max()):
         raise ValueError("matrix is not antisymmetric")
     return np.linalg.eigvalsh(1j * A)
 

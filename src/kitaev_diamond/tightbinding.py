@@ -10,21 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import _bloch_sum, as_couplings, f_of_q
+from .spectrum import _bloch_sum, _edge_vector, as_couplings, f_of_q
 
 
 def as_hoppings(t, d: int | None = None) -> np.ndarray:
     """Validate a hopping vector t_1..t_{d+1}; complex amplitudes allowed."""
     t = np.asarray(t)
-    if not np.issubdtype(t.dtype, np.complexfloating):
-        t = t.astype(float).astype(complex)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("hoppings must be a 1-d sequence with at least two entries")
-    if d is not None and t.size != d + 1:
-        raise ValueError(f"expected {d + 1} hoppings for d={d}, got {t.size}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("hoppings must be finite")
-    return t
+    t = t if t.dtype.kind == "c" else t.astype(float).astype(complex)
+    return _edge_vector(t, d, "hoppings")
 
 
 def r_of_q(t, phi) -> complex | np.ndarray:
@@ -48,7 +41,7 @@ def compare_models(J, phi_samples) -> float:
     returned deviation is zero up to (at most) one rounding unit.
     """
     J = as_couplings(J)
-    phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
+    phi_samples = np.atleast_2d(phi_samples)
     xi = np.abs(f_of_q(J, phi_samples))
     e_plus, _ = tb_energy(2.0 * J, phi_samples)
     return float(np.abs(xi - e_plus).max())

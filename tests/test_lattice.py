@@ -177,7 +177,7 @@ def test_fundamental_domain_closed_form():
 
 def test_json_round_trip():
     t = lattice.build_torus(2, 2)
-    doc = json.loads(lattice.torus_to_json(t))
+    doc = json.loads(json.dumps(lattice.torus_to_dict(t), indent=2))
     assert doc["d"] == 2 and doc["N"] == 2
     assert len(doc["vertices"]) == 8
     assert len(doc["edges"]) == 12

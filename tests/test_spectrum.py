@@ -87,6 +87,29 @@ def test_majorana_spectrum_rejects_non_antisymmetric():
         spectrum.majorana_spectrum(np.eye(4))
 
 
+@pytest.mark.parametrize("A", [
+    # inside numpy's default relative tolerance, but i*A has eigenvalues
+    # +-1000004.5, not the +-1000009 the upper triangle gives
+    [[0.0, 1e6], [-1e6 - 9.0, 0.0]],
+    # a complex matrix, whose real part is zero
+    [[0.0, 2j], [2j, 0.0]],
+    [[0.0, np.inf], [-np.inf, 0.0]],
+    [[0.0, np.nan], [np.nan, 0.0]],
+    # A + A^T overflows
+    [[0.0, 1.7e308], [1.7e308, 0.0]],
+])
+def test_majorana_spectrum_refuses_what_its_tolerance_does_not_admit(A):
+    # the suite turns a RuntimeWarning into an error, so none is raised first
+    with pytest.raises(ValueError):
+        spectrum.majorana_spectrum(np.array(A))
+
+
+def test_majorana_spectrum_admits_asymmetry_within_its_tolerance():
+    # max|A + A^T| = 1e-12 is within 1e-12 (1 + max|A|)
+    A = np.array([[0.0, 1.0], [-1.0 - 1e-12, 0.0]])
+    assert np.allclose(spectrum.majorana_spectrum(A), [-1.0, 1.0])
+
+
 def test_bloch_multiset_matches_torus():
     rng = np.random.default_rng(3)
     for d, N in ((2, 3), (3, 2), (1, 5)):
