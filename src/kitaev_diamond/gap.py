@@ -7,7 +7,11 @@ direction angles, corrected for coupling signs and a global rotation, are
 phases at which the band amplitude vanishes.  A numeric minimiser is kept
 alongside as an independent oracle: a grid scan with the last phase in
 closed form, then one vectorised damped Newton polish from several starts,
-in plain numpy.
+in plain numpy.  The polish stops once its best row reaches the
+reverse-triangle bound |s| >= 2 max |J| - sum |J|, up to rounding.  That
+bound only decides when to stop: the result is still evaluated at a phase
+vector, so a wrong bound could only stop the polish early, at a value the
+closed-form gate of the tests then rejects.
 """
 
 from __future__ import annotations
@@ -188,7 +192,8 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     where J_d e^{i phi_d} points against z.  That is the two-term triangle
     inequality only, not the polygon criterion, so the oracle stays an
     independent check on the classifier.  The scan visits grid_n^(d-1)
-    points, in slices of the leading axis of about _SCAN_CHUNK points.
+    points, in slices of the leading axis of about _SCAN_CHUNK points, each
+    filled into one complex and one float buffer allocated per call.
     """
     d = J.size - 1
     w = np.exp(1j * (TWO_PI / grid_n) * np.arange(grid_n))
@@ -202,11 +207,16 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     z = tail[0]
     if d > 1:
         lead = J[1] * w
-        rows = max(1, _SCAN_CHUNK // tail.size)
+        rows = min(grid_n, max(1, _SCAN_CHUNK // tail.size))
+        zbuf = np.empty((rows, tail.size), dtype=complex)
+        dbuf = np.empty((rows, tail.size))
         best = np.inf
         for m in range(0, grid_n, rows):
-            zs = lead[m : m + rows, None] + tail
-            dev = np.abs(np.abs(zs) - abs(J[d]))
+            zs, dev = zbuf[: grid_n - m], dbuf[: grid_n - m]
+            np.add(lead[m : m + rows, None], tail, out=zs)
+            np.abs(zs, out=dev)
+            dev -= abs(J[d])
+            np.abs(dev, out=dev)
             k = int(np.argmin(dev))
             if dev.flat[k] < best:
                 best = dev.flat[k]
@@ -234,15 +244,19 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
     descends monotonically and a row on an indefinite Hessian keeps raising
     mu until the step goes downhill.  The floor on mu keeps H + mu I well
     conditioned on the zero set, where H has rank 2.  The polish stops when
-    some row reaches |s| at rounding level of sum |J|, where no row can do
-    better, or when every step is below _NEWTON_XTOL.  J is expected at
-    order one (the caller scales it).
+    some row reaches max(0, 2 max |J| - sum |J|) + eps sum |J|, or when every
+    step is below _NEWTON_XTOL.  By the reverse triangle inequality no phase
+    vector has |s| below that bound (0 for gapless couplings), so no row can
+    do better by more than rounding; every returned |s| is still evaluated
+    at a phase vector.  J is expected at order one (the caller scales it).
     """
     n, d = phi.shape
     s, r = _amplitude(J, phi)
     a = np.abs(s)
     mu = np.full(n, _NEWTON_MU0)
-    floor = np.finfo(float).eps * np.abs(J).sum()
+    mags = np.abs(J)
+    total = mags.sum()
+    floor = max(0.0, 2.0 * mags.max() - total) + np.finfo(float).eps * total
     for _ in range(_NEWTON_MAX_ITER):
         if a.min() <= floor:
             break
@@ -280,9 +294,12 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     zero set).  The couplings are first scaled by a power of two so the
     largest magnitude lies in [1, 2), and the result is scaled back, so
     inputs that differ by a power of two give results that differ by the
-    same power.  The result is 2|s| evaluated at an explicit phase vector,
-    never the closed-form bound, so up to rounding it cannot undercut the
-    true minimum; it is inf only where that value exceeds the float range.
+    same power.  The polish stops within rounding of the reverse-triangle
+    bound (see `_newton_polish`).  The result is 2|s| evaluated at an
+    explicit phase vector, never the bound, so up to rounding it cannot
+    undercut the true minimum, and a wrong bound could only stop the polish
+    early, at a value the closed-form gate rejects; it is inf only where
+    that value exceeds the float range.
     The scan slice, grid_n^(d-2) points (at least grid_n), is refused above
     _SCAN_CAP before anything is allocated.
     """

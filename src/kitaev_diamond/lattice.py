@@ -235,7 +235,8 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
     inside (0, 1), which certifies the seeds sit in the open fundamental cell.
     """
     d = basis.d
-    if not 0 <= i <= d:
+    i = check_size(i, 0, "bond index")
+    if i > d:
         raise ValueError(f"bond index must be in 0..{d}, got {i}")
     beta_i = basis.beta[i]
     frame = -sum(beta_i - basis.beta[j] for j in range(d + 1) if j != i)

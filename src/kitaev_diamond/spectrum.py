@@ -111,7 +111,8 @@ class DispersionResult(NamedTuple):
 
 def dispersion(J, phi) -> DispersionResult:
     """Two-band energies xi = +-|f(phi)|."""
-    phi = as_phases(phi, d=len(J) - 1)
+    J = as_couplings(J)
+    phi = as_phases(phi, d=J.size - 1)
     xi = np.abs(f_of_q(J, phi))
     return DispersionResult(phi=phi, xi_plus=xi, xi_minus=-xi)
 

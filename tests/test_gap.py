@@ -306,6 +306,82 @@ def test_min_gap_refuses_oversized_scan(monkeypatch):
         gap.min_gap_numeric(np.ones(3), grid_n=1001)
 
 
+def _grid_start_per_slice(J, grid_n):
+    """The scan as first written, a fresh slice and temporaries per step: the
+    reference the buffered `gap._grid_start` must match bit for bit."""
+    d = J.size - 1
+    w = np.exp(1j * (gap.TWO_PI / grid_n) * np.arange(grid_n))
+    tail = np.full((grid_n,) * max(d - 2, 0), complex(J[0]))
+    for i in range(2, d):
+        shape = [1] * (d - 2)
+        shape[i - 2] = grid_n
+        tail = tail + J[i] * w.reshape(shape)
+    tail = tail.ravel()
+    idx = []
+    z = tail[0]
+    if d > 1:
+        lead = J[1] * w
+        rows = max(1, gap._SCAN_CHUNK // tail.size)
+        best = np.inf
+        for m in range(0, grid_n, rows):
+            zs = lead[m : m + rows, None] + tail
+            dev = np.abs(np.abs(zs) - abs(J[d]))
+            k = int(np.argmin(dev))
+            if dev.flat[k] < best:
+                best = dev.flat[k]
+                z = zs.flat[k]
+                idx = np.unravel_index(m * tail.size + k, (grid_n,) * (d - 1))
+    phi = np.empty(d)
+    phi[:-1] = (gap.TWO_PI / grid_n) * np.asarray(idx, dtype=float)
+    phi[-1] = np.angle(-J[d] * z)
+    return phi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_grid_start_matches_the_per_slice_scan(d):
+    # d = 4 at grid 48 scans slices of 14 rows and a last one of 6
+    assert (gap._SCAN_CHUNK // 48**2, 48 % 14) == (14, 6)
+    rng = np.random.default_rng(70 + d)
+    kinds = ("gapped", "zeroed", "boundary") + (("gapless",) if d > 1 else ())
+    for grid_n in (5, 48):
+        for kind in kinds:
+            for _ in range(2 if d == 5 and grid_n == 48 else 4):
+                J = _oracle_draw(rng, d, kind)
+                if not J.any():
+                    continue
+                J = np.ldexp(J, 1 - np.frexp(np.abs(J).max())[1])
+                want = _grid_start_per_slice(J, grid_n)
+                assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
+
+
+def _gapped_cases():
+    rng = np.random.default_rng(61)
+    yield np.array([3.0, 1.0, 1.0])
+    for d in (2, 3, 4):
+        for _ in range(20):
+            yield _oracle_draw(rng, d, "gapped")
+
+
+def test_polish_stops_at_the_reverse_triangle_bound(monkeypatch):
+    # gapped couplings: the scan lands on the minimum 2 max|J| - sum|J|,
+    # where the polish stops instead of running up to its iteration cap
+    calls = []
+    amplitude = gap._amplitude
+
+    def counted(J, phi):
+        calls.append(len(phi))
+        return amplitude(J, phi)
+
+    monkeypatch.setattr(gap, "_amplitude", counted)
+    eps = np.finfo(float).eps
+    for J in _gapped_cases():
+        calls.clear()
+        got = gap.min_gap_numeric(J)
+        total = np.abs(J).sum()
+        assert abs(got - 2 * (2 * np.abs(J).max() - total)) <= 16 * eps * total, J
+        assert len(calls) <= 3, (J, len(calls))
+
+
 def test_min_gap_validation():
     with pytest.raises(ValueError):
         gap.min_gap_numeric([1.0, 1.0, 1.0], grid_n=1)

@@ -1,10 +1,10 @@
 """Input gates: each kind of input is checked by one rule wherever it enters.
 
-Sizes (dimensions, torus and grid sizes, resolutions), real coefficient
-vectors, torus vertices and polygon sides each pass one check.  These tests
-pin what those checks refuse that a hand-written comparison let through: a
-float size, a complex array cast to its real part, and a vertex with
-non-integer coordinates.
+Sizes (dimensions, torus and grid sizes, resolutions, bond indices), real
+coefficient vectors, torus vertices and polygon sides each pass one check.
+These tests pin what those checks refuse that a hand-written comparison let
+through: a float size, a complex array cast to its real part, and a vertex
+with non-integer coordinates.
 """
 
 import numpy as np
@@ -58,6 +58,22 @@ def test_sizes_accept_numpy_integers_and_keep_their_range_messages():
 def test_couplings_phases_and_sides_are_never_cast_from_complex(call):
     with pytest.raises(ValueError, match="must be real"):
         call()
+
+
+def test_dispersion_checks_its_couplings_before_its_phases():
+    for J in (5.0, np.array([[1.0, 1.0, 1.0]])):
+        with pytest.raises(ValueError, match="^couplings must be a 1-d sequence"):
+            spectrum.dispersion(J, [0, 0])
+
+
+def test_bond_index_is_an_integer_size():
+    basis = lattice.make_basis(3)
+    with pytest.raises(ValueError, match=r"^bond index must be an integer, got 0\.5$"):
+        lattice.check_fundamental_domain(basis, 0.5)
+    with pytest.raises(ValueError, match="^bond index must be in 0..3, got 4$"):
+        lattice.check_fundamental_domain(basis, 4)
+    assert (lattice.check_fundamental_domain(basis, np.int64(2))
+            == lattice.check_fundamental_domain(basis, 2))
 
 
 def test_hoppings_stay_complex():
