@@ -34,7 +34,9 @@ def _emit_lines(chunks, out: str | None) -> None:
 
     The first chunk is taken before the output is opened, so a generator
     that validates its inputs before its first chunk leaves no partial
-    output.  An output that cannot be opened is a usage error.
+    output.  A generator that yields None first has the output opened
+    after its checks and before its work; the None is not written.  An
+    output that cannot be opened is a usage error.
     """
     chunks = iter(chunks)
     chunk = next(chunks, None)
@@ -43,16 +45,32 @@ def _emit_lines(chunks, out: str | None) -> None:
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror}")
     with target as fh:
+        if chunk is None:
+            chunk = next(chunks, None)
         while chunk is not None:
             fh.write(chunk)
             fh.write("\n")
             chunk = next(chunks, None)
 
 
-def _emit_json(payload, out: str | None) -> None:
-    # a value beyond the float range is refused, not printed as the non-JSON
-    # token Infinity or NaN
-    _emit_lines([json.dumps(payload, indent=2, allow_nan=False)], out)
+def _emit_json(payload, out: str | None):
+    """Write payload as indented JSON and return it.
+
+    A callable payload is called once the output is open, so a command
+    refuses an unwritable output before its work.
+    """
+
+    def chunks():
+        nonlocal payload
+        if callable(payload):
+            yield None
+            payload = payload()
+        # a value beyond the float range is refused, not printed as the
+        # non-JSON token Infinity or NaN
+        yield json.dumps(payload, indent=2, allow_nan=False)
+
+    _emit_lines(chunks(), out)
+    return payload
 
 
 def cmd_bands(args) -> int:
@@ -90,6 +108,12 @@ def cmd_lattice(args) -> int:
 def cmd_verify(args) -> int:
     check_size(args.draws, 0, "--draws")
     torus = build_torus(args.d, args.N)
+    payload = _emit_json(lambda: _verify_payload(args, torus), args.out)
+    return 0 if payload["pass"] else 1
+
+
+def _verify_payload(args, torus) -> dict:
+    """The Bloch sweep over args.draws couplings, then the operator suite."""
     swept = torus
     if args.corrupt_sign:
         # reversing one bond flips the sign of its term in the hopping form
@@ -129,7 +153,7 @@ def cmd_verify(args) -> int:
                 {"suite": "operator-identities", "d": args.d,
                  "N": algebra_torus.N, "seed": args.seed, "J": list(first_J)}
             )
-    payload = {
+    return {
         "d": args.d,
         "N": args.N,
         "draws": args.draws,
@@ -140,8 +164,6 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "pass": not failures,
     }
-    _emit_json(payload, args.out)
-    return 0 if not failures else 1
 
 
 def verify_ops_payload(system) -> dict:

@@ -6,15 +6,18 @@ Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
 so products, commutation signs and the chirality sign are integer
 arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
 return strings, the only form kept; a string's matrix is expanded from its
-masks on request (`to_matrix`, `to_dense`).  Every entry is one of 0, +-1,
-+-i, so all algebraic identities below hold exactly in float arithmetic.
-For odd k the last generator is a full Z string whose sign is fixed by the
-chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one of the two
-inequivalent irreducible representations.
+masks on request (`to_matrix`, `to_dense`).  Each builder checks its size
+and then returns a memoised result, so a process builds each size's
+generators, spin operators and parity once and shares the frozen strings.
+Every entry is one of 0, +-1, +-i, so all algebraic identities below hold
+exactly in float arithmetic.  For odd k the last generator is a full Z
+string whose sign is fixed by the chirality condition i^m c_1 ... c_{2m+1}
+= +Id, selecting one of the two inequivalent irreducible representations.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -132,6 +135,14 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     return 1 << (n - len(pivots))
 
 
+def _generator_count(k) -> int:
+    """k as an int, refused unless 1 <= k <= K_CAP."""
+    k = check_size(k, 1, "generator count")
+    if k > K_CAP:
+        raise ValueError(f"k={k} exceeds the representation cap {K_CAP}")
+    return k
+
+
 def majorana_rep(k: int) -> tuple[PauliString, ...]:
     """Jordan-Wigner generators of Cl_k as Pauli strings on floor(k/2) qubits.
 
@@ -139,10 +150,38 @@ def majorana_rep(k: int) -> tuple[PauliString, ...]:
     extra generator is (+-) Z^m with the sign that makes the chirality
     product i^m c_1 ... c_{2m+1} equal +Id.  For k = 1 that is the 1x1 +Id.
     """
-    if k < 1:
-        raise ValueError(f"need at least one generator, got k={k}")
-    if k > K_CAP:
-        raise ValueError(f"k={k} exceeds the representation cap {K_CAP}")
+    return _majorana_rep(_generator_count(k))
+
+
+def d_operator(d: int) -> PauliString:
+    """Sublattice-site parity operator on the Cl_{d+2} representation space.
+
+    D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1 and the ladder
+    operators a_i = (c_{2i-1} + i c_{2i})/2.  Each factor is -i c_{2i-1}
+    c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal Hermitian involution
+    whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
+    """
+    return _d_operator(_generator_count(check_size(d, 1, "dimension") + 2))
+
+
+def spin_ops(d: int) -> tuple[PauliString, ...]:
+    """Spin operators sigma^k = i c_k c_{d+2} for k = 1..d+1.
+
+    Each is a Hermitian involution.  They commute with the parity operator D
+    for even d and anticommute with it for odd d (the parity product then
+    involves every pairwise generator except c_{d+2}); two-site products
+    sigma (x) sigma always commute with D (x) D.
+    """
+    return _spin_ops(_generator_count(check_size(d, 1, "dimension") + 2))
+
+
+# The memos behind the public builders, keyed by the generator count k.  They
+# see only admitted counts, so each holds at most K_CAP entries; the values
+# are frozen strings, safe to share.
+
+
+@functools.cache
+def _majorana_rep(k: int) -> tuple[PauliString, ...]:
     m = k // 2
     c = []
     for j in range(1, m + 1):
@@ -163,30 +202,17 @@ def majorana_rep(k: int) -> tuple[PauliString, ...]:
     return tuple(c)
 
 
-def d_operator(d: int) -> PauliString:
-    """Sublattice-site parity operator on the Cl_{d+2} representation space.
-
-    D = (-1)^m prod_i (1 - 2 a_i' a_i) with m = floor(d/2)+1 and the ladder
-    operators a_i = (c_{2i-1} + i c_{2i})/2.  Each factor is -i c_{2i-1}
-    c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal Hermitian involution
-    whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
-    """
-    c = majorana_rep(check_size(d, 1, "dimension") + 2)
-    m = (d + 2) // 2
+@functools.cache
+def _d_operator(k: int) -> PauliString:
+    m = k // 2
     out = PauliString(m, phase=m % 4)
-    for g in c[: 2 * m]:
+    for g in _majorana_rep(k)[: 2 * m]:
         out = out * g
     return out
 
 
-def spin_ops(d: int) -> tuple[PauliString, ...]:
-    """Spin operators sigma^k = i c_k c_{d+2} for k = 1..d+1.
-
-    Each is a Hermitian involution.  They commute with the parity operator D
-    for even d and anticommute with it for odd d (the parity product then
-    involves every pairwise generator except c_{d+2}); two-site products
-    sigma (x) sigma always commute with D (x) D.
-    """
-    c = majorana_rep(check_size(d, 1, "dimension") + 2)
+@functools.cache
+def _spin_ops(k: int) -> tuple[PauliString, ...]:
+    c = _majorana_rep(k)
     i = PauliString(c[0].n, phase=1)
-    return tuple(i * g * c[d + 1] for g in c[: d + 1])
+    return tuple(i * g * c[-1] for g in c[:-1])

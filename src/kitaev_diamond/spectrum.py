@@ -68,16 +68,17 @@ def range_exponent(top: float, n: int) -> int:
     return int(np.frexp(top)[1]) if 2.0 * n * top > FLOAT_MAX else 0
 
 
-def _bloch_sum(c: np.ndarray, phi, prefactor: float | None = None):
+def _bloch_sum(c: np.ndarray, phi: np.ndarray, prefactor: float | None = None):
     """prefactor * (c_0 + sum_i c_{i+1} e^{i phi_i}) over the last axis of phi.
 
+    c and phi are already checked: phi by `as_phases`, or built in [0, 2pi)
+    by `bz_grid`, where `as_phases` would return it unchanged.
     c is scaled by the power of two of `range_exponent` over its largest
     component, and the result scaled back component by component: a sum
     that overflows then gives infinite components instead of inf - inf =
     NaN.  Scaling only where a sum could overflow keeps the imaginary part
     of couplings more than 2^1022 apart, which a scaled sum would flush.
     """
-    phi = as_phases(phi, d=c.size - 1)
     top = float(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
     e = range_exponent(top, c.size)
     if e:
@@ -100,7 +101,8 @@ def f_of_q(J, phi) -> complex | np.ndarray:
     result is scalar or shaped (...) accordingly.  Couplings near the float
     maximum give infinite components, never NaN.
     """
-    return _bloch_sum(as_couplings(J), phi, 2.0)
+    J = as_couplings(J)
+    return _bloch_sum(J, as_phases(phi, d=J.size - 1), 2.0)
 
 
 class DispersionResult(NamedTuple):
@@ -113,7 +115,7 @@ def dispersion(J, phi) -> DispersionResult:
     """Two-band energies xi = +-|f(phi)|."""
     J = as_couplings(J)
     phi = as_phases(phi, d=J.size - 1)
-    xi = np.abs(f_of_q(J, phi))
+    xi = np.abs(_bloch_sum(J, phi, 2.0))
     return DispersionResult(phi=phi, xi_plus=xi, xi_minus=-xi)
 
 
@@ -144,7 +146,7 @@ def bz_grid(d: int, N: int) -> np.ndarray:
 def bloch_multiset(J, N: int) -> np.ndarray:
     """Sorted multiset of the 2*N^d dispersion values +-|f| over the grid."""
     J = as_couplings(J)
-    absf = np.abs(f_of_q(J, bz_grid(J.size - 1, N)))
+    absf = np.abs(_bloch_sum(J, bz_grid(J.size - 1, N), 2.0))
     return np.sort(np.concatenate([-absf, absf]))
 
 
@@ -223,7 +225,7 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
         hoppings = as_hoppings(hoppings, d=d)
         cols += ["E_plus", "E_minus"]
     phi = bz_grid(d, grid_n)
-    xi = np.abs(f_of_q(J, phi))
+    xi = np.abs(_bloch_sum(J, phi, 2.0))
     values = [phi, xi[:, None], -xi[:, None]]
     if hoppings is not None:
         values += [e[:, None] for e in tb_energy(hoppings, phi)]

@@ -3,8 +3,11 @@
 Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
-on the joint register (a site's string shifted to its tensor slot), and the
-strings are the only stored form of the model.  The Hamiltonian's matrix is
+on the joint register, and the strings are the only stored form of the
+model.  The site strings come from the memoised `clifford` builders, and
+each joint string is built in one step: its sites are distinct tensor
+slots, so the site masks are placed at their slots' shifts and the phases
+added, with no intermediate product.  The Hamiltonian's matrix is
 expanded from its terms' bit masks on request: one entry per row and x mask,
 in column row ^ x, with sign (-1)^popcount(column & z).  The entries are 0,
 +-1, +-i, so every conserved-quantity identity below holds exactly, not just
@@ -57,13 +60,22 @@ class SpinSystem:
 
 
 def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
-    """site_strings[label - 1] on both endpoints of every edge, in edge order."""
+    """site_strings[label - 1] on both endpoints of every edge, in edge order.
+
+    The endpoints are distinct tensor factors, so each product is built as
+    one string: both masks at both factors' shifts and the phase taken twice
+    (a Z on one factor never meets an X on the other).
+    """
     n = len(torus.vertices)
-    return tuple(
-        site_strings[e.label - 1].on_site(e.frm, n)
-        * site_strings[e.label - 1].on_site(e.to, n)
-        for e in torus.edges
-    )
+    width = site_strings[0].n
+    strings = []
+    for e in torus.edges:
+        s = site_strings[e.label - 1]
+        a, b = (n - 1 - e.frm) * width, (n - 1 - e.to) * width
+        strings.append(
+            PauliString(n * width, s.x << a | s.x << b, s.z << a | s.z << b, 2 * s.phase % 4)
+        )
+    return tuple(strings)
 
 
 def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
@@ -121,10 +133,10 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     total_dim = tensor_dims(torus)[1]
     terms = _edge_strings(spin_ops(torus.d), torus)
     n_sites = len(torus.vertices)
-    D_site = d_operator(torus.d)
-    parity = PauliString(D_site.n * n_sites)
-    for v in range(n_sites):
-        parity = parity * D_site.on_site(v, n_sites)
+    D = d_operator(torus.d)
+    # D on every tensor factor, one string: its masks repeated at each shift
+    slots = sum(1 << v * D.n for v in range(n_sites))
+    parity = PauliString(D.n * n_sites, D.x * slots, D.z * slots, D.phase * n_sites % 4)
     return SpinSystem(
         torus=torus,
         couplings=J,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import _bloch_sum, _edge_vector, as_couplings, f_of_q
+from .spectrum import _bloch_sum, _edge_vector, as_couplings, as_phases, f_of_q
 
 
 def as_hoppings(t, d: int | None = None) -> np.ndarray:
@@ -25,7 +25,8 @@ def r_of_q(t, phi) -> complex | np.ndarray:
 
     Hoppings near the float maximum give infinite components, never NaN.
     """
-    return _bloch_sum(as_hoppings(t), phi)
+    t = as_hoppings(t)
+    return _bloch_sum(t, as_phases(phi, d=t.size - 1))
 
 
 def tb_energy(t, phi) -> tuple:

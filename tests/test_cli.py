@@ -208,6 +208,19 @@ def test_out_file(tmp_path, capsys):
         assert err.startswith("error: cannot write ")
 
 
+def test_verify_refuses_an_unwritable_out_before_its_sweep(monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli.spectrum, "verify_bloch_equivalence",
+                        lambda *args: calls.append(args) or 0.0)
+    argv = ["verify", "--d", "2", "--N", "12", "--draws", "20"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ")
+    assert calls == []
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.json"))
+    assert code == 0 and len(calls) == 20
+
+
 def test_console_entry_point():
     # the child imports the package these tests import, installed or not
     src = str(Path(kitaev_diamond.__file__).resolve().parent.parent)

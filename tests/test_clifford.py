@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,30 @@ def test_cap_rejects_oversized_k():
         clifford.majorana_rep(40)
     with pytest.raises(ValueError):
         clifford.majorana_rep(0)
+
+
+def test_builders_are_plain_functions_over_bounded_memos():
+    """The public builders stay plain functions (tools that wrap functions
+    see every call); refused sizes raise before their memos are reached."""
+    builders = (clifford.majorana_rep, clifford.spin_ops, clifford.d_operator)
+    assert all(inspect.isfunction(f) for f in builders)
+    memos = (clifford._majorana_rep, clifford._spin_ops, clifford._d_operator)
+    sizes = [m.cache_info().currsize for m in memos]
+    for bad in (0, -1, 2.0, clifford.K_CAP + 1, 40):
+        with pytest.raises(ValueError):
+            clifford.majorana_rep(bad)
+    for bad in (0, 1.0, clifford.K_CAP - 1):
+        for f in builders[1:]:
+            with pytest.raises(ValueError):
+                f(bad)
+    assert [m.cache_info().currsize for m in memos] == sizes
+    for k in range(1, clifford.K_CAP + 1):
+        clifford.majorana_rep(k)
+    for d in range(1, clifford.K_CAP - 1):
+        clifford.spin_ops(d)
+        clifford.d_operator(d)
+    assert all(m.cache_info().currsize <= clifford.K_CAP for m in memos)
+    assert clifford.spin_ops(np.int64(3)) is clifford.spin_ops(3)
 
 
 def test_ladder_relations():

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from kitaev_diamond import cli
+from kitaev_diamond import cli, clifford
 
 GOLDEN = {
     ("verify-algebra", "--d", "2", "--seed", "0"):
@@ -60,3 +60,20 @@ def test_stdout_digest(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
+    """verify-algebra prints the same bytes whether the memoised clifford
+    builders start empty or already hold its size."""
+
+    def stdout(argv):
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    for d in range(2, 16):
+        argv = ("verify-algebra", "--d", str(d), "--seed", "0")
+        for memo in (clifford._majorana_rep, clifford._spin_ops, clifford._d_operator):
+            memo.cache_clear()
+        cold = stdout(argv)
+        assert stdout(argv) == cold
+        assert hashlib.sha256(cold.encode()).hexdigest() == GOLDEN[argv]

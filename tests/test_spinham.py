@@ -142,6 +142,37 @@ def test_single_site_strings_match_kron_chains():
             assert np.array_equal(got.to_dense(), want)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_one_step_strings_match_on_site_products(d, N):
+    """Each edge string and the parity, built in one step, equal the product
+    of the site strings shifted to their tensor slots."""
+    torus = build_torus(d, N)
+    n = len(torus.vertices)
+    for site_strings in (clifford.spin_ops(d), clifford.majorana_rep(d + 2)):
+        want = tuple(
+            site_strings[e.label - 1].on_site(e.frm, n)
+            * site_strings[e.label - 1].on_site(e.to, n)
+            for e in torus.edges
+        )
+        assert spinham._edge_strings(site_strings, torus) == want
+    if admitted(torus):  # the parity is built with the model
+        D = clifford.d_operator(d)
+        parity = clifford.PauliString(D.n * n)
+        for v in range(n):
+            parity = parity * D.on_site(v, n)
+        assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
+
+
+def admitted(torus):
+    """Whether the spin model on torus is within the entry budget."""
+    try:
+        spinham.tensor_dims(torus)
+    except ValueError:
+        return False
+    return True
+
+
 def test_tensor_dims():
     t = build_torus(2, 1)
     site_dim, total_dim = spinham.tensor_dims(t)
