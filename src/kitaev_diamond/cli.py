@@ -117,10 +117,9 @@ def _verify_payload(args, torus) -> dict:
     swept = torus
     if args.corrupt_sign:
         # reversing one bond flips the sign of its term in the hopping form
-        e = torus.edges[0]
-        swept = dataclasses.replace(
-            torus, edges=(e._replace(frm=e.to, to=e.frm), *torus.edges[1:])
-        )
+        frm, to = torus.frm.copy(), torus.to.copy()
+        frm[0], to[0] = to[0], frm[0]
+        swept = dataclasses.replace(torus, frm=frm, to=to)
     rng = np.random.default_rng(args.seed)
     failures = []
     max_dev = 0.0

@@ -9,7 +9,6 @@ beta_0, ..., beta_d which sum to zero and share a common length.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,7 +23,11 @@ ENTRY_BUDGET = 1 << 22
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.
 _COUNT_CAP = 64
-_INTEGER = (int, np.integer)
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; bool is refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_budget(entries: int, what: str) -> None:
@@ -34,8 +37,8 @@ def check_budget(entries: int, what: str) -> None:
 
 
 def check_size(value, low: int, what: str) -> int:
-    """value as an int; refused unless a Python or numpy integer >= low."""
-    if not isinstance(value, _INTEGER):
+    """value as an int; refused unless a Python or numpy integer >= low (`_is_int`)."""
+    if not _is_int(value):
         raise ValueError(f"{what} must be an integer, got {value}")
     if value < low:
         raise ValueError(f"{what} must be >= {low}, got {value}")
@@ -112,8 +115,8 @@ class Vertex(NamedTuple):
 
 def _is_vertex(v: Vertex, d: int, N: int) -> bool:
     """Whether v has d integer coordinates in 0..N-1 and an integer bit s in {0, 1}."""
-    return isinstance(v.s, _INTEGER) and v.s in (0, 1) and len(v.mu) == d and all(
-        isinstance(c, _INTEGER) and 0 <= c < N for c in v.mu)
+    return _is_int(v.s) and v.s in (0, 1) and len(v.mu) == d and all(
+        _is_int(c) and 0 <= c < N for c in v.mu)
 
 
 class Edge(NamedTuple):
@@ -143,19 +146,23 @@ def base_graph(d: int) -> BaseGraph:
     return BaseGraph(d=d, vertices=(0, 1), labels=tuple(i + 1 for i in range(d + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiamondTorus:
     """Finite quotient of the diamond lattice by N times the translation lattice.
 
-    Vertices are ordered lexicographically by (s, mu); edges are generated per
-    s=1 vertex in lex order, direction 0..d.  Both orderings are load-bearing:
-    they fix the JSON export and the row/column order of quadratic forms.
+    Vertex s * N^d + r lies on sublattice s in the cell of rank r
+    (`place_values`): lexicographic in (s, mu).  Edge k, with coupling index
+    label[k] = direction + 1, runs from frm[k] (s=1) to to[k] (s=0), per s=1
+    vertex in rank order, direction 0..d.  Both orders fix the JSON export and
+    the row/column order of quadratic forms.  `build_torus` makes the three
+    arrays read-only int64 views of one buffer.
     """
 
     d: int
     N: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    frm: np.ndarray
+    to: np.ndarray
+    label: np.ndarray
 
     def index(self, v: Vertex) -> int:
         """Index of a vertex in the stable ordering."""
@@ -184,17 +191,16 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     N = check_size(N, 1, "torus size")
     order = 2 * grid_count(N, d)
     check_budget(order * max(order, d), f"torus d={d}, N={N}")
-    cells = list(itertools.product(range(N), repeat=d))
-    vertices = [Vertex(mu, s) for s in (0, 1) for mu in cells]
-    L, w = N**d, place_values(N, d)
-    edges = []
-    for rank, mu in enumerate(cells):
-        frm = L + rank
-        edges.append(Edge(frm, rank, 0, 1))
-        for i, c in enumerate(mu):
-            to = rank + w[i] if c < N - 1 else rank - (N - 1) * w[i]
-            edges.append(Edge(frm, to, i + 1, i + 2))
-    return DiamondTorus(d=d, N=N, vertices=tuple(vertices), edges=tuple(edges))
+    L = N**d
+    rank = np.arange(L)[:, None]
+    # frm, to and label, each as the (cell, direction) table
+    edges = np.empty((3, L, d + 1), dtype=np.int64)
+    edges[0], edges[1], edges[2] = L + rank, rank, np.arange(1, d + 2)
+    if N > 1:  # with one cell, every step wraps back to it
+        w = np.array(place_values(N, d))
+        edges[1, :, 1:] += np.where(rank // w % N < N - 1, w, (1 - N) * w)
+    edges.flags.writeable = False
+    return DiamondTorus(d, N, *edges.reshape(3, -1))
 
 
 def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
@@ -204,9 +210,13 @@ def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
         torus.index(item)  # raises on foreign vertices
         return item.s
     if isinstance(item, Edge):
-        if item not in torus.edges:
-            raise KeyError(f"not an edge of this torus: {item}")
-        return item.direction
+        if all(map(_is_int, item)):
+            frm, to, direction, label = map(int, item)
+            k = (frm - torus.n_cells) * (torus.d + 1) + direction
+            if (0 <= direction <= torus.d and 0 <= k < torus.to.size
+                    and torus.to[k] == to and torus.label[k] == label):
+                return direction
+        raise KeyError(f"not an edge of this torus: {item}")
     raise TypeError(f"expected Vertex or Edge, got {type(item).__name__}")
 
 
@@ -256,20 +266,21 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
 
 def torus_to_dict(torus: DiamondTorus) -> dict:
     """JSON-ready description of the torus with embedded vertex positions,
-    mu @ alpha + s*p for all vertices in one product.  The entries of alpha
-    are 0 and +-1, so each sum in mu @ alpha is an exact integer."""
+    mu @ alpha + s*p for all vertices in one product, mu the digits of the
+    cell ranks.  The entries of alpha are 0 and +-1, so each sum is exact."""
     basis = make_basis(torus.d)
-    mu = np.array([v.mu for v in torus.vertices], dtype=float)
-    s = np.array([v.s for v in torus.vertices], dtype=float)
-    pos = (mu @ basis.alpha + s[:, None] * basis.p).tolist()
+    L = torus.n_cells
+    mu = np.arange(2 * L)[:, None] % L // np.array(place_values(torus.N, torus.d)) % torus.N
+    s = np.repeat([0.0, 1.0], L)
+    pos = (mu.astype(float) @ basis.alpha + s[:, None] * basis.p).tolist()
     return {
         "d": torus.d,
         "N": torus.N,
         "vertices": [
-            {"mu": list(v.mu), "s": v.s, "pos": x} for v, x in zip(torus.vertices, pos)
+            {"mu": m, "s": i // L, "pos": x} for i, (m, x) in enumerate(zip(mu.tolist(), pos))
         ],
         "edges": [
-            {"from": e.frm, "to": e.to, "direction": e.direction, "label": e.label}
-            for e in torus.edges
+            {"from": f, "to": t, "direction": label - 1, "label": label}
+            for f, t, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist())
         ],
     }

@@ -155,15 +155,15 @@ def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
 
     Row/column order follows the torus vertex ordering.  Each edge with label
     l contributes +2*J_l in the (s=1, s=0) orientation; parallel edges of an
-    N=1 torus accumulate onto the same entry.
+    N=1 torus accumulate onto the same entry.  One `np.add.at` adds +w at
+    (frm, to), then -w at (to, frm), edge by edge: each entry sums in edge order.
     """
     J = as_couplings(J, d=torus.d)
-    n = len(torus.vertices)
+    n = 2 * torus.n_cells
+    w = 2.0 * J[torus.label - 1]
     A = np.zeros((n, n))
-    for e in torus.edges:
-        w = 2.0 * J[e.label - 1]
-        A[e.frm, e.to] += w
-        A[e.to, e.frm] -= w
+    frm, to = torus.frm, torus.to
+    np.add.at(A, (np.ravel([frm, to], "F"), np.ravel([to, frm], "F")), np.ravel([w, -w], "F"))
     return A
 
 
@@ -189,7 +189,7 @@ def verify_bloch_equivalence(torus: DiamondTorus, J) -> float:
     J is scaled by `range_exponent` over the edges, the deviation scaled back.
     """
     J = as_couplings(J, d=torus.d)
-    e = range_exponent(float(np.abs(J).max()), len(torus.edges))
+    e = range_exponent(float(np.abs(J).max()), torus.label.size)
     J = np.ldexp(J, -e)
     matrix_eigs = majorana_spectrum(quadratic_form(torus, J))
     grid_eigs = bloch_multiset(J, torus.N)

@@ -39,10 +39,10 @@ from .spectrum import FLOAT_MAX, as_couplings
 class SpinSystem:
     """Hamiltonian and its commuting frame on one torus, as Pauli strings.
 
-    link_ops[k] is the involution attached to torus.edges[k]; parity is the
-    site-wise tensor power of the single-site parity operator.
-    term_strings[k] is the spin product on torus.edges[k], so that
-    H = -sum_k J_{label_k} term_strings[k].
+    link_ops[k] is the involution attached to edge k of the torus (the
+    entries k of its frm, to and label arrays); parity is the site-wise
+    tensor power of the single-site parity operator.  term_strings[k] is the
+    spin product on edge k, so that H = -sum_k J_{label[k]} term_strings[k].
     """
 
     torus: DiamondTorus
@@ -55,7 +55,7 @@ class SpinSystem:
     @property
     def hamiltonian(self) -> MaskMatrix:
         """The matrix of H, expanded from term_strings and couplings on each access."""
-        J = _edge_couplings(self.couplings, self.torus)
+        J = self.couplings[self.torus.label - 1]
         return _hamiltonian_matrix(self.term_strings, J, self.total_dim)
 
 
@@ -66,12 +66,13 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     one string: both masks at both factors' shifts and the phase taken twice
     (a Z on one factor never meets an X on the other).
     """
-    n = len(torus.vertices)
+    n = 2 * torus.n_cells
     width = site_strings[0].n
     strings = []
-    for e in torus.edges:
-        s = site_strings[e.label - 1]
-        a, b = (n - 1 - e.frm) * width, (n - 1 - e.to) * width
+    # Python ints: the masks pass 64 bits, so no numpy int may shift them
+    for frm, to, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()):
+        s = site_strings[label - 1]
+        a, b = (n - 1 - frm) * width, (n - 1 - to) * width
         strings.append(
             PauliString(n * width, s.x << a | s.x << b, s.z << a | s.z << b, 2 * s.phase % 4)
         )
@@ -82,10 +83,9 @@ def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
     """(site_dim, total_dim), refused when the total_dim x E entries of H's
     at most E mask columns exceed ENTRY_BUDGET."""
     site_dim = 2 ** (torus.d // 2 + 1)
-    n_sites = len(torus.vertices)
-    entries = grid_count(site_dim, n_sites) * len(torus.edges)
+    entries = grid_count(site_dim, 2 * torus.n_cells) * torus.label.size
     check_budget(entries, f"spin model on torus d={torus.d}, N={torus.N}")
-    return site_dim, site_dim**n_sites
+    return site_dim, site_dim ** (2 * torus.n_cells)
 
 
 def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -119,11 +119,6 @@ def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
     return MaskMatrix(np.array(list(slot), dtype=np.int64), values)
 
 
-def _edge_couplings(J: np.ndarray, torus: DiamondTorus) -> list:
-    """J_{label} of every edge, in edge order."""
-    return [J[e.label - 1] for e in torus.edges]
-
-
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
@@ -132,19 +127,13 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     J = as_couplings(J, d=torus.d)
     total_dim = tensor_dims(torus)[1]
     terms = _edge_strings(spin_ops(torus.d), torus)
-    n_sites = len(torus.vertices)
+    n_sites = 2 * torus.n_cells
     D = d_operator(torus.d)
     # D on every tensor factor, one string: its masks repeated at each shift
     slots = sum(1 << v * D.n for v in range(n_sites))
     parity = PauliString(D.n * n_sites, D.x * slots, D.z * slots, D.phase * n_sites % 4)
-    return SpinSystem(
-        torus=torus,
-        couplings=J,
-        total_dim=total_dim,
-        link_ops=link_operators(torus),
-        parity=parity,
-        term_strings=terms,
-    )
+    return SpinSystem(torus=torus, couplings=J, total_dim=total_dim,
+                      link_ops=link_operators(torus), parity=parity, term_strings=terms)
 
 
 def plus_sector_dimension(system: SpinSystem) -> int:
@@ -201,7 +190,8 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     """
     dim = system.total_dim
     terms = system.term_strings
-    J = _edge_couplings(system.couplings, system.torus)
+    # as Python floats: each commutator norm reads all of them
+    J = system.couplings[system.torus.label - 1].tolist()
     links, P = system.link_ops, system.parity
     identity = PauliString(P.n)
     residuals = {

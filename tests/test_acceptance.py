@@ -299,15 +299,17 @@ def test_criterion_9_lattice_geometry():
     torus_ok = True
     for d, N in itertools.product((1, 2, 3, 4, 5), (1, 2, 3)):
         t = lattice.build_torus(d, N)
-        if len(t.vertices) != 2 * N**d or len(t.edges) != (d + 1) * N**d:
+        if not t.frm.size == t.to.size == t.label.size == (d + 1) * N**d:
             torus_ok = False
         degree = defaultdict(int)
-        for e in t.edges:
-            if t.vertices[e.frm].s != 1 or t.vertices[e.to].s != 0:
+        for frm, to in zip(t.frm.tolist(), t.to.tolist()):
+            # vertex k is on sublattice s = k // N^d
+            if frm // t.n_cells != 1 or to // t.n_cells != 0:
                 torus_ok = False  # bipartite orientation broken
-            degree[e.frm] += 1
-            degree[e.to] += 1
-        if set(degree.values()) != {d + 1} or len(degree) != len(t.vertices):
+            degree[frm] += 1
+            degree[to] += 1
+        # the edges' endpoints are all 2 N^d vertices
+        if set(degree.values()) != {d + 1} or len(degree) != 2 * N**d:
             torus_ok = False
 
     domain_ok = True

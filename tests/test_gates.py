@@ -34,9 +34,34 @@ def test_sizes_must_be_integers(call):
         call()
 
 
+_T3 = lattice.build_torus(2, 3)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: lattice.build_torus(True, True), ValueError),
+    (lambda: lattice.build_torus(2, True), ValueError),
+    (lambda: clifford.majorana_rep(True), ValueError),
+    (lambda: clifford.spin_ops(True), ValueError),
+    (lambda: spectrum.bz_grid(True, 2), ValueError),
+    (lambda: spectrum.bloch_multiset(J2, True), ValueError),
+    (lambda: lattice.check_fundamental_domain(lattice.make_basis(2), True), ValueError),
+    (lambda: _T3.index(Vertex(mu=(True, 1), s=0)), KeyError),
+    (lambda: _T3.index(Vertex(mu=(0, 1), s=True)), KeyError),
+    (lambda: lattice.covering_map(_T3, Vertex(mu=(1, True), s=1)), KeyError),
+    (lambda: lattice.vertex_position(lattice.make_basis(2), Vertex((True, 0), 0), 3), ValueError),
+])
+def test_bool_is_not_an_integer(call, error):
+    """bool subclasses int, but True is refused as a size or a coordinate, not read as 1."""
+    with pytest.raises(error, match="must be an integer, got True$|not a vertex"):
+        call()
+
+
 def test_sizes_accept_numpy_integers_and_keep_their_range_messages():
     two = np.int64(2)
-    assert lattice.build_torus(two, two) == lattice.build_torus(2, 2)
+    got, want = lattice.build_torus(two, two), lattice.build_torus(2, 2)
+    assert (got.d, got.N) == (want.d, want.N)
+    for name in ("frm", "to", "label"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
     assert np.array_equal(spectrum.bz_grid(two, np.int32(3)), spectrum.bz_grid(2, 3))
     assert gap.min_gap_numeric(J2, grid_n=np.int64(8)) == gap.min_gap_numeric(J2, grid_n=8)
     with pytest.raises(ValueError, match="^grid size must be >= 1, got 0$"):

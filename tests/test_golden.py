@@ -1,7 +1,9 @@
 """Byte identity of seeded CLI stdout.
 
 Each command's in-process stdout is hashed and compared with a digest
-recorded before the operator checks moved onto Pauli strings.  Commands
+recorded before the code it runs was refactored: `verify-algebra` before the
+operator checks moved onto Pauli strings, `lattice` before the torus stored
+its edges as arrays.  Commands
 whose output depends on LAPACK or on the numpy version (`verify`, `bands`,
 `gap`) are left out: their last bits may differ between supported builds.
 """
@@ -49,6 +51,14 @@ GOLDEN = {
         "ea6d0d8906a1ae8fa51a42162cf316faa3ed24a3eb8f1766c0adea559748713d",
     ("gapmap", "--d", "3", "--resolution", "40"):
         "03243796b85468272d77cb9875dfd694520d6ce8b4d7f0227f44e25111614c8d",
+    # positions are exact integer sums plus one rounding of s*p, so these
+    # bytes do not depend on the BLAS or numpy build
+    ("lattice", "--d", "3", "--N", "2"):
+        "a9cbe1296ad6059b969b8528b0e97b3fb0c0f2d92730947b528ac2da71662860",
+    ("lattice", "--d", "2", "--N", "3"):
+        "ee7cf5589577739c4df9037c968f90c7862e95b4a0b869c470babfa12db0a9c2",
+    ("lattice", "--d", "1", "--N", "5"):
+        "0e30a10c1288481dcd461b6cddf200896b3e7e1bb3ca0b46fee9465dcc21545f",
 }
 
 

@@ -8,6 +8,18 @@ import pytest
 from kitaev_diamond import lattice
 
 
+def vertices(t):
+    """The torus's vertices in index order: lexicographic in (s, mu)."""
+    cells = list(itertools.product(range(t.N), repeat=t.d))
+    return [lattice.Vertex(mu, s) for s in (0, 1) for mu in cells]
+
+
+def edges(t):
+    """The torus's edge arrays read as Edge tuples, in edge order."""
+    return [lattice.Edge(f, to, label - 1, label)
+            for f, to, label in zip(t.frm.tolist(), t.to.tolist(), t.label.tolist())]
+
+
 def test_basis_shapes_and_zero_sum():
     for d in range(1, 9):
         b = lattice.make_basis(d)
@@ -52,22 +64,26 @@ def test_base_graph():
 def test_torus_counts():
     for d, N in itertools.product((1, 2, 3, 4), (1, 2, 3)):
         t = lattice.build_torus(d, N)
-        assert len(t.vertices) == 2 * N**d
-        assert len(t.edges) == (d + 1) * N**d
+        # the edges' endpoints are the 2 N^d vertices
+        assert np.union1d(t.frm, t.to).tolist() == list(range(2 * N**d))
+        assert t.frm.shape == t.to.shape == t.label.shape == ((d + 1) * N**d,)
         assert t.n_cells == N**d
+    for name in ("frm", "to", "label"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, name)[0] = 0
 
 
 def test_torus_vertex_order_and_index():
     t = lattice.build_torus(2, 3)
     # s=0 block first, cells in lexicographic order
-    assert t.vertices[0] == lattice.Vertex(mu=(0, 0), s=0)
-    assert t.vertices[1] == lattice.Vertex(mu=(0, 1), s=0)
-    assert t.vertices[9] == lattice.Vertex(mu=(0, 0), s=1)
+    assert t.index(lattice.Vertex(mu=(0, 0), s=0)) == 0
+    assert t.index(lattice.Vertex(mu=(0, 1), s=0)) == 1
+    assert t.index(lattice.Vertex(mu=(0, 0), s=1)) == 9
     assert lattice.place_values(3, 4) == [27, 9, 3, 1]
     # 70 coordinates: more axes than one numpy array may have
     for d, N in ((2, 3), (3, 4), (70, 1)):
         t = lattice.build_torus(d, N)
-        for i, v in enumerate(t.vertices):
+        for i, v in enumerate(vertices(t)):
             assert t.index(v) == i
 
 
@@ -75,9 +91,10 @@ def test_torus_regular_and_properly_coloured():
     for d, N in itertools.product((2, 3, 4), (1, 2, 3)):
         t = lattice.build_torus(d, N)
         incident = defaultdict(list)
-        for e in t.edges:
-            assert t.vertices[e.frm].s == 1
-            assert t.vertices[e.to].s == 0
+        vs = vertices(t)
+        for e in edges(t):
+            assert vs[e.frm].s == 1
+            assert vs[e.to].s == 0
             incident[e.frm].append(e.label)
             incident[e.to].append(e.label)
         for labels in incident.values():
@@ -87,8 +104,9 @@ def test_torus_regular_and_properly_coloured():
 def test_torus_edge_directions():
     for d, N in ((2, 2), (3, 3), (1, 5), (4, 1)):
         t = lattice.build_torus(d, N)
-        for e in t.edges:
-            v, w = t.vertices[e.frm], t.vertices[e.to]
+        vs = vertices(t)
+        for e in edges(t):
+            v, w = vs[e.frm], vs[e.to]
             if e.direction == 0:
                 assert v.mu == w.mu
             else:
@@ -100,8 +118,9 @@ def test_torus_edge_directions():
 
 def test_bipartite_no_same_side_edges():
     t = lattice.build_torus(3, 2)
-    for e in t.edges:
-        assert t.vertices[e.frm].s != t.vertices[e.to].s
+    vs = vertices(t)
+    for e in edges(t):
+        assert vs[e.frm].s != vs[e.to].s
 
 
 def test_build_torus_validation():
@@ -115,10 +134,18 @@ def test_covering_map():
     t = lattice.build_torus(2, 2)
     assert lattice.covering_map(t, lattice.Vertex(mu=(1, 1), s=0)) == 0
     assert lattice.covering_map(t, lattice.Vertex(mu=(0, 1), s=1)) == 1
-    for e in t.edges:
+    for e in edges(t):
         assert lattice.covering_map(t, e) == e.direction
     with pytest.raises(KeyError):
         lattice.covering_map(t, lattice.Vertex(mu=(5, 0), s=0))
+    # edge 1 of the (2, 2) torus is Edge(4, 2, 1, 2); each field changed is foreign
+    assert lattice.covering_map(t, lattice.Edge(4, 2, 1, 2)) == 1
+    for e in (lattice.Edge(4, 3, 1, 2), lattice.Edge(4, 2, 1, 3), lattice.Edge(4, 2, 3, 4),
+              lattice.Edge(3, 2, 1, 2), lattice.Edge(8, 2, 1, 2), lattice.Edge(4, 2, -1, 0),
+              lattice.Edge(4.0, 2, 1, 2), lattice.Edge(4, 2, True, 2), lattice.Edge(4, 2, 1, "2"),
+              lattice.Edge(np.int64(2**62), 2, 1, 2)):
+        with pytest.raises(KeyError):
+            lattice.covering_map(t, e)
     with pytest.raises(TypeError):
         lattice.covering_map(t, "not a cell")
 
@@ -139,7 +166,7 @@ def test_vertex_position():
         t = lattice.build_torus(d, N)
         b = lattice.make_basis(d)
         doc = lattice.torus_to_dict(t)
-        for v, entry in zip(t.vertices, doc["vertices"]):
+        for v, entry in zip(vertices(t), doc["vertices"], strict=True):
             want = lattice.vertex_position(b, v, N).tolist()
             assert list(map(repr, entry["pos"])) == list(map(repr, want))
 
@@ -149,8 +176,9 @@ def test_edge_vectors_are_beta():
     for d in (2, 3):
         b = lattice.make_basis(d)
         t = lattice.build_torus(d, 3)
-        for e in t.edges:
-            v, w = t.vertices[e.frm], t.vertices[e.to]
+        vs = vertices(t)
+        for e in edges(t):
+            v, w = vs[e.frm], vs[e.to]
             pv = lattice.vertex_position(b, v, t.N)
             pw = lattice.vertex_position(b, w, t.N)
             delta = pw - pv

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,41 @@ def test_quadratic_form_antisymmetric():
     assert np.array_equal(A, -A.T)
     assert A.shape == (8, 8)
     assert np.count_nonzero(A) == 24
+
+
+def loop_quadratic_form(torus, J):
+    """The hopping form built edge by edge: +w at (frm, to), then -w at (to, frm)."""
+    n = 2 * torus.n_cells
+    A = np.zeros((n, n))
+    for frm, to, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()):
+        w = 2.0 * J[label - 1]
+        A[frm, to] += w
+        A[to, frm] -= w
+    return A
+
+
+def reversed_edge_0(torus):
+    """torus with edge 0 reversed, as `verify --corrupt-sign` sweeps it."""
+    frm, to = torus.frm.copy(), torus.to.copy()
+    frm[0], to[0] = to[0], frm[0]
+    return dataclasses.replace(torus, frm=frm, to=to)
+
+
+@pytest.mark.parametrize("torus", [
+    *(build_torus(d, N) for d, N in ((2, 12), (3, 6), (1, 1024))),
+    # parallel edges share their entries, and the reversed one sums into them
+    *(reversed_edge_0(build_torus(d, 1)) for d in (1, 2, 3, 5, 8)),
+], ids=lambda t: f"d{t.d}-N{t.N}-{'reversed' if t.frm[0] < t.to[0] else 'built'}")
+def test_quadratic_form_sums_in_edge_order(torus):
+    """The array form equals the edge loop bit for bit, signed zeros included."""
+    rng = np.random.default_rng(torus.d * 1000 + torus.N)
+    # the reversed edge carries J_1 and comes first: each small term, under
+    # half an ulp of 2 J_1, rounds away against it, but not summed before it
+    lopsided = np.full(torus.d + 1, 4e-17)
+    lopsided[0] = 1.0
+    for J in (*rng.uniform(-2.0, 2.0, size=(5, torus.d + 1)), lopsided):
+        got = spectrum.quadratic_form(torus, J)
+        assert np.array_equal(got.view(np.uint64), loop_quadratic_form(torus, J).view(np.uint64))
 
 
 def test_single_cell_spectrum_exact():

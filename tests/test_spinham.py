@@ -44,6 +44,11 @@ def ref_majorana(k):
     return c
 
 
+def edges(torus):
+    """(frm, to, label) of every edge, in edge order, as Python ints."""
+    return list(zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()))
+
+
 def ref_spin_ops(d):
     c = ref_majorana(d + 2)
     return [1j * c[k] @ c[d + 1] for k in range(d + 1)]
@@ -72,15 +77,15 @@ def _embed(site_ops, n_sites, site_dim):
 def ref_system(torus, J):
     """(H, link operators, parity) assembled from sparse Kronecker chains."""
     site_dim, total_dim = spinham.tensor_dims(torus)
-    n_sites = len(torus.vertices)
+    n_sites = 2 * torus.n_cells
     sigmas = [sparse.csr_matrix(s) for s in ref_spin_ops(torus.d)]
     H = sparse.csr_matrix((total_dim, total_dim), dtype=complex)
-    for e in torus.edges:
-        sig = sigmas[e.label - 1]
-        H = H - J[e.label - 1] * _embed({e.frm: sig, e.to: sig}, n_sites, site_dim)
+    for frm, to, label in edges(torus):
+        sig = sigmas[label - 1]
+        H = H - J[label - 1] * _embed({frm: sig, to: sig}, n_sites, site_dim)
     c = [sparse.csr_matrix(g) for g in ref_majorana(torus.d + 2)]
-    links = [_embed({e.frm: c[e.label - 1], e.to: c[e.label - 1]}, n_sites, site_dim)
-             for e in torus.edges]
+    links = [_embed({frm: c[label - 1], to: c[label - 1]}, n_sites, site_dim)
+             for frm, to, label in edges(torus)]
     D = sparse.csr_matrix(ref_d_operator(torus.d))
     parity = _embed({v: D for v in range(n_sites)}, n_sites, site_dim)
     return H.tocsr(), links, parity.tocsr()
@@ -126,7 +131,7 @@ def test_mask_operators_match_kron_chains(d, N):
         assert np.array_equal(got.indptr, H.indptr)
         assert np.array_equal(got.indices, H.indices)
         assert np.array_equal(got.data.view(np.uint64), H.data.view(np.uint64))
-    assert len(sys_.link_ops) == len(links) == len(torus.edges)
+    assert len(sys_.link_ops) == len(links) == torus.label.size
     for got, want in zip(sys_.link_ops, links):
         assert_same_matrix(got.to_matrix(), want)
     assert_same_matrix(sys_.parity.to_matrix(), parity)
@@ -148,12 +153,11 @@ def test_one_step_strings_match_on_site_products(d, N):
     """Each edge string and the parity, built in one step, equal the product
     of the site strings shifted to their tensor slots."""
     torus = build_torus(d, N)
-    n = len(torus.vertices)
+    n = 2 * torus.n_cells
     for site_strings in (clifford.spin_ops(d), clifford.majorana_rep(d + 2)):
         want = tuple(
-            site_strings[e.label - 1].on_site(e.frm, n)
-            * site_strings[e.label - 1].on_site(e.to, n)
-            for e in torus.edges
+            site_strings[label - 1].on_site(frm, n) * site_strings[label - 1].on_site(to, n)
+            for frm, to, label in edges(torus)
         )
         assert spinham._edge_strings(site_strings, torus) == want
     if admitted(torus):  # the parity is built with the model
@@ -231,7 +235,7 @@ def odd_term_system(sys_):
     whose label is not 1.
     """
     torus = sys_.torus
-    c1 = clifford.majorana_rep(torus.d + 2)[0].on_site(0, len(torus.vertices))
+    c1 = clifford.majorana_rep(torus.d + 2)[0].on_site(0, 2 * torus.n_cells)
     return dataclasses.replace(sys_, term_strings=(c1, *sys_.term_strings[1:]))
 
 
@@ -421,10 +425,10 @@ def test_adjacent_links_anticommute():
     """Link operators on edges sharing exactly one vertex anticommute."""
     t = build_torus(2, 2)
     ops = [csr(u.to_matrix()) for u in spinham.link_operators(t)]
-    for i, ei in enumerate(t.edges):
-        for j in range(i + 1, len(t.edges)):
-            ej = t.edges[j]
-            shared = len({ei.frm, ei.to} & {ej.frm, ej.to})
+    ends = [{frm, to} for frm, to, _ in edges(t)]
+    for i, ei in enumerate(ends):
+        for j in range(i + 1, len(ends)):
+            shared = len(ei & ends[j])
             if shared == 1:
                 x = ops[i] @ ops[j] + ops[j] @ ops[i]
             elif shared == 0:
