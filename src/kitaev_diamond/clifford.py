@@ -59,7 +59,7 @@ class MaskMatrix:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """The operator i^phase X^x Z^z on n qubits.
 
@@ -76,13 +76,11 @@ class PauliString:
     def __mul__(self, other: PauliString) -> PauliString:
         if other.n != self.n:
             raise ValueError(f"qubit counts differ: {self.n} and {other.n}")
-        # moving X^x' left through Z^z costs (-1)^popcount(z & x')
-        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase % 4)
+        phase = _product_phase(self.phase, self.z, other.x, other.phase)
+        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def commutes(self, other: PauliString) -> bool:
-        flips = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
-        return flips % 2 == 0
+        return not _anticommuting((other,), self)
 
     def is_hermitian(self) -> bool:
         # (X^x Z^z)^dagger = (-1)^popcount(x & z) X^x Z^z
@@ -109,28 +107,42 @@ class PauliString:
         return self.to_matrix().toarray()
 
 
+def _product_phase(phase: int, z: int, other_x: int, other_phase: int) -> int:
+    """Phase power of (i^phase X^x Z^z)(i^other_phase X^other_x Z^other_z): moving
+    X^other_x left through Z^z costs (-1)^popcount(z & other_x)."""
+    return (phase + other_phase + 2 * (z & other_x).bit_count()) % 4
+
+
+def _anticommuting(strings: Sequence[PauliString], s: PauliString) -> list[int]:
+    """Indices of the strings whose symplectic product with s,
+    popcount(x & s.z) + popcount(z & s.x), is odd: those that anticommute."""
+    x, z = s.x, s.z
+    return [k for k, t in enumerate(strings) if ((t.x & z) ^ (t.z & x)).bit_count() & 1]
+
+
 def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     """Dimension of the joint (+1)-eigenspace of a nonempty set of Pauli strings.
 
     The space is empty when a string is not Hermitian (it squares to -Id),
     when two strings anticommute (v = u u' v = -u' u v = -v), or when some
     product of them is -Id.  Otherwise each of the r independent strings,
-    counted by Gaussian elimination over GF(2) on (x, z), halves the space.
+    counted by Gaussian elimination over GF(2) on (x, z, phase), halves it.
     """
     n = strings[0].n
     for i, a in enumerate(strings):
-        if not a.is_hermitian() or not all(a.commutes(b) for b in strings[i + 1 :]):
+        if not a.is_hermitian() or _anticommuting(strings[i + 1 :], a):
             return 0
-    pivots: dict[int, PauliString] = {}  # leading bit of (x, z) -> group element
-    for s in strings:
-        while s.x or s.z:
-            lead = (s.x << n | s.z).bit_length()
+    pivots: dict[int, tuple[int, int, int]] = {}  # leading bit of (x, z) -> group element
+    for x, z, p in ((s.x, s.z, s.phase) for s in strings):
+        while x or z:
+            lead = (x << n | z).bit_length()
             if lead not in pivots:
-                pivots[lead] = s
+                pivots[lead] = x, z, p
                 break
-            s = s * pivots[lead]
+            px, pz, pp = pivots[lead]
+            x, z, p = x ^ px, z ^ pz, _product_phase(p, z, px, pp)
         else:
-            if s.phase != 0:
+            if p != 0:
                 return 0
     return 1 << (n - len(pivots))
 

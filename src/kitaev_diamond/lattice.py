@@ -56,7 +56,10 @@ def grid_count(n: int, d: int) -> int:
 def place_values(N: int, d: int) -> list[int]:
     """N^(d-1), ..., N, 1: every torus and phase grid ranks cell (m_1, ..., m_d)
     as sum_i m_i N^(d-i), row-major, and reads m_i off rank r as r // N^(d-i) % N."""
-    return [N**k for k in range(d - 1, -1, -1)]
+    w = [1] * d  # one running product, none at all for N = 1
+    for k in range(d - 2, -1, -1) if N != 1 else ():
+        w[k] = w[k + 1] * N
+    return w
 
 
 def simplex_count(d: int, r: int) -> int:

@@ -3,17 +3,13 @@
 Each vertex carries a copy of the Cl_{d+2} representation space; the model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
-on the joint register, and the strings are the only stored form of the
-model.  The site strings come from the memoised `clifford` builders, and
-each joint string is built in one step: its sites are distinct tensor
-slots, so the site masks are placed at their slots' shifts and the phases
-added, with no intermediate product.  The Hamiltonian's matrix is
-expanded from its terms' bit masks on request: one entry per row and x mask,
-in column row ^ x, with sign (-1)^popcount(column & z).  The entries are 0,
-+-1, +-i, so every conserved-quantity identity below holds exactly, not just
-to rounding.  The identities are checked on the strings by bit arithmetic;
-no matrix is formed.  The joint +1 sector of the links and the parity is
-counted on the strings by a GF(2) rank.
+on the joint register, built in one step from the memoised `clifford` site
+strings; the strings are the only stored form of the model, and H's matrix
+is expanded from their bit masks on request.  Its entries are 0, +-1, +-i,
+so every conserved-quantity identity below holds exactly, not just to
+rounding.  The identities and the joint +1 sector of the links and the
+parity (a GF(2) rank) are read off the strings' masks and phases: no matrix
+is formed, and no string is built unless a check fails.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ import numpy as np
 from .clifford import (
     MaskMatrix,
     PauliString,
+    _anticommuting,
     d_operator,
     joint_plus_dimension,
     majorana_rep,
@@ -63,8 +60,8 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     """site_strings[label - 1] on both endpoints of every edge, in edge order.
 
     The endpoints are distinct tensor factors, so each product is built as
-    one string: both masks at both factors' shifts and the phase taken twice
-    (a Z on one factor never meets an X on the other).
+    one string: each mask copied to both factors' slots and the phase taken
+    twice (a Z on one factor never meets an X on the other).
     """
     n = 2 * torus.n_cells
     width = site_strings[0].n
@@ -72,10 +69,8 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     # Python ints: the masks pass 64 bits, so no numpy int may shift them
     for frm, to, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()):
         s = site_strings[label - 1]
-        a, b = (n - 1 - frm) * width, (n - 1 - to) * width
-        strings.append(
-            PauliString(n * width, s.x << a | s.x << b, s.z << a | s.z << b, 2 * s.phase % 4)
-        )
+        slots = 1 << (n - 1 - frm) * width | 1 << (n - 1 - to) * width
+        strings.append(PauliString(n * width, s.x * slots, s.z * slots, 2 * s.phase % 4))
     return tuple(strings)
 
 
@@ -149,29 +144,34 @@ def plus_sector_dimension(system: SpinSystem) -> int:
     return joint_plus_dimension((*system.link_ops, system.parity))
 
 
-def _saturate(x: float) -> float:
-    """x, or the float maximum where x overflowed or is NaN."""
+def _saturate(norm: float, dim: int) -> float:
+    """norm * sqrt(dim), or the float maximum where that overflows, is NaN or
+    needs the root of a dim past the float range; a zero norm gives 0.0."""
+    try:
+        x = norm * math.sqrt(dim) if norm else 0.0
+    except OverflowError:
+        x = math.inf
     return x if x <= FLOAT_MAX else FLOAT_MAX
 
 
 def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
     """||[H, S]||_F for H = -sum_k J[k] terms[k].
 
-    [H, S] = -sum 2 J_k t_k S over the terms t_k that anticommute with S;
-    distinct Pauli strings are trace-orthogonal, so the norm is
+    [H, S] = -sum 2 J_k t_k S over the terms t_k whose masks anticommute with
+    S; distinct Pauli strings are trace-orthogonal, so the norm is
     sqrt(dim sum |coefficient|^2) once equal (x, z) products are combined.
     """
     coef: dict[tuple[int, int], complex] = {}
-    for t, j in zip(terms, J):
-        if not t.commutes(S):
-            p = t * S
-            coef[p.x, p.z] = coef.get((p.x, p.z), 0) - 2 * float(j) * 1j**p.phase
-    return _saturate(math.hypot(*map(abs, coef.values())) * math.sqrt(dim))
+    for k in _anticommuting(terms, S):
+        p = terms[k] * S
+        coef[p.x, p.z] = coef.get((p.x, p.z), 0) - 2 * float(J[k]) * 1j**p.phase
+    return _saturate(math.hypot(*map(abs, coef.values())), dim) if coef else 0.0
 
 
 def _involution_norm(S: PauliString, dim: int) -> float:
-    """||S S - Id||_F; S S = i^q Id and |i^q - 1|^2 = 0, 2, 4, 2."""
-    return math.sqrt(dim * (0, 2, 4, 2)[(S * S).phase])
+    """||S S - Id||_F.  S S = i^(2p + 2 popcount(x & z)) Id is +Id exactly
+    when S is Hermitian and -Id otherwise, so the norm is 0 or 2 sqrt(dim)."""
+    return _saturate(0.0 if S.is_hermitian() else 2.0, dim)
 
 
 def verify_operator_identities(system: SpinSystem) -> dict:
@@ -183,17 +183,15 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     together these force eigenvalues exactly +-1 with equal multiplicity --
     and that the parity is diagonal with entries +-1.
 
-    Everything is computed on the Pauli strings by bit arithmetic.  A
-    commutator that does not vanish is that of the exact sum, which the
-    expanded H rounds.  Values beyond the float range saturate at its
-    maximum, so the report never holds inf or NaN.
+    Everything is read off the strings' masks and phases.  A commutator
+    that does not vanish is that of the exact sum, which the expanded H
+    rounds.  Values beyond the float range saturate at its maximum, so the
+    report never holds inf or NaN.
     """
     dim = system.total_dim
     terms = system.term_strings
-    # as Python floats: each commutator norm reads all of them
-    J = system.couplings[system.torus.label - 1].tolist()
+    J = system.couplings[system.torus.label - 1]
     links, P = system.link_ops, system.parity
-    identity = PauliString(P.n)
     residuals = {
         "commutator_parity": _commutator_norm(terms, J, P, dim),
         "commutator_links_max": max(
@@ -204,9 +202,7 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     }
     residuals["max_residual"] = max(residuals.values())
     residuals["links_exact_pm_one"] = all(
-        u * u == identity and u.is_hermitian() and (u.x or u.z) for u in links
+        u.n == P.n and u.is_hermitian() and (u.x or u.z) for u in links
     )
-    residuals["parity_diagonal_pm_one"] = (
-        P.x == 0 and P.phase % 2 == 0 and P * P == identity
-    )
+    residuals["parity_diagonal_pm_one"] = P.x == 0 and P.is_hermitian()
     return residuals

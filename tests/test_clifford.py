@@ -1,4 +1,5 @@
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -320,3 +321,35 @@ def test_joint_plus_dimension_matches_dense_kernel():
         assert got == want
         seen.add(got)
     assert 0 in seen and len(seen) >= 3
+
+
+def qubitwise(a, b):
+    """(phase power of a * b, whether a and b commute), multiplied out one
+    qubit at a time from 2x2 matrices; any width."""
+    coef, flips = 1j ** (a.phase + b.phase), 0
+    for bit in range(a.n):
+        pa, pb = (a.x >> bit & 1, a.z >> bit & 1), (b.x >> bit & 1, b.z >> bit & 1)
+        AB, BA = PAULI[pa] @ PAULI[pb], PAULI[pb] @ PAULI[pa]
+        C = PAULI[pa[0] ^ pb[0], pa[1] ^ pb[1]]
+        coef *= np.trace(C.T @ AB) / 2  # AB = coef C, C real orthogonal
+        flips += not np.array_equal(AB, BA)  # the qubit's factors anticommute
+    return {1: 0, 1j: 1, -1: 2, -1j: 3}[coef], flips % 2 == 0
+
+
+def test_shared_phase_and_commutation_helpers():
+    """`_product_phase` and `_anticommuting` agree with `__mul__`,
+    `commutes` and a qubit-by-qubit product, on strings past 64 bits too."""
+    rng = random.Random(11)
+    for n in (1, 3, 63, 64, 65, 130):
+        strings = [clifford.PauliString(n, rng.getrandbits(n), rng.getrandbits(n),
+                                        rng.randrange(4)) for _ in range(8)]
+        for s in strings:
+            odd = clifford._anticommuting(strings, s)
+            assert odd == [k for k, t in enumerate(strings) if not t.commutes(s)]
+            for k, t in enumerate(strings):
+                phase, commute = qubitwise(t, s)
+                product = t * s
+                assert (product.x, product.z) == (t.x ^ s.x, t.z ^ s.z)
+                assert product.phase == phase
+                assert clifford._product_phase(t.phase, t.z, s.x, s.phase) == phase
+                assert (k not in odd) == commute == t.commutes(s)

@@ -2,10 +2,11 @@
 
 Each command's in-process stdout is hashed and compared with a digest
 recorded before the code it runs was refactored: `verify-algebra` before the
-operator checks moved onto Pauli strings, `lattice` before the torus stored
-its edges as arrays.  Commands
-whose output depends on LAPACK or on the numpy version (`verify`, `bands`,
-`gap`) are left out: their last bits may differ between supported builds.
+operator checks moved onto Pauli strings (the d = 1 tori before the checks
+stopped building strings), `lattice` before the torus stored its edges as
+arrays.  Commands whose output depends on LAPACK or on the numpy version
+(`verify`, `bands`, `gap`) are left out: their last bits may differ between
+supported builds.
 """
 
 import hashlib
@@ -47,6 +48,10 @@ GOLDEN = {
         "2f4dfd1f691b78ed5d50d71ca7e082f069d2a33ad9dc04d3cfad20c04a99c5b7",
     ("verify-algebra", "--d", "1", "--N", "3"):
         "0eba8e3f4b0af8dd2cbdc592ad8ea7ff4dddf82ca20f0d0e0d8277c7a9616260",
+    ("verify-algebra", "--d", "1", "--N", "1"):
+        "aa6b2ee3378f373ab5e39442add1bb2281e81d19eac89d8ebfdb178f0c17e6c2",
+    ("verify-algebra", "--d", "1", "--N", "8"):
+        "69dea8a273383cdc7ccafd0e951873ef8351065dcf706a3417e37d9d917cc4a1",
     ("gapmap", "--d", "2", "--resolution", "40"):
         "ea6d0d8906a1ae8fa51a42162cf316faa3ed24a3eb8f1766c0adea559748713d",
     ("gapmap", "--d", "3", "--resolution", "40"):

@@ -73,6 +73,19 @@ def test_torus_counts():
             getattr(t, name)[0] = 0
 
 
+def test_place_values_are_the_powers():
+    """One running product gives the powers N^(d-1), ..., 1 exactly."""
+    def powers(N, d):
+        return [N**k for k in range(d - 1, -1, -1)]
+
+    for N in range(1, 6):
+        for d in range(0, 9):
+            assert lattice.place_values(N, d) == powers(N, d)
+    for N, d in ((1, 100000), (2, 62), (3, 70)):
+        w = lattice.place_values(N, d)
+        assert w == powers(N, d) and all(type(v) is int for v in w)
+
+
 def test_torus_vertex_order_and_index():
     t = lattice.build_torus(2, 3)
     # s=0 block first, cells in lexicographic order

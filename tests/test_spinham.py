@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -335,6 +336,58 @@ def test_identity_report_stays_finite(value):
     for key in ("commutator_parity", "commutator_links_max"):
         assert 0.0 < rep[key] <= np.finfo(float).max
     assert rep["links_exact_pm_one"] and rep["parity_diagonal_pm_one"]
+
+
+def test_checks_build_no_strings(monkeypatch):
+    """The identity checks and the plus sector read masks and phases: on a
+    correct model they construct no PauliString at all."""
+    systems = [spinham.build_spin_hamiltonian(build_torus(d, N), np.linspace(-1.0, 1.3, d + 1))
+               for d, N in [(d, 1) for d in range(2, 16)] + [(1, 8)]]
+    bad = odd_term_system(systems[0])
+    sectors = [spinham.plus_sector_dimension(sys_) for sys_ in systems]
+    built = []
+    init = clifford.PauliString.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(clifford.PauliString, "__init__", counting_init)
+    for sys_, sector in zip(systems, sectors):
+        assert not trips(spinham.verify_operator_identities(sys_))
+        assert clifford.joint_plus_dimension((*sys_.link_ops, sys_.parity)) == sector
+    assert built == []
+    # d = 5, 9, 13: some product of the frame is -Id, found by the elimination
+    assert sectors.count(0) == 4 and sectors[-1] == 0
+    # a symmetry-breaking term is multiplied out, so the count does see strings
+    assert trips(spinham.verify_operator_identities(bad)) and built
+
+
+@pytest.mark.parametrize("log2_dim", [1023, 1024, 1100])
+def test_residuals_at_dimensions_past_the_float_range(log2_dim):
+    """sqrt(dim) is not a float from 2^1024 on: zero residuals stay 0.0 and
+    nonzero ones saturate; below that the bits are those of sqrt(dim)."""
+    dim = 2**log2_dim
+    torus = build_torus(2, 1)
+    sys_ = spinham.build_spin_hamiltonian(torus, J2)
+    J = sys_.couplings[torus.label - 1].tolist()
+    u, P = sys_.link_ops[0], sys_.parity
+    c1 = clifford.majorana_rep(4)[0].on_site(0, 2)  # anticommutes with the parity
+    top = np.finfo(float).max
+    finite = dim < 2**1024
+    assert spinham._commutator_norm(sys_.term_strings, J, P, dim) == 0.0
+    odd = spinham._commutator_norm((c1,), [0.75], P, dim)
+    assert odd == (1.5 * math.sqrt(dim) if finite else top)
+    assert spinham._involution_norm(u, dim) == 0.0
+    minus_id = dataclasses.replace(u, phase=(u.phase + 1) % 4)  # squares to -Id
+    assert spinham._involution_norm(minus_id, dim) == (2 * math.sqrt(dim) if finite else top)
+
+
+def test_involution_residual_bits_below_the_float_range():
+    """||S S + Id - 2 Id|| = 2 sqrt(dim) rounds like sqrt(4 dim), odd dims too."""
+    minus_id = clifford.PauliString(1, phase=1)
+    for dim in (1, 2, 3, 5, 7, 2**53 + 1, 2**60 + 3, 2**1021 + 1, 2**1022 - 2**969):
+        assert spinham._involution_norm(minus_id, dim) == math.sqrt(4 * dim)
 
 
 # -- reference: the identities from sparse matrix products -------------------
