@@ -7,12 +7,12 @@ so products, commutation signs and the chirality sign are integer
 arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
 return strings, the only form kept; a string's matrix is expanded from its
 masks on request (`to_matrix`, `to_dense`).  Each builder checks its size
-and then returns a memoised result, so a process builds each size's
-generators, spin operators and parity once and shares the frozen strings.
-Every entry is one of 0, +-1, +-i, so all algebraic identities below hold
-exactly in float arithmetic.  For odd k the last generator is a full Z
-string whose sign is fixed by the chirality condition i^m c_1 ... c_{2m+1}
-= +Id, selecting one of the two inequivalent irreducible representations.
+against ENTRY_BUDGET and answers from a memo of the MEMO_SIZE sizes last
+used, so a process builds a size in use once.  Every entry is one of 0,
++-1, +-i, so all algebraic identities below hold exactly in float
+arithmetic.  For odd k the last generator is a full Z string whose sign is
+fixed by the chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one
+of the two inequivalent irreducible representations.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_size
+from .lattice import check_budget, check_size
 
-# Highest generator count built; k = 17 is the largest a two-site torus within
-# the spin model's entry budget ever needs (d = 15).
-K_CAP = 18
+# Generator counts each builder memo keeps, least recently used first out: the
+# 14 that the one-cell spin tori d = 2..15 use fit, so a pass over them hits.
+MEMO_SIZE = 16
 
 # i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)
 _I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
@@ -79,9 +79,6 @@ class PauliString:
         phase = _product_phase(self.phase, self.z, other.x, other.phase)
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
-    def commutes(self, other: PauliString) -> bool:
-        return not _anticommuting((other,), self)
-
     def is_hermitian(self) -> bool:
         # (X^x Z^z)^dagger = (-1)^popcount(x & z) X^x Z^z
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
@@ -129,6 +126,8 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     counted by Gaussian elimination over GF(2) on (x, z, phase), halves it.
     """
     n = strings[0].n
+    if any(s.n != n for s in strings):
+        raise ValueError(f"qubit counts differ: {sorted({s.n for s in strings})}")
     for i, a in enumerate(strings):
         if not a.is_hermitian() or _anticommuting(strings[i + 1 :], a):
             return 0
@@ -148,10 +147,9 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
 
 
 def _generator_count(k) -> int:
-    """k as an int, refused unless 1 <= k <= K_CAP."""
+    """k as an int, refused unless k >= 1 and k strings of k//2 qubits fit the budget."""
     k = check_size(k, 1, "generator count")
-    if k > K_CAP:
-        raise ValueError(f"k={k} exceeds the representation cap {K_CAP}")
+    check_budget(k * (k // 2), f"generator count k={k}")
     return k
 
 
@@ -187,12 +185,12 @@ def spin_ops(d: int) -> tuple[PauliString, ...]:
     return _spin_ops(_generator_count(check_size(d, 1, "dimension") + 2))
 
 
-# The memos behind the public builders, keyed by the generator count k.  They
-# see only admitted counts, so each holds at most K_CAP entries; the values
+# The memos behind the public builders, keyed by the generator count k and
+# bounded by MEMO_SIZE entries; they see only admitted counts, and the values
 # are frozen strings, safe to share.
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _majorana_rep(k: int) -> tuple[PauliString, ...]:
     m = k // 2
     c = []
@@ -214,7 +212,7 @@ def _majorana_rep(k: int) -> tuple[PauliString, ...]:
     return tuple(c)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _d_operator(k: int) -> PauliString:
     m = k // 2
     out = PauliString(m, phase=m % 4)
@@ -223,7 +221,7 @@ def _d_operator(k: int) -> PauliString:
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _spin_ops(k: int) -> tuple[PauliString, ...]:
     c = _majorana_rep(k)
     i = PauliString(c[0].n, phase=1)

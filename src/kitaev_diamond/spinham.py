@@ -51,9 +51,9 @@ class SpinSystem:
 
     @property
     def hamiltonian(self) -> MaskMatrix:
-        """The matrix of H, expanded from term_strings and couplings on each access."""
+        """The matrix of H, expanded on each access once `tensor_dims` admits it."""
         J = self.couplings[self.torus.label - 1]
-        return _hamiltonian_matrix(self.term_strings, J, self.total_dim)
+        return _hamiltonian_matrix(self.term_strings, J, tensor_dims(self.torus)[1])
 
 
 def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -117,17 +117,18 @@ def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    Refuses tori whose matrix would exceed ENTRY_BUDGET (`tensor_dims`).
+    Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET.
     """
     J = as_couplings(J, d=torus.d)
-    total_dim = tensor_dims(torus)[1]
-    terms = _edge_strings(spin_ops(torus.d), torus)
     n_sites = 2 * torus.n_cells
+    check_budget(torus.label.size * n_sites * (torus.d // 2 + 1),
+                 f"spin model on torus d={torus.d}, N={torus.N}")
+    terms = _edge_strings(spin_ops(torus.d), torus)
     D = d_operator(torus.d)
     # D on every tensor factor, one string: its masks repeated at each shift
     slots = sum(1 << v * D.n for v in range(n_sites))
     parity = PauliString(D.n * n_sites, D.x * slots, D.z * slots, D.phase * n_sites % 4)
-    return SpinSystem(torus=torus, couplings=J, total_dim=total_dim,
+    return SpinSystem(torus=torus, couplings=J, total_dim=1 << parity.n,
                       link_ops=link_operators(torus), parity=parity, term_strings=terms)
 
 

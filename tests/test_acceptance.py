@@ -271,6 +271,25 @@ def test_criterion_7_operator_identities():
     assert tori == 14  # every dimension through d = 15 fits in 2^16
 
 
+def test_criterion_7_identities_on_the_largest_admitted_tori():
+    # the model is sized by its (d+1) N^d edge strings of 2 N^d (d//2 + 1)
+    # qubits; each of these tori is the last its d admits within 2^22
+    rng = np.random.default_rng(117)
+    t0 = time.perf_counter()
+    failed = []
+    for d, N in ((2047, 1), (1, 1024), (2, 24), (3, 8)):
+        J = rng.uniform(-2.0, 2.0, size=d + 1)
+        system = spinham.build_spin_hamiltonian(lattice.build_torus(d, N), J)
+        res = spinham.verify_operator_identities(system)
+        if not (res["max_residual"] == 0.0 and res["links_exact_pm_one"]
+                and res["parity_diagonal_pm_one"]):
+            failed.append((d, N))
+    elapsed = time.perf_counter() - t0
+    report(7, "operator identities on the largest admitted tori", not failed,
+           f"4 tori, failed {failed}, {elapsed:.1f}s")
+    assert not failed
+
+
 def test_criterion_8_tight_binding_identification():
     rng = np.random.default_rng(108)
     worst = 0.0

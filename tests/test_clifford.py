@@ -61,8 +61,9 @@ def test_odd_k_chirality_is_plus_identity():
 
 
 def test_cap_rejects_oversized_k():
-    with pytest.raises(ValueError):
-        clifford.majorana_rep(40)
+    # 2897 strings of 1448 qubits pass the entry budget of 2^22
+    with pytest.raises(ValueError, match="generator count k=2897 is over the budget"):
+        clifford.majorana_rep(2897)
     with pytest.raises(ValueError):
         clifford.majorana_rep(0)
 
@@ -74,20 +75,27 @@ def test_builders_are_plain_functions_over_bounded_memos():
     assert all(inspect.isfunction(f) for f in builders)
     memos = (clifford._majorana_rep, clifford._spin_ops, clifford._d_operator)
     sizes = [m.cache_info().currsize for m in memos]
-    for bad in (0, -1, 2.0, clifford.K_CAP + 1, 40):
+    # k = 2897 is the first count whose k strings of k//2 qubits pass 2^22
+    for bad in (0, -1, 2.0, 2897, 10**30):
         with pytest.raises(ValueError):
             clifford.majorana_rep(bad)
-    for bad in (0, 1.0, clifford.K_CAP - 1):
+    for bad in (0, 1.0, 2895):
         for f in builders[1:]:
             with pytest.raises(ValueError):
                 f(bad)
     assert [m.cache_info().currsize for m in memos] == sizes
-    for k in range(1, clifford.K_CAP + 1):
+    assert len(clifford.majorana_rep(2896)) == 2896
+    assert len(clifford.spin_ops(2894)) == 2895
+    assert clifford.d_operator(2894).n == 1448
+    # more distinct sizes than the memos hold: least recently used go first
+    bound = clifford.MEMO_SIZE
+    for k in range(1, 2 * bound + 3):
         clifford.majorana_rep(k)
-    for d in range(1, clifford.K_CAP - 1):
+    for d in range(1, 2 * bound + 1):
         clifford.spin_ops(d)
         clifford.d_operator(d)
-    assert all(m.cache_info().currsize <= clifford.K_CAP for m in memos)
+    assert all(m.cache_info().currsize <= bound for m in memos)
+    assert all(m.cache_info().maxsize == bound >= 14 for m in memos)
     assert clifford.spin_ops(np.int64(3)) is clifford.spin_ops(3)
 
 
@@ -290,7 +298,8 @@ def test_pauli_string_arithmetic_matches_matrices():
             for b in strings:
                 B = b.to_dense()
                 assert np.array_equal((a * b).to_dense(), A @ B)
-                assert a.commutes(b) == np.array_equal(A @ B, B @ A)
+                commute = not clifford._anticommuting([b], a)
+                assert commute == np.array_equal(A @ B, B @ A)
 
 
 def test_pauli_string_on_site_is_kron_with_identities():
@@ -323,6 +332,17 @@ def test_joint_plus_dimension_matches_dense_kernel():
     assert 0 in seen and len(seen) >= 3
 
 
+@pytest.mark.parametrize("strings", [
+    [clifford.PauliString(1, 0, 1), clifford.PauliString(2, 0, 1)],
+    [clifford.PauliString(2), clifford.PauliString(2, 1), clifford.PauliString(3)],
+    # a width that differs after a string that already empties the space
+    [clifford.PauliString(1, phase=1), clifford.PauliString(2)],
+])
+def test_joint_plus_dimension_refuses_mixed_widths(strings):
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        clifford.joint_plus_dimension(strings)
+
+
 def qubitwise(a, b):
     """(phase power of a * b, whether a and b commute), multiplied out one
     qubit at a time from 2x2 matrices; any width."""
@@ -337,19 +357,18 @@ def qubitwise(a, b):
 
 
 def test_shared_phase_and_commutation_helpers():
-    """`_product_phase` and `_anticommuting` agree with `__mul__`,
-    `commutes` and a qubit-by-qubit product, on strings past 64 bits too."""
+    """`_product_phase` and `_anticommuting` agree with `__mul__` and a
+    qubit-by-qubit product, on strings past 64 bits too."""
     rng = random.Random(11)
     for n in (1, 3, 63, 64, 65, 130):
         strings = [clifford.PauliString(n, rng.getrandbits(n), rng.getrandbits(n),
                                         rng.randrange(4)) for _ in range(8)]
         for s in strings:
             odd = clifford._anticommuting(strings, s)
-            assert odd == [k for k, t in enumerate(strings) if not t.commutes(s)]
             for k, t in enumerate(strings):
                 phase, commute = qubitwise(t, s)
                 product = t * s
                 assert (product.x, product.z) == (t.x ^ s.x, t.z ^ s.z)
                 assert product.phase == phase
                 assert clifford._product_phase(t.phase, t.z, s.x, s.phase) == phase
-                assert (k not in odd) == commute == t.commutes(s)
+                assert (k not in odd) == commute

@@ -161,21 +161,12 @@ def test_one_step_strings_match_on_site_products(d, N):
             for frm, to, label in edges(torus)
         )
         assert spinham._edge_strings(site_strings, torus) == want
-    if admitted(torus):  # the parity is built with the model
-        D = clifford.d_operator(d)
-        parity = clifford.PauliString(D.n * n)
-        for v in range(n):
-            parity = parity * D.on_site(v, n)
-        assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
-
-
-def admitted(torus):
-    """Whether the spin model on torus is within the entry budget."""
-    try:
-        spinham.tensor_dims(torus)
-    except ValueError:
-        return False
-    return True
+    # the parity is built with the model
+    D = clifford.d_operator(d)
+    parity = clifford.PauliString(D.n * n)
+    for v in range(n):
+        parity = parity * D.on_site(v, n)
+    assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
 
 
 def test_tensor_dims():
@@ -196,17 +187,43 @@ def test_tensor_dims_cap():
 
 
 def test_admitted_spin_tori():
+    """The model is built where its (d+1) N^d edge strings of 2 N^d (d//2 + 1)
+    qubits each fit the entry budget of 2^22."""
     admitted = []
     for d in range(1, 40):
         for N in range(1, 40):
             try:
-                spinham.tensor_dims(build_torus(d, N))
+                spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
             except ValueError:
                 continue
             admitted.append((d, N))
-    want = [(1, N) for N in range(1, 9)] + [(2, 1), (2, 2)]
-    want += [(d, 1) for d in range(3, 16)]
+    want = [(d, N) for d in range(1, 40) for N in range(1, 40)
+            if (d + 1) * N**d * 2 * N**d * (d // 2 + 1) <= 2**22]
+    assert len(want) == 114
     assert admitted == want
+
+
+# the next torus past the largest admitted one at d = 2047, 2 and 3; at d = 1,
+# N = 1025 is refused by the torus's own budget first
+@pytest.mark.parametrize("d,N", [(2048, 1), (2, 25), (3, 9)])
+def test_spin_model_refused_past_the_string_budget(d, N):
+    with pytest.raises(ValueError, match=f"spin model on torus d={d}, N={N} is over the budget"):
+        spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
+
+
+def test_hamiltonian_refused_before_any_allocation(monkeypatch):
+    """d = 16, N = 1 is built (17 strings of 18 qubits); the 2^18 x 17 entries
+    of its matrix are refused before the expansion starts."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(16, 1), np.ones(17))
+    assert sys_.total_dim == 2**18
+
+    def expand(*args):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(spinham, "_hamiltonian_matrix", expand)
+    monkeypatch.setattr(clifford.PauliString, "to_matrix", expand)
+    with pytest.raises(ValueError, match="spin model on torus d=16, N=1 is over the budget"):
+        sys_.hamiltonian
 
 
 def test_hamiltonian_hermitian_and_real_spectrum():

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from kitaev_diamond import cli, gap, lattice, spectrum, spinham
+from kitaev_diamond import cli, clifford, gap, lattice, spectrum, spinham
 from kitaev_diamond.tightbinding import r_of_q, tb_energy
 
 
@@ -195,11 +195,13 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     ["lattice", "--d", "2", "--N", "33"],
     ["lattice", "--d", "100000000", "--N", "1"],
     ["verify", "--d", "3", "--N", "100", "--draws", "1"],
-    ["verify-algebra", "--d", "16"],
+    ["verify-algebra", "--d", "2048"],
     ["lattice", "--d", "1448", "--N", "1"],
     ["verify", "--d", "2", "--draws", "-3"],
     ["verify-algebra", "--d", "2", "--J="],
     ["bands", "--d", "2", "--J", "1,1,1", "--t=", "--grid", "4"],
+    # the torus fits its budget, the spin model's strings do not
+    ["verify-algebra", "--d", "3", "--N", "9"],
 ])
 def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
     assert cli.main(argv) == 2
@@ -227,6 +229,10 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: lattice.make_basis(3), 7 * 4),
         # 4^8 states times 12 edge columns
         (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 12),
+        # 12 edge strings of 8 sites times 2 qubits
+        (lambda: spinham.build_spin_hamiltonian(torus_2_2, np.ones(3)), 12 * 8 * 2),
+        # 7 generators on 3 qubits
+        (lambda: clifford.majorana_rep(7), 7 * 3),
     ]
     for build, entries in cases:
         monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries)
