@@ -24,7 +24,7 @@ ALGEBRA_TOL = 1e-12
 
 def _parse_floats(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        return np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise ValueError(f"could not parse {what} list {text!r}")
 
@@ -107,6 +107,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_verify(args) -> int:
     check_size(args.draws, 0, "--draws")
+    check_size(args.seed, 0, "--seed")
     torus = build_torus(args.d, args.N)
     payload = _emit_json(lambda: _verify_payload(args, torus), args.out)
     return 0 if payload["pass"] else 1
@@ -180,7 +181,8 @@ def cmd_verify_algebra(args) -> int:
     if args.J is not None:
         J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     else:
-        J = np.random.default_rng(args.seed).uniform(-2.0, 2.0, size=args.d + 1)
+        rng = np.random.default_rng(check_size(args.seed, 0, "--seed"))
+        J = rng.uniform(-2.0, 2.0, size=args.d + 1)
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})

@@ -7,12 +7,14 @@ so products, commutation signs and the chirality sign are integer
 arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
 return strings, the only form kept; a string's matrix is expanded from its
 masks on request (`to_matrix`, `to_dense`).  Each builder checks its size
-against ENTRY_BUDGET and answers from a memo of the MEMO_SIZE sizes last
-used, so a process builds a size in use once.  Every entry is one of 0,
+against ENTRY_BUDGET and answers from one memo of the MEMO_SIZE sizes last
+used, which builds a size's generators, spin operators and parity D
+together, so a process builds a size in use once.  Every entry is one of 0,
 +-1, +-i, so all algebraic identities below hold exactly in float
-arithmetic.  For odd k the last generator is a full Z string whose sign is
-fixed by the chirality condition i^m c_1 ... c_{2m+1} = +Id, selecting one
-of the two inequivalent irreducible representations.
+arithmetic.  For odd k the last generator is D = i^m c_1 ... c_{2m} itself,
+so the chirality condition i^m c_1 ... c_{2m+1} = D D = +Id holds by
+construction, selecting one of the two inequivalent irreducible
+representations.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .lattice import check_budget, check_size
 
-# Generator counts each builder memo keeps, least recently used first out: the
+# Generator counts the builder memo keeps, least recently used first out: the
 # 14 that the one-cell spin tori d = 2..15 use fit, so a pass over them hits.
 MEMO_SIZE = 16
 
@@ -125,6 +127,8 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     product of them is -Id.  Otherwise each of the r independent strings,
     counted by Gaussian elimination over GF(2) on (x, z, phase), halves it.
     """
+    if not strings:
+        raise ValueError("joint_plus_dimension needs at least one string")
     n = strings[0].n
     if any(s.n != n for s in strings):
         raise ValueError(f"qubit counts differ: {sorted({s.n for s in strings})}")
@@ -157,10 +161,11 @@ def majorana_rep(k: int) -> tuple[PauliString, ...]:
     """Jordan-Wigner generators of Cl_k as Pauli strings on floor(k/2) qubits.
 
     c_{2j-1} = Z^(j-1) X I^(m-j), c_{2j} = Z^(j-1) Y I^(m-j); for odd k the
-    extra generator is (+-) Z^m with the sign that makes the chirality
-    product i^m c_1 ... c_{2m+1} equal +Id.  For k = 1 that is the 1x1 +Id.
+    extra generator is the parity D = i^m c_1 ... c_{2m}, a Hermitian
+    involution anticommuting with the other 2m, so the chirality product
+    i^m c_1 ... c_{2m+1} = D D is +Id.  For k = 1 that is the 1x1 +Id.
     """
-    return _majorana_rep(_generator_count(k))
+    return _site_strings(_generator_count(k))[0]
 
 
 def d_operator(d: int) -> PauliString:
@@ -171,7 +176,7 @@ def d_operator(d: int) -> PauliString:
     c_{2i}, so D = i^m c_1 c_2 ... c_{2m}: a diagonal Hermitian involution
     whose +1 eigenspace has dimension 2^floor(d/2), half the representation.
     """
-    return _d_operator(_generator_count(check_size(d, 1, "dimension") + 2))
+    return _site_strings(_generator_count(check_size(d, 1, "dimension") + 2))[2]
 
 
 def spin_ops(d: int) -> tuple[PauliString, ...]:
@@ -182,16 +187,17 @@ def spin_ops(d: int) -> tuple[PauliString, ...]:
     involves every pairwise generator except c_{d+2}); two-site products
     sigma (x) sigma always commute with D (x) D.
     """
-    return _spin_ops(_generator_count(check_size(d, 1, "dimension") + 2))
+    return _site_strings(_generator_count(check_size(d, 1, "dimension") + 2))[1]
 
 
-# The memos behind the public builders, keyed by the generator count k and
-# bounded by MEMO_SIZE entries; they see only admitted counts, and the values
+# The memo behind the public builders, keyed by the generator count k and
+# bounded by MEMO_SIZE entries; it sees only admitted counts, and its values
 # are frozen strings, safe to share.
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _majorana_rep(k: int) -> tuple[PauliString, ...]:
+def _site_strings(k: int) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...], PauliString]:
+    """The generators c_1..c_k, the spin operators i c_j c_k for j < k, and D."""
     m = k // 2
     c = []
     for j in range(1, m + 1):
@@ -199,30 +205,10 @@ def _majorana_rep(k: int) -> tuple[PauliString, ...]:
         head = (1 << m) - (bit << 1)  # Z on qubits 1..j-1
         c.append(PauliString(m, x=bit, z=head))
         c.append(PauliString(m, x=bit, z=head | bit, phase=1))  # Y = i X Z
+    parity = PauliString(m, phase=m % 4)
+    for g in c:
+        parity = parity * g
     if k % 2 == 1:
-        z_string = PauliString(m, z=(1 << m) - 1)
-        chirality = PauliString(m, phase=m % 4)
-        for g in (*c, z_string):
-            chirality = chirality * g
-        if chirality == PauliString(m, phase=2):
-            z_string = PauliString(m, z=z_string.z, phase=2)
-        elif chirality != PauliString(m):
-            raise AssertionError("chirality product is not +-Id; broken construction")
-        c.append(z_string)
-    return tuple(c)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _d_operator(k: int) -> PauliString:
-    m = k // 2
-    out = PauliString(m, phase=m % 4)
-    for g in _majorana_rep(k)[: 2 * m]:
-        out = out * g
-    return out
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _spin_ops(k: int) -> tuple[PauliString, ...]:
-    c = _majorana_rep(k)
-    i = PauliString(c[0].n, phase=1)
-    return tuple(i * g * c[-1] for g in c[:-1])
+        c.append(parity)
+    i = PauliString(m, phase=1)
+    return tuple(c), tuple(i * g * c[-1] for g in c[:-1]), parity

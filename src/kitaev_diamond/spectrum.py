@@ -24,9 +24,11 @@ FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _as_real(x, what: str) -> np.ndarray:
-    """x as a float array; a complex x is refused, never cast to its real part."""
+    """x as a float array.  Only integer and float arrays are admitted: a
+    complex x is never cast to its real part, nor a string, bool or object
+    array read as numbers."""
     x = np.asarray(x)
-    if x.dtype.kind == "c":
+    if x.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real")
     return x.astype(float, copy=False)
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import _bloch_sum, _edge_vector, as_couplings, as_phases, f_of_q
+from .spectrum import _bloch_sum, _edge_vector, as_couplings, as_phases, f_of_q, range_exponent
 
 
 def as_hoppings(t, d: int | None = None) -> np.ndarray:
     """Validate a hopping vector t_1..t_{d+1}; complex amplitudes allowed."""
     t = np.asarray(t)
+    if t.dtype.kind not in "iufc":
+        raise ValueError("hoppings must be real or complex")
     t = t if t.dtype.kind == "c" else t.astype(float).astype(complex)
     return _edge_vector(t, d, "hoppings")
 
@@ -39,10 +41,14 @@ def compare_models(J, phi_samples) -> float:
     """Max |xi_plus - E_plus| over the samples under the matching t = 2J.
 
     The doubling commutes exactly with floating-point evaluation, so the
-    returned deviation is zero up to (at most) one rounding unit.
+    returned deviation is zero up to (at most) one rounding unit.  J is
+    scaled by `range_exponent`, so 2J stays finite, and the deviation
+    scaled back.
     """
     J = as_couplings(J)
     phi_samples = np.atleast_2d(phi_samples)
+    e = range_exponent(float(np.abs(J).max()), J.size)
+    J = np.ldexp(J, -e)
     xi = np.abs(f_of_q(J, phi_samples))
     e_plus, _ = tb_energy(2.0 * J, phi_samples)
-    return float(np.abs(xi - e_plus).max())
+    return float(np.ldexp(np.abs(xi - e_plus).max(), e))

@@ -60,6 +60,19 @@ def test_odd_k_chirality_is_plus_identity():
         assert np.array_equal((1j) ** m * prod, eye)
 
 
+@pytest.mark.parametrize("k", [*range(13, 42, 2), 2049, 2895])
+def test_odd_generator_is_the_parity(k):
+    """Past the dense test's k <= 11, on strings: the odd generator is
+    D = i^m c_1 ... c_{2m}, and the chirality product is +Id."""
+    c = clifford.majorana_rep(k)
+    m = k // 2
+    prod = clifford.PauliString(m, phase=m % 4)
+    for g in c:
+        prod = prod * g
+    assert prod == clifford.PauliString(m)
+    assert c[-1] == clifford.d_operator(k - 2)
+
+
 def test_cap_rejects_oversized_k():
     # 2897 strings of 1448 qubits pass the entry budget of 2^22
     with pytest.raises(ValueError, match="generator count k=2897 is over the budget"):
@@ -70,11 +83,11 @@ def test_cap_rejects_oversized_k():
 
 def test_builders_are_plain_functions_over_bounded_memos():
     """The public builders stay plain functions (tools that wrap functions
-    see every call); refused sizes raise before their memos are reached."""
+    see every call); refused sizes raise before their memo is reached."""
     builders = (clifford.majorana_rep, clifford.spin_ops, clifford.d_operator)
     assert all(inspect.isfunction(f) for f in builders)
-    memos = (clifford._majorana_rep, clifford._spin_ops, clifford._d_operator)
-    sizes = [m.cache_info().currsize for m in memos]
+    memo = clifford._site_strings
+    size = memo.cache_info().currsize
     # k = 2897 is the first count whose k strings of k//2 qubits pass 2^22
     for bad in (0, -1, 2.0, 2897, 10**30):
         with pytest.raises(ValueError):
@@ -83,19 +96,19 @@ def test_builders_are_plain_functions_over_bounded_memos():
         for f in builders[1:]:
             with pytest.raises(ValueError):
                 f(bad)
-    assert [m.cache_info().currsize for m in memos] == sizes
+    assert memo.cache_info().currsize == size
     assert len(clifford.majorana_rep(2896)) == 2896
     assert len(clifford.spin_ops(2894)) == 2895
     assert clifford.d_operator(2894).n == 1448
-    # more distinct sizes than the memos hold: least recently used go first
+    # more distinct sizes than the memo holds: least recently used go first
     bound = clifford.MEMO_SIZE
     for k in range(1, 2 * bound + 3):
         clifford.majorana_rep(k)
     for d in range(1, 2 * bound + 1):
         clifford.spin_ops(d)
         clifford.d_operator(d)
-    assert all(m.cache_info().currsize <= bound for m in memos)
-    assert all(m.cache_info().maxsize == bound >= 14 for m in memos)
+    assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().maxsize == bound >= 14
     assert clifford.spin_ops(np.int64(3)) is clifford.spin_ops(3)
 
 
@@ -337,9 +350,11 @@ def test_joint_plus_dimension_matches_dense_kernel():
     [clifford.PauliString(2), clifford.PauliString(2, 1), clifford.PauliString(3)],
     # a width that differs after a string that already empties the space
     [clifford.PauliString(1, phase=1), clifford.PauliString(2)],
+    # the set is nonempty
+    [],
 ])
 def test_joint_plus_dimension_refuses_mixed_widths(strings):
-    with pytest.raises(ValueError, match="qubit counts differ"):
+    with pytest.raises(ValueError, match="qubit counts differ" if strings else "at least one"):
         clifford.joint_plus_dimension(strings)
 
 

@@ -79,6 +79,17 @@ def test_sizes_accept_numpy_integers_and_keep_their_range_messages():
     lambda: compare_models(J2, np.array([[1j, 0.0]])),
     lambda: gap.polygon_angles(np.array([1 + 1j, 1, 1])),
     lambda: gap.polygon_exists(np.array([1 + 1j, 1, 1])),
+    # strings, bools and objects are not read as numbers either
+    lambda: gap.has_zero(["3", "1", "1"]),
+    lambda: gap.polygon_exists(["1", "1", "1"]),
+    lambda: spectrum.as_couplings([True, False, True]),
+    lambda: spectrum.f_of_q(np.array([1.0, 1.0, 1.0], dtype=object), [0, 0]),
+    lambda: spectrum.f_of_q(J2, ["0", "0"]),
+    lambda: spectrum.majorana_spectrum(np.zeros((2, 2), dtype=bool)),
+    # hoppings may be complex, never strings, bools or objects
+    lambda: r_of_q(["1", "1", "1"], [0, 0]),
+    lambda: r_of_q([True, True, True], [0, 0]),
+    lambda: r_of_q(np.array([1j, 1, 1], dtype=object), [0, 0]),
 ])
 def test_couplings_phases_and_sides_are_never_cast_from_complex(call):
     with pytest.raises(ValueError, match="must be real"):

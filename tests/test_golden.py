@@ -92,8 +92,7 @@ def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
 
     for d in range(2, 16):
         argv = ("verify-algebra", "--d", str(d), "--seed", "0")
-        for memo in (clifford._majorana_rep, clifford._spin_ops, clifford._d_operator):
-            memo.cache_clear()
+        clifford._site_strings.cache_clear()
         cold = stdout(argv)
         assert stdout(argv) == cold
         assert hashlib.sha256(cold.encode()).hexdigest() == GOLDEN[argv]

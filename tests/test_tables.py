@@ -202,6 +202,13 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     ["bands", "--d", "2", "--J", "1,1,1", "--t=", "--grid", "4"],
     # the torus fits its budget, the spin model's strings do not
     ["verify-algebra", "--d", "3", "--N", "9"],
+    # every list field parses: an empty one is refused, not dropped
+    ["verify-algebra", "--d", "2", "--J", "1,,1,1"],
+    ["verify-algebra", "--d", "2", "--J", "1,1,1,"],
+    ["bands", "--d", "2", "--J", "1,1,1", "--t", ",1,1,1", "--grid", "4"],
+    # a seed is a size >= 0
+    ["verify", "--d", "2", "--seed", "-1"],
+    ["verify-algebra", "--d", "2", "--seed", "-1"],
 ])
 def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
     assert cli.main(argv) == 2
@@ -210,6 +217,17 @@ def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
     target = tmp_path / "out.txt"
     assert cli.main(argv + ["--out", str(target)]) == 2
     assert not target.exists()
+
+
+def test_list_and_seed_errors_name_their_option(capsys):
+    for argv, message in [
+        (["verify-algebra", "--d", "2", "--J", "1,,1,1"], "could not parse --J list '1,,1,1'"),
+        (["bands", "--d", "2", "--J", "1,1,1", "--t="], "could not parse --t list ''"),
+        (["verify", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["verify-algebra", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ]:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_t_length_error_names_the_hoppings(capsys):

@@ -43,6 +43,12 @@ def test_compare_models_zero_deviation():
     assert tightbinding.compare_models(J, samples) == 0.0
 
 
+@pytest.mark.parametrize("top", [9e307, 1e308, 1.79e308])
+def test_compare_models_near_the_float_maximum(top):
+    """2J would overflow: J is scaled by a power of two, the deviation back."""
+    assert tightbinding.compare_models([top] * 3, [0.1, 0.2]) == 0.0
+
+
 def test_hoppings_validation():
     with pytest.raises(ValueError):
         tightbinding.as_hoppings([1.0])
