@@ -16,6 +16,7 @@ closed-form gate of the tests then rejects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ _DEGENERATE_RTOL = 32.0 * np.finfo(float).eps
 _SCAN_CAP = 50_000_000
 # Grid points per vectorised slice of the oracle's scan.
 _SCAN_CHUNK = 1 << 15
+# Shortest scan row filled by its own add: below it the call per row (about a
+# microsecond) costs more than the broadcast add it replaces.
+_ROW_FILL_MIN = 768
 # Damped Newton polish: iteration cap, step size that counts as converged,
 # and the initial and smallest damping (J is scaled to order one first).
 _NEWTON_MAX_ITER = 100
@@ -193,7 +197,13 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     inequality only, not the polygon criterion, so the oracle stays an
     independent check on the classifier.  The scan visits grid_n^(d-1)
     points, in slices of the leading axis of about _SCAN_CHUNK points, each
-    filled into one complex and one float buffer allocated per call.
+    filled into one complex and one float buffer allocated per call.  A
+    slice is lead[m:m+rows, None] + tail.  Where three or more of its rows
+    fit in numpy's ufunc buffer (np.getbufsize() elements), numpy 2 runs that
+    broadcast add through the buffer at about twice the cost of a plain add,
+    so rows of _ROW_FILL_MIN points or more are then filled one contiguous
+    scalar add each; shorter or longer rows keep the broadcast.  Both add
+    the same operands, so every value keeps its bits.
     """
     d = J.size - 1
     w = np.exp(1j * (TWO_PI / grid_n) * np.arange(grid_n))
@@ -201,7 +211,7 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     for i in range(2, d):
         shape = [1] * (d - 2)
         shape[i - 2] = grid_n
-        tail = tail + J[i] * w.reshape(shape)
+        tail += J[i] * w.reshape(shape)
     tail = tail.ravel()
     idx: list[int] = []
     z = tail[0]
@@ -211,9 +221,14 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
         zbuf = np.empty((rows, tail.size), dtype=complex)
         dbuf = np.empty((rows, tail.size))
         best = np.inf
+        by_row = _ROW_FILL_MIN <= tail.size <= np.getbufsize() // 3
         for m in range(0, grid_n, rows):
             zs, dev = zbuf[: grid_n - m], dbuf[: grid_n - m]
-            np.add(lead[m : m + rows, None], tail, out=zs)
+            if by_row:
+                for row, c in zip(zs, lead[m : m + rows]):
+                    np.add(tail, c, out=row)
+            else:
+                np.add(lead[m : m + rows, None], tail, out=zs)
             np.abs(zs, out=dev)
             dev -= abs(J[d])
             np.abs(dev, out=dev)
@@ -279,14 +294,31 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return a
 
 
+# The restart offsets of the oracle, keyed by (d, grid_n) and bounded to the
+# 16 pairs last used; its arrays are read-only, safe to share.
+@functools.lru_cache(maxsize=16)
+def _restart_offsets(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """3 jitter offsets within half a grid cell and 2 random phase vectors,
+    drawn in that order from np.random.default_rng(12345)."""
+    rng = np.random.default_rng(12345)
+    half_cell = np.pi / grid_n
+    jitter = rng.uniform(-half_cell, half_cell, size=(3, d))
+    spread = rng.uniform(0.0, TWO_PI, size=(2, d))
+    jitter.flags.writeable = spread.flags.writeable = False
+    return jitter, spread
+
+
 def min_gap_numeric(J, grid_n: int = 48) -> float:
     """Numeric minimum of xi_+ = 2|s| over the phase torus.
 
     A scan of the grid_n^d grid, the last phase minimised in closed form,
     picks a start; one vectorised damped Newton polish then runs from it,
     from 3 copies jittered within half a grid cell, and from 2 random phase
-    vectors.  Descent from the best grid point alone is not enough: every
-    phase vector with all components in {0, pi} is a critical point of the
+    vectors.  The jitter and the random starts are drawn from one fixed seed
+    once per (d, grid_n) and kept, read-only, in a memo of the 16 pairs last
+    used, so every call with those sizes starts from the same offsets.
+    Descent from the best grid point alone is not enough: every phase
+    vector with all components in {0, pi} is a critical point of the
     amplitude, and for small classifier margins one of those saddles can
     undercut every grid point near the true zero set.  The restarts escape
     them (for a positive margin all nonzero critical points are strict
@@ -316,13 +348,8 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     e = 1 - np.frexp(top)[1]
     J = np.ldexp(J, e)
     phi0 = _grid_start(J, grid_n)
-    rng = np.random.default_rng(12345)
-    half_cell = np.pi / grid_n
-    starts = np.concatenate([
-        phi0[None, :],
-        phi0 + rng.uniform(-half_cell, half_cell, size=(3, d)),
-        rng.uniform(0.0, TWO_PI, size=(2, d)),
-    ])
+    jitter, spread = _restart_offsets(d, grid_n)
+    starts = np.concatenate([phi0[None, :], phi0 + jitter, spread])
     with np.errstate(over="ignore"):
         return float(np.ldexp(2.0 * _newton_polish(J, starts).min(), -e))
 

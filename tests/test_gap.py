@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kitaev_diamond import gap
 from kitaev_diamond.spectrum import f_of_q
@@ -352,6 +354,105 @@ def test_grid_start_matches_the_per_slice_scan(d):
                 J = np.ldexp(J, 1 - np.frexp(np.abs(J).max())[1])
                 want = _grid_start_per_slice(J, grid_n)
                 assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
+
+
+# the same examples on every run, however slow the machine
+fixed = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A grid size and couplings whose magnitudes come from a pool of at most
+    two values and zero, so zeros and repeated magnitudes are common."""
+    d = draw(st.integers(2, 4))
+    grid_n = draw(st.integers(2, 64))
+    pool = draw(st.lists(st.floats(2.0**-20, 2.0), min_size=1, max_size=2))
+    mags = draw(st.lists(st.sampled_from([0.0, *pool]), min_size=d + 1, max_size=d + 1))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d + 1, max_size=d + 1))
+    return grid_n, np.multiply(mags, signs)
+
+
+@fixed
+@given(_scan_cases())
+# d = 4: rows of 48^2 points are filled one by one, in 3 slices of 14 rows
+# and a last one of 6; rows of 64^2 points keep the broadcast
+@example((48, np.array([1.0, 0.0, -1.0, 1.0, 1.0])))
+@example((64, np.array([0.5, 0.5, 0.0, -0.5, 1.0])))
+def test_grid_start_matches_the_per_slice_scan_on_zeros_and_repeats(case):
+    grid_n, J = case
+    assume(J.any())
+    J = np.ldexp(J, 1 - np.frexp(np.abs(J).max())[1])
+    want = _grid_start_per_slice(J, grid_n)
+    assert gap._grid_start(J, grid_n).tobytes() == want.tobytes()
+
+
+def _min_gap_numeric_fresh_rng(J, grid_n):
+    """The oracle as first written, a fresh generator for the restart offsets
+    per call and the per-slice scan: the reference the memoised
+    `gap.min_gap_numeric` must match bit for bit."""
+    J = np.asarray(J, dtype=float)
+    d = J.size - 1
+    top = float(np.abs(J).max())
+    if top == 0.0:
+        return 0.0
+    e = 1 - np.frexp(top)[1]
+    J = np.ldexp(J, e)
+    phi0 = _grid_start_per_slice(J, grid_n)
+    rng = np.random.default_rng(12345)
+    half_cell = np.pi / grid_n
+    starts = np.concatenate([
+        phi0[None, :],
+        phi0 + rng.uniform(-half_cell, half_cell, size=(3, d)),
+        rng.uniform(0.0, gap.TWO_PI, size=(2, d)),
+    ])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(2.0 * gap._newton_polish(J, starts).min(), -e))
+
+
+def test_restart_offsets_are_the_seeded_draws():
+    for d in range(1, 7):
+        for grid_n in (2, 5, 7, 48, 64, 1000):
+            jitter, spread = gap._restart_offsets(d, grid_n)
+            rng = np.random.default_rng(12345)
+            half_cell = np.pi / grid_n
+            want = rng.uniform(-half_cell, half_cell, size=(3, d))
+            assert jitter.tobytes() == want.tobytes(), (d, grid_n)
+            assert spread.tobytes() == rng.uniform(0.0, gap.TWO_PI, size=(2, d)).tobytes()
+
+
+def test_restart_offsets_are_read_only_and_the_memo_is_bounded():
+    jitter, spread = gap._restart_offsets(3, 48)
+    for a in (jitter, spread):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    size = gap._restart_offsets.cache_info().maxsize
+    assert size == 16
+    for grid_n in range(2, 2 + 3 * size):
+        gap._restart_offsets(2, grid_n)
+    assert gap._restart_offsets.cache_info().currsize == size
+    # an evicted pair is drawn again with the same bits
+    again, _ = gap._restart_offsets(3, 48)
+    assert again is not jitter and again.tobytes() == jitter.tobytes()
+
+
+def _oracle_classes(rng, d):
+    """One draw of each oracle class; at d = 1 gapless needs |J_0| = |J_1|."""
+    kinds = ("gapped", "zeroed", "boundary") + (("gapless",) if d > 1 else ())
+    yield from (_oracle_draw(rng, d, kind) for kind in kinds)
+    if d == 1:
+        a = rng.uniform(0.1, 2.0)
+        yield from (np.array([a, a]), np.array([-a, a]), np.array([a, -a]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_min_gap_matches_the_fresh_generator_oracle(d):
+    rng = np.random.default_rng(90 + d)
+    for grid_n in (5, 7, 48, 64):
+        for _ in range(1 if d == 5 and grid_n > 7 else 3):
+            for J in _oracle_classes(rng, d):
+                got = np.float64(gap.min_gap_numeric(J, grid_n=grid_n))
+                want = np.float64(_min_gap_numeric_fresh_rng(J, grid_n))
+                assert got.tobytes() == want.tobytes(), (grid_n, J)
 
 
 def _gapped_cases():
