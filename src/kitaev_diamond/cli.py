@@ -2,6 +2,12 @@
 
 Exit codes: 0 on success, 1 when a verification contract fails, 2 for usage
 errors.  All output is deterministic for a fixed (command line, seed) pair.
+
+Every command writes through `_emit_lines`, which makes the first block
+before it opens the output, so a refused request leaves no partial output
+and no file.  `verify` alone opens its output itself, after its argument
+checks and before its sweep.  A JSON report is one block, and a non-finite
+value in it is refused by the name of its top-level field.
 """
 
 from __future__ import annotations
@@ -29,48 +35,46 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
         raise ValueError(f"could not parse {what} list {text!r}")
 
 
-def _emit_lines(chunks, out: str | None) -> None:
-    """Write each chunk followed by a newline.
-
-    The first chunk is taken before the output is opened, so a generator
-    that validates its inputs before its first chunk leaves no partial
-    output.  A generator that yields None first has the output opened
-    after its checks and before its work; the None is not written.  An
-    output that cannot be opened is a usage error.
-    """
-    chunks = iter(chunks)
-    chunk = next(chunks, None)
+@contextlib.contextmanager
+def _opened(out: str | None):
+    """Stdout, or the file out opened for writing; one that cannot be opened
+    is a usage error."""
     try:
         target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror}")
     with target as fh:
-        if chunk is None:
-            chunk = next(chunks, None)
+        yield fh
+
+
+def _emit_lines(chunks, out: str | None) -> None:
+    """Make the first chunk, open the output, then write each chunk and a
+    newline."""
+    chunks = iter(chunks)
+    chunk = next(chunks, None)
+    with _opened(out) as fh:
         while chunk is not None:
             fh.write(chunk)
             fh.write("\n")
             chunk = next(chunks, None)
 
 
-def _emit_json(payload, out: str | None):
-    """Write payload as indented JSON and return it.
+def _json(payload: dict) -> str:
+    """payload as indented JSON, arrays as lists.
 
-    A callable payload is called once the output is open, so a command
-    refuses an unwritable output before its work.
+    A value beyond the float range is refused, naming the top-level keys
+    that hold one, not printed as the non-JSON token Infinity or NaN.
     """
-
-    def chunks():
-        nonlocal payload
-        if callable(payload):
-            yield None
-            payload = payload()
-        # a value beyond the float range is refused, not printed as the
-        # non-JSON token Infinity or NaN
-        yield json.dumps(payload, indent=2, allow_nan=False)
-
-    _emit_lines(chunks(), out)
-    return payload
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist)
+    except ValueError:
+        bad = []
+        for key, value in payload.items():
+            try:
+                json.dumps(value, allow_nan=False, default=np.ndarray.tolist)
+            except ValueError:
+                bad.append(key)
+        raise ValueError(f"non-finite value in {', '.join(bad)}; JSON has no Infinity or NaN")
 
 
 def cmd_bands(args) -> int:
@@ -80,7 +84,7 @@ def cmd_bands(args) -> int:
         cols, values = spectrum.band_table(J, args.grid, hoppings=t)
         # json prints each float's repr, which parses back to the same bits
         # as the CSV's 17 significant digits
-        _emit_json({"columns": cols, "rows": values.tolist()}, args.out)
+        _emit_lines([_json({"columns": cols, "rows": values})], args.out)
     else:
         _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
     return 0
@@ -89,9 +93,7 @@ def cmd_bands(args) -> int:
 def cmd_gap(args) -> int:
     J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     report = dataclasses.asdict(gap_mod.gap_report(J, grid_n=args.grid))
-    if report["zero_phi"] is not None:
-        report["zero_phi"] = report["zero_phi"].tolist()
-    _emit_json(report, args.out)
+    _emit_lines([_json(report)], args.out)
     return 0
 
 
@@ -101,7 +103,7 @@ def cmd_gapmap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    _emit_json(torus_to_dict(build_torus(args.d, args.N)), args.out)
+    _emit_lines([_json(torus_to_dict(build_torus(args.d, args.N)))], args.out)
     return 0
 
 
@@ -109,7 +111,10 @@ def cmd_verify(args) -> int:
     check_size(args.draws, 0, "--draws")
     check_size(args.seed, 0, "--seed")
     torus = build_torus(args.d, args.N)
-    payload = _emit_json(lambda: _verify_payload(args, torus), args.out)
+    # the output opens before the sweep, so an unwritable one costs no sweep
+    with _opened(args.out) as fh:
+        payload = _verify_payload(args, torus)
+        fh.write(_json(payload) + "\n")
     return 0 if payload["pass"] else 1
 
 
@@ -137,15 +142,10 @@ def _verify_payload(args, torus) -> dict:
                  "J": list(J), "deviation": dev}
             )
     operator_suite = None
-    algebra_torus = None
-    # the sweep's torus where the spin model fits the entry budget, else one cell
-    for candidate_N in dict.fromkeys((args.N, 1)):
-        candidate = torus if candidate_N == args.N else build_torus(args.d, candidate_N)
-        with contextlib.suppress(ValueError):
-            spinham.tensor_dims(candidate)
-            algebra_torus = candidate
-            break
-    if algebra_torus is not None and first_J is not None:
+    # the sweep's torus where its spin model fits the entry budget, else its
+    # one cell where that fits, else no suite
+    algebra_torus = torus if args.N == 1 or _fits(torus) else build_torus(args.d, 1)
+    if first_J is not None and _fits(algebra_torus):
         system = spinham.build_spin_hamiltonian(algebra_torus, first_J)
         operator_suite = verify_ops_payload(system)
         if not operator_suite["pass"]:
@@ -164,6 +164,15 @@ def _verify_payload(args, torus) -> dict:
         "failures": failures,
         "pass": not failures,
     }
+
+
+def _fits(torus) -> bool:
+    """Whether the spin model on torus fits the entry budget."""
+    try:
+        spinham.tensor_dims(torus)
+    except ValueError:
+        return False
+    return True
 
 
 def verify_ops_payload(system) -> dict:
@@ -186,7 +195,7 @@ def cmd_verify_algebra(args) -> int:
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})
-    _emit_json(payload, args.out)
+    _emit_lines([_json(payload)], args.out)
     return 0 if payload["pass"] else 1
 
 

@@ -30,9 +30,10 @@ from .spectrum import _as_real
 # the exact collinear solution instead of a zero-area construction.
 _DEGENERATE_RTOL = 32.0 * np.finfo(float).eps
 
-# The numeric oracle refuses a scan whose slice of grid points exceeds this.
+# The numeric oracle refuses a scan whose tail, the grid_n^(d-2) points one
+# row of the scan adds to each leading phase, exceeds this.
 _SCAN_CAP = 50_000_000
-# Grid points per vectorised slice of the oracle's scan.
+# Most grid points per vectorised slice of the oracle's scan.
 _SCAN_CHUNK = 1 << 15
 # Shortest scan row filled by its own add: below it the call per row (about a
 # microsecond) costs more than the broadcast add it replaces.
@@ -196,9 +197,11 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     where J_d e^{i phi_d} points against z.  That is the two-term triangle
     inequality only, not the polygon criterion, so the oracle stays an
     independent check on the classifier.  The scan visits grid_n^(d-1)
-    points, in slices of the leading axis of about _SCAN_CHUNK points, each
-    filled into one complex and one float buffer allocated per call.  A
-    slice is lead[m:m+rows, None] + tail.  Where three or more of its rows
+    points, in slices of at most _SCAN_CHUNK points, each filled into one
+    complex and one float buffer allocated per call.  A slice is whole rows
+    lead[m:m+rows, None] + tail, or a piece of one row where a row is longer;
+    the strict < across slices in flat order keeps the first minimum, as one
+    scan of the whole grid would.  Where three or more of its rows
     fit in numpy's ufunc buffer (np.getbufsize() elements), numpy 2 runs that
     broadcast add through the buffer at about twice the cost of a plain add,
     so rows of _ROW_FILL_MIN points or more are then filled one contiguous
@@ -218,25 +221,31 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     if d > 1:
         lead = J[1] * w
         rows = min(grid_n, max(1, _SCAN_CHUNK // tail.size))
-        zbuf = np.empty((rows, tail.size), dtype=complex)
-        dbuf = np.empty((rows, tail.size))
+        cols = min(tail.size, _SCAN_CHUNK)
+        zbuf = np.empty((rows, cols), dtype=complex)
+        dbuf = np.empty((rows, cols))
         best = np.inf
         by_row = _ROW_FILL_MIN <= tail.size <= np.getbufsize() // 3
+        # a slice is several whole rows (p = 0) or one piece of a row (rows =
+        # 1), so m * tail.size + p + k is the flat index of its k-th point
         for m in range(0, grid_n, rows):
-            zs, dev = zbuf[: grid_n - m], dbuf[: grid_n - m]
-            if by_row:
-                for row, c in zip(zs, lead[m : m + rows]):
-                    np.add(tail, c, out=row)
-            else:
-                np.add(lead[m : m + rows, None], tail, out=zs)
-            np.abs(zs, out=dev)
-            dev -= abs(J[d])
-            np.abs(dev, out=dev)
-            k = int(np.argmin(dev))
-            if dev.flat[k] < best:
-                best = dev.flat[k]
-                z = zs.flat[k]
-                idx = [(m * tail.size + k) // v % grid_n for v in place_values(grid_n, d - 1)]
+            for p in range(0, tail.size, cols):
+                piece = tail[p : p + cols]
+                zs, dev = zbuf[: grid_n - m, : piece.size], dbuf[: grid_n - m, : piece.size]
+                if by_row:
+                    for row, c in zip(zs, lead[m : m + rows]):
+                        np.add(piece, c, out=row)
+                else:
+                    np.add(lead[m : m + rows, None], piece, out=zs)
+                np.abs(zs, out=dev)
+                dev -= abs(J[d])
+                np.abs(dev, out=dev)
+                k = int(np.argmin(dev))
+                if dev.flat[k] < best:
+                    best = dev.flat[k]
+                    z = zs.flat[k]
+                    flat = m * tail.size + p + k
+                    idx = [flat // v % grid_n for v in place_values(grid_n, d - 1)]
     phi = np.empty(d)
     phi[:-1] = (TWO_PI / grid_n) * np.asarray(idx, dtype=float)
     phi[-1] = np.angle(-J[d] * z)
@@ -332,8 +341,8 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     undercut the true minimum, and a wrong bound could only stop the polish
     early, at a value the closed-form gate rejects; it is inf only where
     that value exceeds the float range.
-    The scan slice, grid_n^(d-2) points (at least grid_n), is refused above
-    _SCAN_CAP before anything is allocated.
+    The scan's tail, grid_n^(d-2) points (counted as at least grid_n), is
+    refused above _SCAN_CAP before anything is allocated.
     """
     J = as_couplings(J)
     grid_n = check_size(grid_n, 2, "grid_n")

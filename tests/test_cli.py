@@ -285,3 +285,51 @@ def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
     assert code == 0 and out == want
     assert len(built) == calls
     assert json.loads(out)["operator_suite"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--t", "1,2,3", "--grid", "5"], 0),
+    (["bands", "--d", "3", "--J", "1,0.5,0.5,0.5", "--grid", "3", "--format", "json"], 0),
+    (["gap", "--d", "3", "--J", "1,0.5,0.5,0.5"], 0),
+    (["gapmap", "--d", "2", "--resolution", "6"], 0),
+    (["lattice", "--d", "2", "--N", "2"], 0),
+    (["verify", "--d", "2", "--N", "2", "--draws", "2"], 0),
+    (["verify", "--d", "2", "--N", "2", "--draws", "2", "--corrupt-sign"], 1),
+    (["verify-algebra", "--d", "3"], 0),
+])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv, code):
+    target = tmp_path / "out"
+    got, want, _ = run_cli(capsys, *argv)
+    assert got == code
+    got, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (got, out, err) == (code, "", "")
+    assert target.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--d", "4", "--J", "1.79e308,1e308,1e308,1e308,1e308"],
+    ["gapmap", "--d", "4", "--resolution", "400"],
+    ["verify", "--d", "2", "--N", "2", "--draws", "-3"],
+])
+def test_a_refused_request_leaves_no_out_file(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    # gapless, but the margin sum|J| - 2 max|J| is beyond the float range
+    (["gap", "--d", "4", "--J", "1.79e308,1e308,1e308,1e308,1e308"], "margin"),
+    # gapped, and the gap, twice the smallest amplitude, is beyond it
+    (["gap", "--d", "2", "--J", "1.79e308,1e300,1e300"], "min_numeric"),
+    (["bands", "--d", "3", "--J=1e308,1e308,-1e308,-1e308", "--grid", "2",
+      "--format", "json"], "rows"),
+])
+def test_a_json_refusal_names_the_field(tmp_path, capsys, argv, field):
+    target = tmp_path / "out"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, *argv, *out_args)
+        assert code == 2 and out == ""
+        assert err == f"error: non-finite value in {field}; JSON has no Infinity or NaN\n"
+    assert not target.exists()

@@ -386,6 +386,23 @@ def test_grid_start_matches_the_per_slice_scan_on_zeros_and_repeats(case):
     assert gap._grid_start(J, grid_n).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [5, 7])
+def test_grid_start_scans_long_rows_in_pieces(monkeypatch, chunk):
+    """Rows longer than _SCAN_CHUNK are scanned in pieces, the last one
+    shorter, and keep every bit of the whole-row scan, ties included."""
+    monkeypatch.setattr(gap, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(90 + chunk)
+    for d in (2, 3, 4, 5):
+        # repeated magnitudes and a zero give exact ties across pieces
+        tied = np.resize([1.0, 0.0, -1.0], d + 1)
+        for grid_n in (3, 7, 12):
+            draws = [_oracle_draw(rng, d, kind)
+                     for kind in ("gapless", "gapped", "zeroed", "zeroed", "boundary")]
+            for J in (tied, *draws):
+                want = _grid_start_per_slice(J, grid_n)
+                assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
+
+
 def _min_gap_numeric_fresh_rng(J, grid_n):
     """The oracle as first written, a fresh generator for the restart offsets
     per call and the per-slice scan: the reference the memoised
