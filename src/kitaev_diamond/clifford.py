@@ -85,12 +85,6 @@ class PauliString:
         # (X^x Z^z)^dagger = (-1)^popcount(x & z) X^x Z^z
         return (self.phase - (self.x & self.z).bit_count()) % 2 == 0
 
-    def on_site(self, site: int, n_sites: int) -> PauliString:
-        """This string on tensor factor `site` of n_sites equal factors."""
-        shift = (n_sites - 1 - site) * self.n
-        n = self.n * n_sites
-        return PauliString(n, self.x << shift, self.z << shift, self.phase)
-
     def to_matrix(self) -> MaskMatrix:
         """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
         # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time

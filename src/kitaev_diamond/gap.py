@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_budget, check_size, place_values, simplex_count
+from .lattice import check_budget, check_size, grid_count, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
 from .spectrum import _as_real
 
@@ -347,7 +347,7 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     J = as_couplings(J)
     grid_n = check_size(grid_n, 2, "grid_n")
     d = J.size - 1
-    if grid_n ** max(d - 2, 1) > _SCAN_CAP:
+    if grid_count(grid_n, max(d - 2, 1)) > _SCAN_CAP:
         raise ValueError(
             f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
         )

@@ -46,10 +46,10 @@ def check_size(value, low: int, what: str) -> int:
 
 
 def grid_count(n: int, d: int) -> int:
-    """n**d for n >= 1, or a number over ENTRY_BUDGET when n**d is.
-
-    The exponent is capped, so a huge d never builds a huge integer.
-    """
+    """n**d for n >= 1, the exponent capped at _COUNT_CAP = 64 so a huge d
+    builds no huge integer.  Past the cap the count is n**64: 1 for n = 1,
+    and at least 2**64 for n >= 2, so against any cap below 2**64 it gets
+    the verdict of the exact count."""
     return n ** min(d, _COUNT_CAP)
 
 

@@ -179,8 +179,8 @@ def majorana_spectrum(A: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be finite")
     # a sum past the float range is an infinite asymmetry, refused below
     with np.errstate(over="ignore"):
-        asym = np.abs(A + A.T).max()
-    if asym > 1e-12 * (1.0 + np.abs(A).max()):
+        asym = np.abs(A + A.T).max(initial=0.0)
+    if asym > 1e-12 * (1.0 + np.abs(A).max(initial=0.0)):
         raise ValueError("matrix is not antisymmetric")
     return np.linalg.eigvalsh(1j * A)
 

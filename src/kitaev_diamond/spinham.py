@@ -1,6 +1,8 @@
 """Exact many-body spin Hamiltonian on small diamond tori.
 
-Each vertex carries a copy of the Cl_{d+2} representation space; the model
+Vertex v of n carries a copy of the Cl_{d+2} representation space as tensor
+factor v, the first most significant as in np.kron: a site string of width
+qubits sits there shifted left by (n - 1 - v) * width bits.  The model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from the memoised `clifford` site

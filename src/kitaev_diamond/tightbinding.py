@@ -50,5 +50,7 @@ def compare_models(J, phi_samples) -> float:
     e = range_exponent(float(np.abs(J).max()), J.size)
     J = np.ldexp(J, -e)
     xi = np.abs(f_of_q(J, phi_samples))
+    if xi.size == 0:
+        raise ValueError("no phase samples: a deviation over none would check nothing")
     e_plus, _ = tb_energy(2.0 * J, phi_samples)
     return float(np.ldexp(np.abs(xi - e_plus).max(), e))

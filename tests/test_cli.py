@@ -287,6 +287,23 @@ def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
     assert json.loads(out)["operator_suite"]["pass"] is True
 
 
+@pytest.mark.parametrize("N, suite_N", [(12, 1), (2, 2)])
+def test_verify_reports_an_operator_suite_failure(monkeypatch, capsys, N, suite_N):
+    """A residual in the operator suite fails verify with one entry that names
+    the suite's torus: the sweep's where its spin model fits, else one cell."""
+    real = cli.spinham.verify_operator_identities
+    monkeypatch.setattr(cli.spinham, "verify_operator_identities",
+                        lambda system: {**real(system), "max_residual": 1.0})
+    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--N", str(N), "--draws", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and doc["operator_suite"]["pass"] is False
+    [entry] = doc["failures"]
+    assert entry["suite"] == "operator-identities"
+    assert (entry["d"], entry["N"], entry["seed"]) == (2, suite_N, 0)
+    assert len(entry["J"]) == 3
+
+
 @pytest.mark.parametrize("argv, code", [
     (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--t", "1,2,3", "--grid", "5"], 0),
     (["bands", "--d", "3", "--J", "1,0.5,0.5,0.5", "--grid", "3", "--format", "json"], 0),

@@ -315,16 +315,6 @@ def test_pauli_string_arithmetic_matches_matrices():
                 assert commute == np.array_equal(A @ B, B @ A)
 
 
-def test_pauli_string_on_site_is_kron_with_identities():
-    rng = np.random.default_rng(4)
-    for s in random_strings(rng, 2, 6):
-        for site in range(3):
-            eyes = [np.eye(4)] * 3
-            eyes[site] = s.to_dense()
-            want = np.kron(np.kron(eyes[0], eyes[1]), eyes[2])
-            assert np.array_equal(s.on_site(site, 3).to_dense(), want)
-
-
 def test_joint_plus_dimension_matches_dense_kernel():
     """GF(2) count vs the kernel of the stacked (g - Id) matrices."""
     rng = np.random.default_rng(5)

@@ -147,6 +147,11 @@ def test_majorana_spectrum_admits_asymmetry_within_its_tolerance():
     assert np.allclose(spectrum.majorana_spectrum(A), [-1.0, 1.0])
 
 
+def test_majorana_spectrum_of_the_empty_matrix_is_empty():
+    eigs = spectrum.majorana_spectrum(np.zeros((0, 0)))
+    assert eigs.shape == (0,)
+
+
 def test_bloch_multiset_matches_torus():
     rng = np.random.default_rng(3)
     for d, N in ((2, 3), (3, 2), (1, 5)):

@@ -50,6 +50,13 @@ def edges(torus):
     return list(zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()))
 
 
+def on_site(s, v, n):
+    """Site string s on tensor factor v of n, by the layout the spinham module
+    documents: factor v starts at bit (n - 1 - v) * s.n."""
+    shift = (n - 1 - v) * s.n
+    return clifford.PauliString(s.n * n, s.x << shift, s.z << shift, s.phase)
+
+
 def ref_spin_ops(d):
     c = ref_majorana(d + 2)
     return [1j * c[k] @ c[d + 1] for k in range(d + 1)]
@@ -157,7 +164,7 @@ def test_one_step_strings_match_on_site_products(d, N):
     n = 2 * torus.n_cells
     for site_strings in (clifford.spin_ops(d), clifford.majorana_rep(d + 2)):
         want = tuple(
-            site_strings[label - 1].on_site(frm, n) * site_strings[label - 1].on_site(to, n)
+            on_site(site_strings[label - 1], frm, n) * on_site(site_strings[label - 1], to, n)
             for frm, to, label in edges(torus)
         )
         assert spinham._edge_strings(site_strings, torus) == want
@@ -165,7 +172,7 @@ def test_one_step_strings_match_on_site_products(d, N):
     D = clifford.d_operator(d)
     parity = clifford.PauliString(D.n * n)
     for v in range(n):
-        parity = parity * D.on_site(v, n)
+        parity = parity * on_site(D, v, n)
     assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
 
 
@@ -253,7 +260,7 @@ def odd_term_system(sys_):
     whose label is not 1.
     """
     torus = sys_.torus
-    c1 = clifford.majorana_rep(torus.d + 2)[0].on_site(0, 2 * torus.n_cells)
+    c1 = on_site(clifford.majorana_rep(torus.d + 2)[0], 0, 2 * torus.n_cells)
     return dataclasses.replace(sys_, term_strings=(c1, *sys_.term_strings[1:]))
 
 
@@ -331,7 +338,7 @@ def test_commutator_residual_on_strings(J01):
     torus = build_torus(2, 1)
     J = np.array([*J01, 0.75])
     sys_ = spinham.build_spin_hamiltonian(torus, J)
-    c1 = clifford.majorana_rep(4)[0].on_site(0, 2)
+    c1 = on_site(clifford.majorana_rep(4)[0], 0, 2)
     terms = (c1, c1, *sys_.term_strings[2:])
     odd = dataclasses.replace(sys_, term_strings=terms)
     rep = spinham.verify_operator_identities(odd)
@@ -389,7 +396,7 @@ def test_residuals_at_dimensions_past_the_float_range(log2_dim):
     sys_ = spinham.build_spin_hamiltonian(torus, J2)
     J = sys_.couplings[torus.label - 1].tolist()
     u, P = sys_.link_ops[0], sys_.parity
-    c1 = clifford.majorana_rep(4)[0].on_site(0, 2)  # anticommutes with the parity
+    c1 = on_site(clifford.majorana_rep(4)[0], 0, 2)  # anticommutes with the parity
     top = np.finfo(float).max
     finite = dim < 2**1024
     assert spinham._commutator_norm(sys_.term_strings, J, P, dim) == 0.0

@@ -49,6 +49,11 @@ def test_compare_models_near_the_float_maximum(top):
     assert tightbinding.compare_models([top] * 3, [0.1, 0.2]) == 0.0
 
 
+def test_compare_models_refuses_zero_samples():
+    with pytest.raises(ValueError, match="no phase samples"):
+        tightbinding.compare_models([1, 1, 1], np.zeros((0, 2)))
+
+
 def test_hoppings_validation():
     with pytest.raises(ValueError):
         tightbinding.as_hoppings([1.0])
