@@ -5,16 +5,16 @@ Jordan-Wigner strings on m = floor(k/2) qubits.  Every operator here is a
 Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
 so products, commutation signs and the chirality sign are integer
 arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
-return strings, the only form kept; a string's matrix is expanded from its
-masks on request (`to_matrix`, `to_dense`).  Each builder checks its size
-against ENTRY_BUDGET and answers from one memo of the MEMO_SIZE sizes last
-used, which builds a size's generators, spin operators and parity D
-together, so a process builds a size in use once.  Every entry is one of 0,
-+-1, +-i, so all algebraic identities below hold exactly in float
-arithmetic.  For odd k the last generator is D = i^m c_1 ... c_{2m} itself,
-so the chirality condition i^m c_1 ... c_{2m+1} = D D = +Id holds by
-construction, selecting one of the two inequivalent irreducible
-representations.
+return strings, the only form kept, check their size against ENTRY_BUDGET
+and answer from one memo of the MEMO_SIZE sizes last used, which builds a
+size's generators, spin operators and parity D together, so a process
+builds a size in use once.  `_mask_matrix` alone expands a sum of strings,
+one string included, to a `MaskMatrix`, refused first past ENTRY_BUDGET.
+A string's every entry is one of 0, +-1, +-i, so all algebraic identities
+below hold exactly in float arithmetic.  For odd k the last generator is
+D = i^m c_1 ... c_{2m} itself, so the chirality condition i^m c_1 ...
+c_{2m+1} = D D = +Id holds by construction, selecting one of the two
+inequivalent irreducible representations.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_budget, check_size
-
-# Generator counts the builder memo keeps, least recently used first out: the
-# 14 that the one-cell spin tori d = 2..15 use fit, so a pass over them hits.
-MEMO_SIZE = 16
+from .lattice import MEMO_SIZE, check_budget, check_size, grid_count
 
 # i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)
 _I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
@@ -40,7 +36,8 @@ class MaskMatrix:
     """A sum of Pauli strings with distinct x masks, stored per mask.
 
     Row r holds values[r, k] in column r ^ x[k], so each mask owns one entry
-    per row and distinct masks never share an entry.
+    per row and distinct masks never share an entry.  `toarray` refuses a
+    dense matrix whose dim^2 entries pass ENTRY_BUDGET.
     """
 
     x: np.ndarray  # (m,) distinct x masks
@@ -55,6 +52,7 @@ class MaskMatrix:
         return int(np.count_nonzero(self.values))
 
     def toarray(self) -> np.ndarray:
+        check_budget(self.shape[0] ** 2, f"dense matrix of order {self.shape[0]}")
         out = np.zeros(self.shape, dtype=self.values.dtype)
         rows = np.arange(self.shape[0])[:, None]
         out[rows, rows ^ self.x] = self.values
@@ -87,17 +85,35 @@ class PauliString:
 
     def to_matrix(self) -> MaskMatrix:
         """One nonzero per row r: i^phase (-1)^popcount(c & z) in column c = r ^ x."""
-        # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time
-        odd = np.zeros(1, dtype=bool)
-        for q in range(self.n):
-            odd = np.concatenate([odd, odd ^ bool(self.z >> q & 1)])
-        # the parity is linear: popcount(c & z) = popcount(r & z) + popcount(x & z) mod 2
-        p = self.phase + 2 * (self.x & self.z).bit_count()
-        even_odd = _I_POWERS[[p % 4, (p + 2) % 4]]
-        return MaskMatrix(np.array([self.x]), even_odd[odd.view(np.uint8), None])
+        return _mask_matrix([self], [1.0], f"matrix of a {self.n}-qubit Pauli string")
 
     def to_dense(self) -> np.ndarray:
         return self.to_matrix().toarray()
+
+
+def _mask_matrix(strings: Sequence[PauliString], coefficients, what: str) -> MaskMatrix:
+    """sum_k coefficients[k] strings[k] over real coefficients and strings of
+    one width n, refused as `what` before any allocation when its 2^n rows
+    times len(strings) pass ENTRY_BUDGET.  A string reaches column r ^ x in
+    every row r, so one running sum per distinct x mask adds the strings in
+    order from +0.0: it never holds -0.0 (x + y is -0.0 only for x = y =
+    -0.0), and as every addend is finite it never meets inf - inf, so an
+    entry past the float range is +-inf, never NaN."""
+    n = strings[0].n
+    check_budget(grid_count(2, n) * len(strings), what)
+    slot = {x: k for k, x in enumerate(dict.fromkeys(s.x for s in strings))}
+    values = np.zeros((1 << n, len(slot)), dtype=complex)  # row, x mask -> running sum
+    with np.errstate(over="ignore"):
+        for s, c in zip(strings, coefficients):
+            # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time
+            odd = np.zeros(1, dtype=bool)
+            for q in range(n):
+                odd = np.concatenate([odd, odd ^ bool(s.z >> q & 1)])
+            # the parity is linear: popcount(c & z) = popcount(r & z) + popcount(x & z) mod 2
+            p = s.phase + 2 * (s.x & s.z).bit_count()
+            even_odd = _I_POWERS[[p % 4, (p + 2) % 4]] * c
+            values[:, slot[s.x]] += even_odd[odd.view(np.uint8)]
+    return MaskMatrix(np.array(list(slot), dtype=np.int64), values)
 
 
 def _product_phase(phase: int, z: int, other_x: int, other_phase: int) -> int:

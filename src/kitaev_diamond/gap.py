@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_budget, check_size, grid_count, place_values, simplex_count
+from .lattice import MEMO_SIZE, check_budget, check_size, grid_count, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
 from .spectrum import _as_real
 
@@ -304,8 +304,8 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 # The restart offsets of the oracle, keyed by (d, grid_n) and bounded to the
-# 16 pairs last used; its arrays are read-only, safe to share.
-@functools.lru_cache(maxsize=16)
+# MEMO_SIZE pairs last used; its arrays are read-only, safe to share.
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _restart_offsets(d: int, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """3 jitter offsets within half a grid cell and 2 random phase vectors,
     drawn in that order from np.random.default_rng(12345)."""
@@ -323,9 +323,9 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     A scan of the grid_n^d grid, the last phase minimised in closed form,
     picks a start; one vectorised damped Newton polish then runs from it,
     from 3 copies jittered within half a grid cell, and from 2 random phase
-    vectors.  The jitter and the random starts are drawn from one fixed seed
-    once per (d, grid_n) and kept, read-only, in a memo of the 16 pairs last
-    used, so every call with those sizes starts from the same offsets.
+    vectors.  Both are drawn from one fixed seed once per (d, grid_n) and
+    kept, read-only, in a memo of the MEMO_SIZE pairs last used, so every
+    call with those sizes starts from the same offsets.
     Descent from the best grid point alone is not enough: every phase
     vector with all components in {0, pi} is a critical point of the
     amplitude, and for small classifier margins one of those saddles can

@@ -20,6 +20,9 @@ import numpy as np
 # would allocate with integer arithmetic and calls check_budget first, so an
 # oversized request is refused with ValueError instead of exhausting memory.
 ENTRY_BUDGET = 1 << 22
+# Entries each bounded memo keeps, least recently used first out: the 14 sizes
+# the one-cell spin tori d = 2..15 use fit, so a pass over them hits.
+MEMO_SIZE = 16
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.
 _COUNT_CAP = 64

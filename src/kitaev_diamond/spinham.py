@@ -7,11 +7,12 @@ couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from the memoised `clifford` site
 strings; the strings are the only stored form of the model, and H's matrix
-is expanded from their bit masks on request.  Its entries are 0, +-1, +-i,
-so every conserved-quantity identity below holds exactly, not just to
-rounding.  The identities and the joint +1 sector of the links and the
-parity (a GF(2) rank) are read off the strings' masks and phases: no matrix
-is formed, and no string is built unless a check fails.
+is expanded on request by `clifford`, which holds the one string-to-matrix
+expansion and its budget.  The strings' entries are 0, +-1, +-i, so every
+conserved-quantity identity below holds exactly, not just to rounding.  The
+identities and the joint +1 sector of the links and the parity (a GF(2)
+rank) are read off the strings' masks and phases: no matrix is formed, and
+no string is built unless a check fails.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    MaskMatrix,
     PauliString,
     _anticommuting,
+    _mask_matrix,
     d_operator,
     joint_plus_dimension,
     majorana_rep,
@@ -52,10 +53,11 @@ class SpinSystem:
     term_strings: tuple[PauliString, ...]
 
     @property
-    def hamiltonian(self) -> MaskMatrix:
-        """The matrix of H, expanded on each access once `tensor_dims` admits it."""
+    def hamiltonian(self):
+        """H as a `clifford.MaskMatrix`, expanded on each access within ENTRY_BUDGET."""
         J = self.couplings[self.torus.label - 1]
-        return _hamiltonian_matrix(self.term_strings, J, tensor_dims(self.torus)[1])
+        return _mask_matrix(self.term_strings, -J,
+                            f"spin model on torus d={self.torus.d}, N={self.torus.N}")
 
 
 def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -97,23 +99,6 @@ def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
     appear an even number of shared slots apart.
     """
     return _edge_strings(majorana_rep(torus.d + 2), torus)
-
-
-def _hamiltonian_matrix(terms, J, dim: int) -> MaskMatrix:
-    """-sum_k J[k] terms[k], each entry a running sum in term order.
-
-    Each entry is fl(0 - J s - J' s' - ...) over the terms that reach it,
-    the rounding of subtracting the terms one at a time from an empty sparse
-    matrix.  A running sum never holds -0.0: it starts at +0.0, and x - y is
-    -0.0 only for x = -0.0 and y = +0.0.  So an entry that cancels to zero
-    equals the +0 a sparse subtraction restarts from.  A term reaches column
-    row ^ x in every row, so the sums are kept per x mask.
-    """
-    slot = {x: k for k, x in enumerate(dict.fromkeys(t.x for t in terms))}
-    values = np.zeros((dim, len(slot)), dtype=complex)  # row, x mask -> running sum
-    for term, j in zip(terms, J):
-        values[:, slot[term.x]] -= term.to_matrix().values[:, 0] * j
-    return MaskMatrix(np.array(list(slot), dtype=np.int64), values)
 
 
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:

@@ -315,6 +315,24 @@ def test_pauli_string_arithmetic_matches_matrices():
                 assert commute == np.array_equal(A @ B, B @ A)
 
 
+def test_string_matrices_are_refused_past_the_budget(monkeypatch):
+    """A 22-qubit string's matrix and an 11-qubit dense matrix hold 2^22
+    entries, the budget; one qubit more is refused before any allocation."""
+    assert clifford.PauliString(22, x=1, z=3).to_matrix().shape == (2**22, 2**22)
+    assert clifford.PauliString(11, x=5, z=6).to_dense().shape == (2**11, 2**11)
+    twelve = clifford.PauliString(12, x=5, z=6).to_matrix()
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("a matrix was allocated")
+
+    monkeypatch.setattr(np, "zeros", allocate)
+    budget = "is over the budget of 4194304 entries$"
+    with pytest.raises(ValueError, match=f"^matrix of a 23-qubit Pauli string {budget}"):
+        clifford.PauliString(23, x=1).to_matrix()
+    with pytest.raises(ValueError, match=f"^dense matrix of order 4096 {budget}"):
+        twelve.toarray()
+
+
 def test_joint_plus_dimension_matches_dense_kernel():
     """GF(2) count vs the kernel of the stacked (g - Id) matrices."""
     rng = np.random.default_rng(5)

@@ -96,6 +96,19 @@ def test_couplings_phases_and_sides_are_never_cast_from_complex(call):
         call()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: spectrum.as_phases([0.0, np.inf]), "^phases must be finite$"),
+    (lambda: spectrum.as_phases([np.nan, 0.0], d=2), "^phases must be finite$"),
+    (lambda: spectrum.bloch_hamiltonian(J2, np.zeros((3, 2))),
+     "^bloch_hamiltonian expects a single phase vector$"),
+    (lambda: clifford.PauliString(2, x=1) * clifford.PauliString(3, z=1),
+     "^qubit counts differ: 2 and 3$"),
+])
+def test_phases_and_operands_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_dispersion_checks_its_couplings_before_its_phases():
     for J in (5.0, np.array([[1.0, 1.0, 1.0]])):
         with pytest.raises(ValueError, match="^couplings must be a 1-d sequence"):

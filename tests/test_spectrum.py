@@ -134,6 +134,8 @@ def test_majorana_spectrum_rejects_non_antisymmetric():
     [[0.0, np.nan], [np.nan, 0.0]],
     # A + A^T overflows
     [[0.0, 1.7e308], [1.7e308, 0.0]],
+    # not square
+    [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
 ])
 def test_majorana_spectrum_refuses_what_its_tolerance_does_not_admit(A):
     # the suite turns a RuntimeWarning into an error, so none is raised first

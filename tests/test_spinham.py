@@ -220,17 +220,33 @@ def test_spin_model_refused_past_the_string_budget(d, N):
 
 def test_hamiltonian_refused_before_any_allocation(monkeypatch):
     """d = 16, N = 1 is built (17 strings of 18 qubits); the 2^18 x 17 entries
-    of its matrix are refused before the expansion starts."""
+    of its matrix are refused before the expansion allocates them."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(16, 1), np.ones(17))
     assert sys_.total_dim == 2**18
 
-    def expand(*args):
+    def expand(*args, **kwargs):
         raise AssertionError("the expansion started")
 
-    monkeypatch.setattr(spinham, "_hamiltonian_matrix", expand)
+    monkeypatch.setattr(np, "zeros", expand)
     monkeypatch.setattr(clifford.PauliString, "to_matrix", expand)
     with pytest.raises(ValueError, match="spin model on torus d=16, N=1 is over the budget"):
         sys_.hamiltonian
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hamiltonian_near_the_float_maximum_is_infinite_not_nan(d):
+    """Couplings near the float maximum overflow the running sums without a
+    warning (the suite makes one an error); an overflowed entry is +-inf."""
+    H = spinham.build_spin_hamiltonian(build_torus(d, 1), [1.7e308] * (d + 1)).hamiltonian
+    assert not np.isnan(H.values).any()
+    assert np.isinf(H.values).any()
+    # an entry that stays in range is the unit-coupling entry times 1.7e308
+    unit = spinham.build_spin_hamiltonian(build_torus(d, 1), [1.0] * (d + 1)).hamiltonian
+    with np.errstate(over="ignore"):
+        want = unit.values * 1.7e308
+    kept = np.isfinite(H.values)
+    assert np.array_equal(H.x, unit.x)
+    assert np.array_equal(H.values[kept], want[kept])
 
 
 def test_hamiltonian_hermitian_and_real_spectrum():
@@ -321,7 +337,7 @@ def test_hamiltonian_expansion_rounds_like_sequential_subtraction():
         want = sparse.csr_matrix((dim, dim), dtype=complex)
         for t, j in zip(terms, J):
             want = want - j * csr(t.to_matrix())
-        got = csr(spinham._hamiltonian_matrix(terms, J, dim))
+        got = csr(clifford._mask_matrix(terms, -J, "test terms"))
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
