@@ -144,8 +144,9 @@ def _verify_payload(args, torus) -> dict:
     operator_suite = None
     # the sweep's torus where its spin model fits the entry budget, else its
     # one cell where that fits, else no suite
-    algebra_torus = torus if args.N == 1 or _fits(torus) else build_torus(args.d, 1)
-    if first_J is not None and _fits(algebra_torus):
+    fits = spinham.hamiltonian_fits
+    algebra_torus = torus if args.N == 1 or fits(torus) else build_torus(args.d, 1)
+    if first_J is not None and fits(algebra_torus):
         system = spinham.build_spin_hamiltonian(algebra_torus, first_J)
         operator_suite = verify_ops_payload(system)
         if not operator_suite["pass"]:
@@ -164,15 +165,6 @@ def _verify_payload(args, torus) -> dict:
         "failures": failures,
         "pass": not failures,
     }
-
-
-def _fits(torus) -> bool:
-    """Whether the spin model on torus fits the entry budget."""
-    try:
-        spinham.tensor_dims(torus)
-    except ValueError:
-        return False
-    return True
 
 
 def verify_ops_payload(system) -> dict:

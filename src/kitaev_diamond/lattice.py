@@ -228,6 +228,7 @@ def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
 
 def vertex_position(basis: LatticeBasis, v: Vertex, N: int) -> np.ndarray:
     """Embedded position sum_i mu_i alpha_i + s*p of a torus-orbit representative."""
+    N = check_size(N, 1, "torus size")
     if not _is_vertex(v, basis.d, N):
         raise ValueError(f"not a vertex of the torus of size {N}: {v}")
     return np.asarray(v.mu, dtype=float) @ basis.alpha + v.s * basis.p

@@ -6,13 +6,14 @@ qubits sits there shifted left by (n - 1 - v) * width bits.  The model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from the memoised `clifford` site
-strings; the strings are the only stored form of the model, and H's matrix
-is expanded on request by `clifford`, which holds the one string-to-matrix
-expansion and its budget.  The strings' entries are 0, +-1, +-i, so every
-conserved-quantity identity below holds exactly, not just to rounding.  The
-identities and the joint +1 sector of the links and the parity (a GF(2)
-rank) are read off the strings' masks and phases: no matrix is formed, and
-no string is built unless a check fails.
+strings; the strings are the only stored form of the model.  H's matrix is
+expanded on request by `clifford`, which holds the one string-to-matrix
+expansion and its budget, and `hamiltonian_fits` tells whether it is
+admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
+identity below holds exactly, not just to rounding.  The identities and the
+joint +1 sector of the links and the parity (a GF(2) rank) are read off the
+strings' masks and phases: no matrix is formed, and no string is built
+unless a check fails.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice
 from .clifford import (
     PauliString,
     _anticommuting,
@@ -47,10 +49,13 @@ class SpinSystem:
 
     torus: DiamondTorus
     couplings: np.ndarray
-    total_dim: int
     link_ops: tuple[PauliString, ...]
     parity: PauliString
     term_strings: tuple[PauliString, ...]
+
+    @property
+    def total_dim(self) -> int:
+        return 1 << self.parity.n
 
     @property
     def hamiltonian(self):
@@ -78,13 +83,15 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     return tuple(strings)
 
 
-def tensor_dims(torus: DiamondTorus) -> tuple[int, int]:
-    """(site_dim, total_dim), refused when the total_dim x E entries of H's
-    at most E mask columns exceed ENTRY_BUDGET."""
-    site_dim = 2 ** (torus.d // 2 + 1)
-    entries = grid_count(site_dim, 2 * torus.n_cells) * torus.label.size
-    check_budget(entries, f"spin model on torus d={torus.d}, N={torus.N}")
-    return site_dim, site_dim ** (2 * torus.n_cells)
+def _qubits(torus: DiamondTorus) -> int:
+    """Qubits of the joint register: d//2 + 1 on each of the 2 N^d sites."""
+    return 2 * torus.n_cells * (torus.d // 2 + 1)
+
+
+def hamiltonian_fits(torus: DiamondTorus) -> bool:
+    """Whether H's matrix on torus, 2^qubits rows times E edge columns, fits
+    ENTRY_BUDGET: the count `SpinSystem.hamiltonian` is refused past."""
+    return grid_count(2, _qubits(torus)) * torus.label.size <= lattice.ENTRY_BUDGET
 
 
 def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -107,16 +114,16 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET.
     """
     J = as_couplings(J, d=torus.d)
-    n_sites = 2 * torus.n_cells
-    check_budget(torus.label.size * n_sites * (torus.d // 2 + 1),
+    check_budget(torus.label.size * _qubits(torus),
                  f"spin model on torus d={torus.d}, N={torus.N}")
+    n_sites = 2 * torus.n_cells
     terms = _edge_strings(spin_ops(torus.d), torus)
     D = d_operator(torus.d)
     # D on every tensor factor, one string: its masks repeated at each shift
     slots = sum(1 << v * D.n for v in range(n_sites))
     parity = PauliString(D.n * n_sites, D.x * slots, D.z * slots, D.phase * n_sites % 4)
-    return SpinSystem(torus=torus, couplings=J, total_dim=1 << parity.n,
-                      link_ops=link_operators(torus), parity=parity, term_strings=terms)
+    return SpinSystem(torus=torus, couplings=J, link_ops=link_operators(torus),
+                      parity=parity, term_strings=terms)
 
 
 def plus_sector_dimension(system: SpinSystem) -> int:

@@ -18,8 +18,7 @@ def as_hoppings(t, d: int | None = None) -> np.ndarray:
     t = np.asarray(t)
     if t.dtype.kind not in "iufc":
         raise ValueError("hoppings must be real or complex")
-    t = t if t.dtype.kind == "c" else t.astype(float).astype(complex)
-    return _edge_vector(t, d, "hoppings")
+    return _edge_vector(t.astype(complex), d, "hoppings")
 
 
 def r_of_q(t, phi) -> complex | np.ndarray:

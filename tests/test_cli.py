@@ -287,21 +287,27 @@ def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
     assert json.loads(out)["operator_suite"]["pass"] is True
 
 
-@pytest.mark.parametrize("N, suite_N", [(12, 1), (2, 2)])
-def test_verify_reports_an_operator_suite_failure(monkeypatch, capsys, N, suite_N):
+# the spin model's matrix fits at (1, 8), 2^16 rows by 16 edges, and at
+# (15, 1); it does not at (1, 9) or (3, 2), whose suite runs on one cell
+@pytest.mark.parametrize("d, N, suite_N", [
+    pytest.param(2, 12, 1, id="12-1"),
+    pytest.param(2, 2, 2, id="2-2"),
+    (1, 8, 8), (1, 9, 1), (3, 2, 1), (15, 1, 1),
+])
+def test_verify_reports_an_operator_suite_failure(monkeypatch, capsys, d, N, suite_N):
     """A residual in the operator suite fails verify with one entry that names
     the suite's torus: the sweep's where its spin model fits, else one cell."""
     real = cli.spinham.verify_operator_identities
     monkeypatch.setattr(cli.spinham, "verify_operator_identities",
                         lambda system: {**real(system), "max_residual": 1.0})
-    code, out, _ = run_cli(capsys, "verify", "--d", "2", "--N", str(N), "--draws", "2")
+    code, out, _ = run_cli(capsys, "verify", "--d", str(d), "--N", str(N), "--draws", "2")
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False and doc["operator_suite"]["pass"] is False
     [entry] = doc["failures"]
     assert entry["suite"] == "operator-identities"
-    assert (entry["d"], entry["N"], entry["seed"]) == (2, suite_N, 0)
-    assert len(entry["J"]) == 3
+    assert (entry["d"], entry["N"], entry["seed"]) == (d, suite_N, 0)
+    assert len(entry["J"]) == d + 1
 
 
 @pytest.mark.parametrize("argv, code", [

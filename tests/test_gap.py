@@ -500,6 +500,32 @@ def test_polish_stops_at_the_reverse_triangle_bound(monkeypatch):
         assert len(calls) <= 3, (J, len(calls))
 
 
+def test_polish_stops_once_every_step_is_below_its_tolerance(monkeypatch):
+    calls = []
+    amplitude = gap._amplitude
+
+    def counted(J, phi):
+        calls.append(len(phi))
+        return amplitude(J, phi)
+
+    monkeypatch.setattr(gap, "_amplitude", counted)
+    # on a critical point (phases in {0, pi}) the step is exactly zero: one
+    # evaluation, where the damping alone would run up to the iteration cap
+    assert gap._newton_polish(np.ones(3), np.zeros((1, 2))).tolist() == [3.0]
+    assert len(calls) == 1
+    # a gapless draw of the oracle workload (d = 2, seed 7) whose best row
+    # stalls just above the rounding floor: the step test ends the polish
+    # before the floor test does, and without it the polish runs on
+    J = np.array([-1.6324884164413986, 1.0346646435316669, 1.2170047390692735])
+    calls.clear()
+    assert gap.min_gap_numeric(J) < 1e-12
+    stopped = len(calls)
+    monkeypatch.setattr(gap, "_NEWTON_XTOL", 0.0)
+    calls.clear()
+    assert gap.min_gap_numeric(J) < 1e-12
+    assert len(calls) > stopped
+
+
 def test_min_gap_validation():
     with pytest.raises(ValueError):
         gap.min_gap_numeric([1.0, 1.0, 1.0], grid_n=1)

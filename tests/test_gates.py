@@ -28,6 +28,7 @@ J2 = [1.0, 1.0, 1.0]
     lambda: clifford.spin_ops(2.5),
     lambda: clifford.d_operator(2.5),
     lambda: gap.min_gap_numeric(J2, grid_n=2.5),
+    lambda: lattice.vertex_position(lattice.make_basis(1), Vertex((2,), 0), 2.5),
 ])
 def test_sizes_must_be_integers(call):
     with pytest.raises(ValueError, match=r"must be an integer, got 2\.[05]$"):
@@ -49,6 +50,7 @@ _T3 = lattice.build_torus(2, 3)
     (lambda: _T3.index(Vertex(mu=(0, 1), s=True)), KeyError),
     (lambda: lattice.covering_map(_T3, Vertex(mu=(1, True), s=1)), KeyError),
     (lambda: lattice.vertex_position(lattice.make_basis(2), Vertex((True, 0), 0), 3), ValueError),
+    (lambda: lattice.vertex_position(lattice.make_basis(2), Vertex((0, 0), 0), True), ValueError),
 ])
 def test_bool_is_not_an_integer(call, error):
     """bool subclasses int, but True is refused as a size or a coordinate, not read as 1."""

@@ -84,9 +84,10 @@ def _embed(site_ops, n_sites, site_dim):
 
 def ref_system(torus, J):
     """(H, link operators, parity) assembled from sparse Kronecker chains."""
-    site_dim, total_dim = spinham.tensor_dims(torus)
     n_sites = 2 * torus.n_cells
     sigmas = [sparse.csr_matrix(s) for s in ref_spin_ops(torus.d)]
+    site_dim = sigmas[0].shape[0]
+    total_dim = site_dim**n_sites
     H = sparse.csr_matrix((total_dim, total_dim), dtype=complex)
     for frm, to, label in edges(torus):
         sig = sigmas[label - 1]
@@ -177,20 +178,37 @@ def test_one_step_strings_match_on_site_products(d, N):
 
 
 def test_tensor_dims():
-    t = build_torus(2, 1)
-    site_dim, total_dim = spinham.tensor_dims(t)
-    assert site_dim == 4 and total_dim == 16
-    t = build_torus(3, 1)
-    assert spinham.tensor_dims(t) == (4, 16)
-    t = build_torus(4, 1)
-    assert spinham.tensor_dims(t) == (8, 64)
+    """A site holds 2^(d//2 + 1) dimensions and the register their 2 N^d-th power."""
+    for d, site_dim, total_dim in [(2, 4, 16), (3, 4, 16), (4, 8, 64)]:
+        system = spinham.build_spin_hamiltonian(build_torus(d, 1), np.ones(d + 1))
+        assert 1 << clifford.d_operator(d).n == site_dim
+        assert system.total_dim == total_dim
 
 
 def test_tensor_dims_cap():
-    with pytest.raises(ValueError):
-        spinham.tensor_dims(build_torus(3, 2))
+    assert not spinham.hamiltonian_fits(build_torus(3, 2))
     # d=2, N=2 allocates 2^16 x 12 entries, within the entry budget
-    assert spinham.tensor_dims(build_torus(2, 2)) == (4, 65536)
+    torus = build_torus(2, 2)
+    assert spinham.hamiltonian_fits(torus)
+    assert spinham.build_spin_hamiltonian(torus, np.ones(3)).total_dim == 65536
+
+
+@pytest.mark.parametrize("d,N", [(1, 8), (1, 9), (2, 2), (3, 2), (15, 1), (16, 1)])
+def test_hamiltonian_fits_exactly_where_the_expansion_is_admitted(monkeypatch, d, N):
+    """The predicate is the expansion's own budget: where it holds H expands,
+    and elsewhere H is refused before anything is allocated."""
+    torus = build_torus(d, N)
+    system = spinham.build_spin_hamiltonian(torus, np.ones(d + 1))
+    if spinham.hamiltonian_fits(torus):
+        assert system.hamiltonian.shape == (system.total_dim,) * 2
+        return
+
+    def expand(*args, **kwargs):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(np, "zeros", expand)
+    with pytest.raises(ValueError, match=f"spin model on torus d={d}, N={N} is over the budget"):
+        system.hamiltonian
 
 
 def test_admitted_spin_tori():

@@ -245,8 +245,6 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: lattice.build_torus(40, 1), 2 * 40),
         # alpha is 3 x 4 and beta 4 x 4
         (lambda: lattice.make_basis(3), 7 * 4),
-        # 4^8 states times 12 edge columns
-        (lambda: spinham.tensor_dims(torus_2_2), 4**8 * 12),
         # 12 edge strings of 8 sites times 2 qubits
         (lambda: spinham.build_spin_hamiltonian(torus_2_2, np.ones(3)), 12 * 8 * 2),
         # 7 generators on 3 qubits
@@ -258,6 +256,11 @@ def test_budget_counts_are_exact(monkeypatch):
         monkeypatch.setattr(lattice, "ENTRY_BUDGET", entries - 1)
         with pytest.raises(ValueError, match="over the budget"):
             build()
+    # H's matrix: 4^8 states times 12 edge columns
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 4**8 * 12)
+    assert spinham.hamiltonian_fits(torus_2_2)
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 4**8 * 12 - 1)
+    assert not spinham.hamiltonian_fits(torus_2_2)
 
 
 def test_budget_admits_the_benchmark_commands():
