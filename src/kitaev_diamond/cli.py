@@ -16,12 +16,13 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import gap as gap_mod
-from . import spectrum, spinham
+from . import lattice, spectrum, spinham
 from .lattice import build_torus, check_size, torus_to_dict
 
 BLOCH_TOL = 1e-8
@@ -126,21 +127,8 @@ def _verify_payload(args, torus) -> dict:
         frm, to = torus.frm.copy(), torus.to.copy()
         frm[0], to[0] = to[0], frm[0]
         swept = dataclasses.replace(torus, frm=frm, to=to)
-    rng = np.random.default_rng(args.seed)
-    failures = []
-    max_dev = 0.0
-    first_J = None
-    for k in range(args.draws):
-        J = rng.uniform(-2.0, 2.0, size=args.d + 1)
-        if k == 0:
-            first_J = J
-        dev = spectrum.verify_bloch_equivalence(swept, J)
-        max_dev = max(max_dev, dev)
-        if not dev < BLOCH_TOL:
-            failures.append(
-                {"draw": k, "d": args.d, "N": args.N, "seed": args.seed,
-                 "J": list(J), "deviation": dev}
-            )
+    max_dev, failures = _sweep(swept, args.seed, args.draws)
+    first_J = next(_couplings(args.seed, args.d, 0, args.draws), None)
     operator_suite = None
     # the sweep's torus where its spin model fits the entry budget, else its
     # one cell where that fits, else no suite
@@ -165,6 +153,108 @@ def _verify_payload(args, torus) -> dict:
         "failures": failures,
         "pass": not failures,
     }
+
+
+def _couplings(seed: int, d: int, start: int, stop: int):
+    """Draws start..stop-1 of the sweep's coupling stream.
+
+    Draw k is the k-th d+1 uniforms on [-2, 2) of default_rng(seed); each
+    uniform takes one 64-bit output, so advancing the generator by
+    start*(d+1) outputs gives the serial draws bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * (d + 1))
+    for _ in range(start, stop):
+        yield rng.uniform(-2.0, 2.0, size=d + 1)
+
+
+def _sweep_share(torus, seed: int, start: int, stop: int) -> tuple[float, list]:
+    """Max deviation and failure records of draws start..stop-1 on torus."""
+    failures = []
+    max_dev = 0.0
+    for k, J in enumerate(_couplings(seed, torus.d, start, stop), start):
+        dev = spectrum.verify_bloch_equivalence(torus, J)
+        max_dev = max(max_dev, dev)
+        if not dev < BLOCH_TOL:
+            failures.append(
+                {"draw": k, "d": torus.d, "N": torus.N, "seed": seed,
+                 "J": list(J), "deviation": dev}
+            )
+    return max_dev, failures
+
+
+def _workers(draws: int, order: int) -> int:
+    """Processes to sweep draws matrices of the given order on: the usable
+    CPUs, at most one per draw and one per order^2 entries of ENTRY_BUDGET;
+    1 in a process that runs more than one thread, or off Linux.
+
+    A second thread rules out both forking this process and a multi-threaded
+    BLAS, which processes would oversubscribe.
+    """
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        return 1
+    return min(cpus, draws, lattice.ENTRY_BUDGET // order**2)
+
+
+def _send_share(conn, torus, seed: int, start: int, stop: int) -> None:
+    """A forked worker's body: send `_sweep_share`'s result through conn, or
+    the exception it raised, for the calling process to raise."""
+    try:
+        share = _sweep_share(torus, seed, start, stop)
+    except Exception as exc:
+        share = exc
+    conn.send(share)
+
+
+def _sweep(torus, seed: int, draws: int) -> tuple[float, list]:
+    """Max deviation and failure records, in draw order, of draws 0..draws-1.
+
+    The draws split into one contiguous share per `_workers` process: this
+    process sweeps the first share, and workers forked from it the rest.
+    Each eigvalsh is one LAPACK call that threads barely speed up, so the
+    shares run in processes; forked, because a spawned worker would import
+    the package again, and each with its own pipe, so this process starts
+    no thread.  Every worker is joined before this returns.
+    """
+    workers = _workers(draws, 2 * torus.n_cells)
+    if workers < 2:
+        return _sweep_share(torus, seed, 0, draws)
+    # imported here: at module level it costs every command start-up time
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        # a daemonic process, a pool's worker say, may start no process
+        return _sweep_share(torus, seed, 0, draws)
+    context = multiprocessing.get_context("fork")
+    bounds = [draws * w // workers for w in range(workers + 1)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    forked = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_share, args=(send, torus, seed, start, stop))
+            proc.start()
+            send.close()
+            forked.append((proc, recv))
+        shares = [_sweep_share(torus, seed, 0, bounds[1])]
+        shares += [recv.recv() for _, recv in forked]
+    finally:
+        for proc, recv in forked:
+            recv.close()
+            proc.join()
+    max_dev = 0.0
+    failures = []
+    for share in shares:
+        if isinstance(share, Exception):
+            raise share
+        max_dev = max(max_dev, share[0])
+        failures += share[1]
+    return max_dev, failures
 
 
 def verify_ops_payload(system) -> dict:

@@ -43,7 +43,7 @@ _ROW_FILL_MIN = 768
 _NEWTON_MAX_ITER = 100
 _NEWTON_XTOL = 1e-9
 _NEWTON_MU0 = 1e-3
-_NEWTON_MU_MIN = 1e-8
+_NEWTON_MU_MIN = 1e-12
 
 
 def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
@@ -266,8 +266,11 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
     step (H + mu I)^{-1}(-grad) only if it lowers |s|, and its mu shrinks on
     success and grows on failure (Levenberg-Marquardt damping), so every row
     descends monotonically and a row on an indefinite Hessian keeps raising
-    mu until the step goes downhill.  The floor on mu keeps H + mu I well
-    conditioned on the zero set, where H has rank 2.  The polish stops when
+    mu until the step goes downhill.  The floor on mu keeps H + mu I
+    invertible on the zero set, where H has rank 2, and lies far enough
+    below one that near a thin polygon, where the Jacobian of s has a small
+    second singular value, the damping does not swamp that direction and
+    stall the descent along it.  The polish stops when
     some row reaches max(0, 2 max |J| - sum |J|) + eps sum |J|, or when every
     step is below _NEWTON_XTOL.  By the reverse triangle inequality no phase
     vector has |s| below that bound (0 for gapless couplings), so no row can

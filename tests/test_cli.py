@@ -209,16 +209,23 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_verify_refuses_an_unwritable_out_before_its_sweep(monkeypatch, capsys, tmp_path):
-    calls = []
-    monkeypatch.setattr(cli.spectrum, "verify_bloch_equivalence",
-                        lambda *args: calls.append(args) or 0.0)
+    # each swept draw appends a line to a file, so the draws that workers
+    # forked by a pooled sweep compare count as well
+    swept = tmp_path / "swept"
+
+    def compare(*args):
+        with open(swept, "a") as fh:
+            fh.write("draw\n")
+        return 0.0
+
+    monkeypatch.setattr(cli.spectrum, "verify_bloch_equivalence", compare)
     argv = ["verify", "--d", "2", "--N", "12", "--draws", "20"]
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write ")
-    assert calls == []
+    assert not swept.exists()
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.json"))
-    assert code == 0 and len(calls) == 20
+    assert code == 0 and swept.read_text().splitlines() == ["draw"] * 20
 
 
 def test_console_entry_point():

@@ -526,6 +526,34 @@ def test_polish_stops_once_every_step_is_below_its_tolerance(monkeypatch):
     assert len(calls) > stopped
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_polish_converges_just_inside_the_gap_boundary(monkeypatch, d):
+    # gapless couplings whose longest side is (1 - delta) times the sum of
+    # the others, delta = 1e-12..1e-3: a thin polygon, on which a damping
+    # floor that swamps the Jacobian's small singular value ran the polish
+    # up to its iteration cap
+    calls = []
+    amplitude = gap._amplitude
+
+    def counted(J, phi):
+        calls.append(len(phi))
+        return amplitude(J, phi)
+
+    monkeypatch.setattr(gap, "_amplitude", counted)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1100 + d)
+    for _ in range(25):
+        others = rng.uniform(0.5, 1.5, size=d)
+        delta = 10.0 ** rng.uniform(-12, -3)
+        J = np.concatenate([[(1 - delta) * others.sum()], others])
+        J = rng.permutation(J * rng.choice([-1.0, 1.0], size=d + 1))
+        calls.clear()
+        got = gap.min_gap_numeric(J)
+        # one evaluation at the starts, then one per iteration
+        assert len(calls) <= gap._NEWTON_MAX_ITER, (J, len(calls))
+        assert got <= 32 * eps * np.abs(J).sum(), J
+
+
 def test_min_gap_validation():
     with pytest.raises(ValueError):
         gap.min_gap_numeric([1.0, 1.0, 1.0], grid_n=1)
