@@ -6,10 +6,13 @@ operator checks moved onto Pauli strings (the d = 1 tori before the checks
 stopped building strings), `lattice` before the torus stored its edges as
 arrays.  Commands whose output depends on LAPACK or on the numpy version
 (`verify`, `bands`, `gap`) are left out: their last bits may differ between
-supported builds.  One `verify` is kept, recorded before the spin model was
-sized by its strings: on a one-cell torus the sweep's deviation is 0.0, and
-at d = 16 it pins that the operator suite stays skipped (null) where H's
-matrix is over the entry budget.
+supported builds, and `verify`'s `max_deviation` also between BLAS thread
+counts on one build (`verify --d 2 --N 12 --draws 20` prints sha256
+61c2e78f9a43... with one OpenBLAS thread and 9bd40b6386e6... with two), so
+its bytes hold only at a fixed thread count.  One `verify` is kept,
+recorded before the spin model was sized by its strings: on a one-cell torus
+the sweep's deviation is 0.0, and at d = 16 it pins that the operator suite
+stays skipped (null) where H's matrix is over the entry budget.
 """
 
 import hashlib

@@ -144,7 +144,7 @@ def report():
     return json.loads(proc.stdout)
 
 
-def _workers(argv):
+def _expected_workers(argv):
     draws = int(argv[argv.index("--draws") + 1])
     return min(3, draws)
 
@@ -153,7 +153,7 @@ def _workers(argv):
 def test_pooled_sweep_prints_the_serial_bytes(report, index):
     case = report["cases"][index]
     pooled, serial = case["pooled"], case["serial"]
-    assert pooled["forks"] == max(0, _workers(case["argv"]) - 1)
+    assert pooled["forks"] == max(0, _expected_workers(case["argv"]) - 1)
     assert serial["forks"] == 0
     assert (pooled["code"], pooled["out"]) == (serial["code"], serial["out"])
     doc = json.loads(pooled["out"])
