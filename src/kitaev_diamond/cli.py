@@ -120,20 +120,29 @@ def cmd_verify(args) -> int:
 
 
 def _verify_payload(args, torus) -> dict:
-    """The Bloch sweep over args.draws couplings, then the operator suite."""
+    """verify's report, built here alone: the maximum and failure records of
+    the sweep's deviations over args.draws couplings, then the operator suite."""
     swept = torus
     if args.corrupt_sign:
         # reversing one bond flips the sign of its term in the hopping form
         frm, to = torus.frm.copy(), torus.to.copy()
         frm[0], to[0] = to[0], frm[0]
         swept = dataclasses.replace(torus, frm=frm, to=to)
-    max_dev, failures = _sweep(swept, args.seed, args.draws)
-    first_J = next(_couplings(args.seed, args.d, 0, args.draws), None)
+    deviations = _sweep(swept, args.seed, args.draws)
+    # one pass over the coupling stream that keeps draw 0 and the failed
+    # draws alone: a list of every draw would hold draws * (d+1) floats
+    first_J, failures = None, []
+    for k, (J, dev) in enumerate(zip(_couplings(args.seed, args.d, 0, args.draws), deviations)):
+        if k == 0:
+            first_J = J
+        if not dev < BLOCH_TOL:
+            failures.append({"draw": k, "d": args.d, "N": args.N, "seed": args.seed,
+                             "J": list(J), "deviation": dev})
     operator_suite = None
     # the sweep's torus where its spin model fits the entry budget, else its
     # one cell where that fits, else no suite
     fits = spinham.hamiltonian_fits
-    algebra_torus = torus if args.N == 1 or fits(torus) else build_torus(args.d, 1)
+    algebra_torus = torus if fits(torus) else build_torus(args.d, 1)
     if first_J is not None and fits(algebra_torus):
         system = spinham.build_spin_hamiltonian(algebra_torus, first_J)
         operator_suite = verify_ops_payload(system)
@@ -148,7 +157,7 @@ def _verify_payload(args, torus) -> dict:
         "draws": args.draws,
         "seed": args.seed,
         "bloch_tolerance": BLOCH_TOL,
-        "max_deviation": max_dev,
+        "max_deviation": max([0.0, *deviations]),
         "operator_suite": operator_suite,
         "failures": failures,
         "pass": not failures,
@@ -168,19 +177,10 @@ def _couplings(seed: int, d: int, start: int, stop: int):
         yield rng.uniform(-2.0, 2.0, size=d + 1)
 
 
-def _sweep_share(torus, seed: int, start: int, stop: int) -> tuple[float, list]:
-    """Max deviation and failure records of draws start..stop-1 on torus."""
-    failures = []
-    max_dev = 0.0
-    for k, J in enumerate(_couplings(seed, torus.d, start, stop), start):
-        dev = spectrum.verify_bloch_equivalence(torus, J)
-        max_dev = max(max_dev, dev)
-        if not dev < BLOCH_TOL:
-            failures.append(
-                {"draw": k, "d": torus.d, "N": torus.N, "seed": seed,
-                 "J": list(J), "deviation": dev}
-            )
-    return max_dev, failures
+def _deviations(torus, seed: int, start: int, stop: int) -> list[float]:
+    """Bloch deviations of draws start..stop-1 on torus."""
+    couplings = _couplings(seed, torus.d, start, stop)
+    return [spectrum.verify_bloch_equivalence(torus, J) for J in couplings]
 
 
 def _workers(draws: int, order: int) -> int:
@@ -201,17 +201,17 @@ def _workers(draws: int, order: int) -> int:
 
 
 def _send_share(conn, torus, seed: int, start: int, stop: int) -> None:
-    """A forked worker's body: send `_sweep_share`'s result through conn, or
+    """A forked worker's body: send `_deviations`' result through conn, or
     the exception it raised, for the calling process to raise."""
     try:
-        share = _sweep_share(torus, seed, start, stop)
+        share = _deviations(torus, seed, start, stop)
     except Exception as exc:
         share = exc
     conn.send(share)
 
 
-def _sweep(torus, seed: int, draws: int) -> tuple[float, list]:
-    """Max deviation and failure records, in draw order, of draws 0..draws-1.
+def _sweep(torus, seed: int, draws: int) -> list[float]:
+    """Bloch deviations, in draw order, of draws 0..draws-1 on torus.
 
     The draws split into one contiguous share per `_workers` process: this
     process sweeps the first share, and workers forked from it the rest.
@@ -222,13 +222,13 @@ def _sweep(torus, seed: int, draws: int) -> tuple[float, list]:
     """
     workers = _workers(draws, 2 * torus.n_cells)
     if workers < 2:
-        return _sweep_share(torus, seed, 0, draws)
+        return _deviations(torus, seed, 0, draws)
     # imported here: at module level it costs every command start-up time
     import multiprocessing
 
     if multiprocessing.current_process().daemon:
         # a daemonic process, a pool's worker say, may start no process
-        return _sweep_share(torus, seed, 0, draws)
+        return _deviations(torus, seed, 0, draws)
     context = multiprocessing.get_context("fork")
     bounds = [draws * w // workers for w in range(workers + 1)]
     sys.stdout.flush()
@@ -241,20 +241,16 @@ def _sweep(torus, seed: int, draws: int) -> tuple[float, list]:
             proc.start()
             send.close()
             forked.append((proc, recv))
-        shares = [_sweep_share(torus, seed, 0, bounds[1])]
+        shares = [_deviations(torus, seed, 0, bounds[1])]
         shares += [recv.recv() for _, recv in forked]
     finally:
         for proc, recv in forked:
             recv.close()
             proc.join()
-    max_dev = 0.0
-    failures = []
     for share in shares:
         if isinstance(share, Exception):
             raise share
-        max_dev = max(max_dev, share[0])
-        failures += share[1]
-    return max_dev, failures
+    return [dev for share in shares for dev in share]
 
 
 def verify_ops_payload(system) -> dict:
@@ -272,8 +268,7 @@ def cmd_verify_algebra(args) -> int:
     if args.J is not None:
         J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     else:
-        rng = np.random.default_rng(check_size(args.seed, 0, "--seed"))
-        J = rng.uniform(-2.0, 2.0, size=args.d + 1)
+        J = next(_couplings(check_size(args.seed, 0, "--seed"), args.d, 0, 1))
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})

@@ -41,7 +41,7 @@ _ROW_FILL_MIN = 768
 # Damped Newton polish: iteration cap, step size that counts as converged,
 # and the initial and smallest damping (J is scaled to order one first).
 _NEWTON_MAX_ITER = 100
-_NEWTON_XTOL = 1e-9
+_NEWTON_XTOL = 1e-12
 _NEWTON_MU0 = 1e-3
 _NEWTON_MU_MIN = 1e-12
 

@@ -65,22 +65,22 @@ class SpinSystem:
                             f"spin model on torus d={self.torus.d}, N={self.torus.N}")
 
 
-def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
-    """site_strings[label - 1] on both endpoints of every edge, in edge order.
+def _on_sites(s: PauliString, sites, n_sites: int) -> PauliString:
+    """Site string s on each of the distinct tensor factors sites of n_sites,
+    as one string: its masks copied to every factor's slot and its phase
+    counted once per site (a Z on one factor never meets an X on another)."""
+    slots = 0
+    for v in sites:
+        slots |= 1 << (n_sites - 1 - v) * s.n
+    return PauliString(n_sites * s.n, s.x * slots, s.z * slots, s.phase * len(sites) % 4)
 
-    The endpoints are distinct tensor factors, so each product is built as
-    one string: each mask copied to both factors' slots and the phase taken
-    twice (a Z on one factor never meets an X on the other).
-    """
+
+def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
+    """site_strings[label - 1] on both endpoints of every edge, in edge order."""
     n = 2 * torus.n_cells
-    width = site_strings[0].n
-    strings = []
     # Python ints: the masks pass 64 bits, so no numpy int may shift them
-    for frm, to, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()):
-        s = site_strings[label - 1]
-        slots = 1 << (n - 1 - frm) * width | 1 << (n - 1 - to) * width
-        strings.append(PauliString(n * width, s.x * slots, s.z * slots, 2 * s.phase % 4))
-    return tuple(strings)
+    edges = zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist())
+    return tuple(_on_sites(site_strings[label - 1], (frm, to), n) for frm, to, label in edges)
 
 
 def _qubits(torus: DiamondTorus) -> int:
@@ -118,10 +118,7 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
                  f"spin model on torus d={torus.d}, N={torus.N}")
     n_sites = 2 * torus.n_cells
     terms = _edge_strings(spin_ops(torus.d), torus)
-    D = d_operator(torus.d)
-    # D on every tensor factor, one string: its masks repeated at each shift
-    slots = sum(1 << v * D.n for v in range(n_sites))
-    parity = PauliString(D.n * n_sites, D.x * slots, D.z * slots, D.phase * n_sites % 4)
+    parity = _on_sites(d_operator(torus.d), range(n_sites), n_sites)
     return SpinSystem(torus=torus, couplings=J, link_ops=link_operators(torus),
                       parity=parity, term_strings=terms)
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import kitaev_diamond
-from kitaev_diamond import cli
+from kitaev_diamond import cli, spectrum
 from kitaev_diamond.lattice import build_torus
 from kitaev_diamond.spectrum import bz_grid, f_of_q
+from test_spectrum import reversed_edge_0
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,34 @@ def test_verify_corrupt_sign_trips(capsys, d, N):
     assert doc["pass"] is False
     assert doc["max_deviation"] > 1e-8
     assert len(doc["failures"]) == 3
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_verify_failure_records_recompute(capsys, N):
+    """Each failure record under --corrupt-sign holds its draw's index,
+    couplings and deviation on the reversed torus; max_deviation is the
+    largest deviation."""
+    d, draws, seed = 2, 4, 5
+    code, out, _ = run_cli(capsys, "verify", "--d", str(d), "--N", str(N), "--draws",
+                           str(draws), "--seed", str(seed), "--corrupt-sign")
+    assert code == 1
+    doc = json.loads(out)
+    swept = reversed_edge_0(build_torus(d, N))
+    want = [{"draw": k, "d": d, "N": N, "seed": seed, "J": J.tolist(),
+             "deviation": spectrum.verify_bloch_equivalence(swept, J)}
+            for k, J in enumerate(cli._couplings(seed, d, 0, draws))]
+    assert doc["failures"] == want
+    assert doc["max_deviation"] == max(f["deviation"] for f in want)
+
+
+@pytest.mark.parametrize("seed, d", [(0, 2), (7, 3), (2**40, 5)])
+def test_verify_algebra_draws_verify_draw_0(capsys, seed, d):
+    """verify-algebra's default couplings are draw 0 of verify's stream."""
+    _, out, _ = run_cli(capsys, "verify-algebra", "--d", str(d), "--seed", str(seed))
+    _, swept, _ = run_cli(capsys, "verify", "--d", str(d), "--N", "1", "--draws", "1",
+                          "--seed", str(seed), "--corrupt-sign")
+    J = next(cli._couplings(seed, d, 0, 1)).tolist()
+    assert json.loads(out)["J"] == json.loads(swept)["failures"][0]["J"] == J
 
 
 def test_verify_deterministic_for_seed(capsys):

@@ -513,17 +513,27 @@ def test_polish_stops_once_every_step_is_below_its_tolerance(monkeypatch):
     # evaluation, where the damping alone would run up to the iteration cap
     assert gap._newton_polish(np.ones(3), np.zeros((1, 2))).tolist() == [3.0]
     assert len(calls) == 1
-    # a gapless draw of the oracle workload (d = 2, seed 7) whose best row
-    # stalls just above the rounding floor: the step test ends the polish
-    # before the floor test does, and without it the polish runs on
-    J = np.array([-1.6324884164413986, 1.0346646435316669, 1.2170047390692735])
+    # a gapped d = 5 draw: the step test ends the polish at the closed form,
+    # and without it the polish runs on to its iteration cap
+    J = np.array([6.8944587503759855, 1.3684459281569263, 1.8100072647617997,
+                  -0.7897724715878665, -1.1885059238944704, -1.7377269224820955])
+    total = np.abs(J).sum()
+    closed = 2 * (2 * np.abs(J).max() - total)
     calls.clear()
-    assert gap.min_gap_numeric(J) < 1e-12
+    assert abs(gap.min_gap_numeric(J) - closed) <= 16 * np.finfo(float).eps * total
     stopped = len(calls)
     monkeypatch.setattr(gap, "_NEWTON_XTOL", 0.0)
     calls.clear()
-    assert gap.min_gap_numeric(J) < 1e-12
+    assert abs(gap.min_gap_numeric(J) - closed) <= 16 * np.finfo(float).eps * total
     assert len(calls) > stopped
+
+
+def test_polish_does_not_stop_one_step_short_of_the_rounding_floor():
+    # a gapless d = 3 draw whose polish converges quadratically: a step-size
+    # stop at 1e-9 ended it one step early, at 2,443 eps * sum|J|
+    J = np.array([1.3340353882004383, -0.8110449730097783, 3.39632871353675,
+                  1.252287748741895])
+    assert gap.min_gap_numeric(J) <= 4 * np.finfo(float).eps * np.abs(J).sum()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
