@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification contract fails, 2 for usage
-errors.  All output is deterministic for a fixed (command line, seed) pair.
+errors, an output that cannot be opened or written among them.  All output
+is deterministic for a fixed (command line, seed) pair.
 
 Every command writes through `_emit_lines`, which makes the first block
 before it opens the output, so a refused request leaves no partial output
@@ -38,26 +39,57 @@ def _parse_floats(text: str, what: str) -> np.ndarray:
 
 @contextlib.contextmanager
 def _opened(out: str | None):
-    """Stdout, or the file out opened for writing; one that cannot be opened
-    is a usage error."""
+    """A function that writes a line to stdout, or to the file out opened for
+    writing, and flushes it, so a forked worker inherits no unwritten text.
+    An output that cannot be opened, written or closed is a usage error."""
+    with _writing(out):
+        fh = open(out, "w") if out else sys.stdout
+
+    def write(line: str) -> None:
+        with _writing(out):
+            fh.write(line)
+            fh.write("\n")
+            fh.flush()
+
     try:
-        target = open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+        yield write
+    finally:
+        if out:
+            with _writing(out):
+                fh.close()
+
+
+@contextlib.contextmanager
+def _writing(out: str | None):
+    """Turn an OSError into the usage error "cannot write out".
+
+    A stdout that failed, a closed pipe say, is pointed at os.devnull, so
+    what is left in its buffer does not fail again when the interpreter
+    flushes it at exit.
+    """
+    try:
+        yield
     except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror}")
-    with target as fh:
-        yield fh
+        if not out:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ValueError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
 
 
 def _emit_lines(chunks, out: str | None) -> None:
-    """Make the first chunk, open the output, then write each chunk and a
-    newline."""
+    """Make the first chunk, open the output, then write each chunk as a
+    line.  A generator of chunks is closed on every exit."""
     chunks = iter(chunks)
-    chunk = next(chunks, None)
-    with _opened(out) as fh:
-        while chunk is not None:
-            fh.write(chunk)
-            fh.write("\n")
-            chunk = next(chunks, None)
+    try:
+        chunk = next(chunks, None)
+        with _opened(out) as write:
+            while chunk is not None:
+                write(chunk)
+                chunk = next(chunks, None)
+    finally:
+        if hasattr(chunks, "close"):
+            chunks.close()
 
 
 def _json(payload: dict) -> str:
@@ -87,7 +119,7 @@ def cmd_bands(args) -> int:
         # as the CSV's 17 significant digits
         _emit_lines([_json({"columns": cols, "rows": values})], args.out)
     else:
-        _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t), args.out)
+        _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t, mapper=_ordered), args.out)
     return 0
 
 
@@ -99,7 +131,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_gapmap(args) -> int:
-    _emit_lines(gap_mod.gapmap_csv_lines(args.d, args.resolution), args.out)
+    _emit_lines(gap_mod.gapmap_csv_lines(args.d, args.resolution, mapper=_ordered), args.out)
     return 0
 
 
@@ -113,9 +145,9 @@ def cmd_verify(args) -> int:
     check_size(args.seed, 0, "--seed")
     torus = build_torus(args.d, args.N)
     # the output opens before the sweep, so an unwritable one costs no sweep
-    with _opened(args.out) as fh:
+    with _opened(args.out) as write:
         payload = _verify_payload(args, torus)
-        fh.write(_json(payload) + "\n")
+        write(_json(payload))
     return 0 if payload["pass"] else 1
 
 
@@ -183,13 +215,14 @@ def _deviations(torus, seed: int, start: int, stop: int) -> list[float]:
     return [spectrum.verify_bloch_equivalence(torus, J) for J in couplings]
 
 
-def _workers(draws: int, order: int) -> int:
-    """Processes to sweep draws matrices of the given order on: the usable
-    CPUs, at most one per draw and one per order^2 entries of ENTRY_BUDGET;
-    1 in a process that runs more than one thread, or off Linux.
+def _workers(items: int, cap: int | None = None) -> int:
+    """Processes to run items on: the usable CPUs, at most one per item and
+    at most cap; 1 in a process that runs more than one thread or is
+    daemonic, or off Linux.
 
     A second thread rules out both forking this process and a multi-threaded
-    BLAS, which processes would oversubscribe.
+    BLAS, which processes would oversubscribe; a daemonic process, a pool's
+    worker say, may start no process.
     """
     try:
         if len(os.listdir("/proc/self/task")) > 1:
@@ -197,59 +230,83 @@ def _workers(draws: int, order: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except (OSError, AttributeError):
         return 1
-    return min(cpus, draws, lattice.ENTRY_BUDGET // order**2)
+    workers = min(cpus, items, items if cap is None else cap)
+    if workers < 2:
+        return 1
+    # imported here: at module level it costs every command start-up time
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else workers
 
 
-def _send_share(conn, torus, seed: int, start: int, stop: int) -> None:
-    """A forked worker's body: send `_deviations`' result through conn, or
-    the exception it raised, for the calling process to raise."""
+def _send_each(conn, fn, items) -> None:
+    """A forked worker's body: send fn(item) through conn for each item in
+    turn, or the exception one raised, for the calling process to raise."""
     try:
-        share = _deviations(torus, seed, start, stop)
+        for item in items:
+            conn.send(fn(item))
     except Exception as exc:
-        share = exc
-    conn.send(share)
+        conn.send(exc)
+
+
+def _ordered(fn, items, workers: int | None = None):
+    """fn(item) for each item of the sequence items, yielded in order.
+
+    Item k runs in process k % workers (default `_workers(len(items))`):
+    this one for 0, and for the rest one worker each, forked when the first
+    item is asked for.  Each worker sends its results one at a time through
+    its own pipe, so this process holds about one result per worker and
+    starts no thread; forked, because a spawned worker would import the
+    package again.  A worker's exception is raised here, at its item.
+    Every worker is terminated and joined on every exit: by then it has sent
+    every result, or the consumer stopped early or an item failed, and its
+    results are not wanted.
+    """
+    if workers is None:
+        workers = _workers(len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    sys.stdout.flush()
+    sys.stderr.flush()
+    forked = []
+    try:
+        for w in range(1, workers):
+            recv, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_each, args=(send, fn, items[w::workers]))
+            proc.start()
+            send.close()
+            forked.append((proc, recv))
+        for k, item in enumerate(items):
+            if k % workers == 0:
+                yield fn(item)
+                continue
+            result = forked[k % workers - 1][1].recv()
+            if isinstance(result, Exception):
+                raise result
+            yield result
+    finally:
+        for proc, recv in forked:
+            proc.terminate()
+            recv.close()
+            proc.join()
 
 
 def _sweep(torus, seed: int, draws: int) -> list[float]:
     """Bloch deviations, in draw order, of draws 0..draws-1 on torus.
 
-    The draws split into one contiguous share per `_workers` process: this
-    process sweeps the first share, and workers forked from it the rest.
-    Each eigvalsh is one LAPACK call that threads barely speed up, so the
-    shares run in processes; forked, because a spawned worker would import
-    the package again, and each with its own pipe, so this process starts
-    no thread.  Every worker is joined before this returns.
+    The draws split into one contiguous share per `_workers` process, at
+    most one per order^2 entries of ENTRY_BUDGET for the hopping form's
+    order, and `_ordered` sweeps them.  Each eigvalsh is one LAPACK call that
+    threads barely speed up, so the shares run in processes.
     """
-    workers = _workers(draws, 2 * torus.n_cells)
-    if workers < 2:
-        return _deviations(torus, seed, 0, draws)
-    # imported here: at module level it costs every command start-up time
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon:
-        # a daemonic process, a pool's worker say, may start no process
-        return _deviations(torus, seed, 0, draws)
-    context = multiprocessing.get_context("fork")
+    workers = _workers(draws, lattice.ENTRY_BUDGET // (2 * torus.n_cells) ** 2)
     bounds = [draws * w // workers for w in range(workers + 1)]
-    sys.stdout.flush()
-    sys.stderr.flush()
-    forked = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            recv, send = context.Pipe(duplex=False)
-            proc = context.Process(target=_send_share, args=(send, torus, seed, start, stop))
-            proc.start()
-            send.close()
-            forked.append((proc, recv))
-        shares = [_deviations(torus, seed, 0, bounds[1])]
-        shares += [recv.recv() for _, recv in forked]
-    finally:
-        for proc, recv in forked:
-            recv.close()
-            proc.join()
-    for share in shares:
-        if isinstance(share, Exception):
-            raise share
+    shares = _ordered(lambda w: _deviations(torus, seed, bounds[w], bounds[w + 1]),
+                      range(workers), workers)
     return [dev for share in shares for dev in share]
 
 

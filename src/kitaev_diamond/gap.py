@@ -17,14 +17,13 @@ closed-form gate of the tests then rejects.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import MEMO_SIZE, check_budget, check_size, grid_count, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
-from .spectrum import _as_real
+from .spectrum import _as_real, _csv_block
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
@@ -391,20 +390,29 @@ def _compositions(d: int, resolution: int) -> np.ndarray:
     """All compositions of `resolution` into d+1 parts, one int row each, in
     lex order.
 
-    Stars and bars: the d bar positions among resolution + d slots, taken in
-    lex order, give the parts as the gaps between them, also in lex order.
-    The C(resolution + d, d) rows are checked against the budget first.
+    Built one part per step, in lex order: a prefix that leaves `rest` takes
+    each of the values 0..rest in turn as its next part, and each value is
+    repeated once per composition of what it leaves into the parts still to
+    come.  The C(resolution + d, d) rows are checked against the budget first.
     """
     d = check_size(d, 1, "dimension")
     resolution = check_size(resolution, 1, "resolution")
     n = simplex_count(d, resolution)
     check_budget(n * (d + 1), f"simplex grid d={d}, resolution={resolution}")
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(resolution + d), d)),
-        dtype=np.int64,
-        count=n * d,
-    ).reshape(n, d)
-    return np.diff(bars, axis=1, prepend=-1, append=resolution + d) - 1
+    ks = np.empty((n, d + 1), dtype=np.int64)
+    rest = np.array([resolution], dtype=np.int64)
+    for i in range(d):
+        counts = rest + 1
+        part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rest = np.repeat(rest, counts) - part
+        # C(rest + d-i-1, d-i-1), the compositions of rest into the d - i
+        # parts still to come
+        tails = np.ones_like(rest)
+        for k in range(1, d - i):
+            tails = tails * (rest + k) // k
+        ks[:, i] = np.repeat(part, tails)
+    ks[:, d] = rest
+    return ks
 
 
 def barycentric_grid(d: int, resolution: int) -> np.ndarray:
@@ -413,21 +421,31 @@ def barycentric_grid(d: int, resolution: int) -> np.ndarray:
     return _compositions(d, resolution) / resolution
 
 
-def gapmap_csv_lines(d: int, resolution: int):
+def gapmap_csv_lines(d: int, resolution: int, *, mapper=map):
     """CSV text classifying every barycentric grid point of the simplex.
 
     Yields the header, then each block of up to ROW_BLOCK rows, built from
-    the resolution + 1 coordinate strings, as one newline-joined string.  A
-    point is gapped when its float margin sum(x) - 2 max(x) is negative, the
-    test `gapped_region` makes, here on all points at once.
+    the resolution + 1 coordinate strings, as one newline-joined string.
+    The points are made, within the budget, before the header is yielded;
+    the blocks are `mapper(block, starts)` over their first rows, as in
+    `spectrum.band_csv_lines`.
     """
     ks = _compositions(d, resolution)
-    x = ks / resolution
-    gapped = x.sum(axis=1) - 2.0 * x.max(axis=1) < 0.0
     cells = np.array(csv_floats(np.arange(resolution + 1) / resolution), dtype=object)
     yield ",".join([f"x_{i}" for i in range(d + 1)] + ["gapped"])
-    for start in range(0, len(ks), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        cols = [cells[k].tolist() for k in ks[block].T]
-        cols.append(np.where(gapped[block], "1", "0").tolist())
-        yield "\n".join(map(",".join, zip(*cols)))
+    block = functools.partial(_gapmap_block, ks, resolution, cells)
+    yield from mapper(block, range(0, len(ks), ROW_BLOCK))
+
+
+def _gapmap_block(ks: np.ndarray, resolution: int, cells: np.ndarray, start: int) -> str:
+    """CSV text of rows start..start+ROW_BLOCK-1 of the simplex map: the
+    coordinate strings cells[k] of each row's parts k, then 1 where the point
+    x = k / resolution is gapped, else 0.  A point is gapped when its float
+    margin sum(x) - 2 max(x) is negative, the test `gapped_region` makes,
+    here on all rows of the block at once."""
+    ks = ks[start : start + ROW_BLOCK]
+    x = ks / resolution
+    gapped = x.sum(axis=1) - 2.0 * x.max(axis=1) < 0.0
+    cols = [cells[k].tolist() for k in ks.T]
+    cols.append(np.where(gapped, "1", "0").tolist())
+    return _csv_block(cols)

@@ -11,6 +11,7 @@ multiset agreement is the main correctness gate for both.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -229,26 +230,49 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
     return cols, np.concatenate(values, axis=1)
 
 
-def band_csv_lines(J, grid_n: int, hoppings=None):
+def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):
     """The band table over the full phase grid, as CSV text.
 
     Yields the header, then each block of up to ROW_BLOCK rows as one
     newline-joined string: one row per grid point, row-major, 17 significant
     digits, and with `hoppings` the tight-binding energies as extra columns.
-    Each axis's grid_n phases are formatted once and looked up per row, and
-    each energy is formatted once and its negative printed as "-" and that
-    string (the same text for every value >= 0, zero and inf included).
+    The table is computed before the header is yielded.  The blocks are
+    `mapper(block, starts)` over their first rows, in order: the builtin map
+    by default; the CLI passes one that formats them in forked processes.
     """
     cols, values = band_table(J, grid_n, hoppings)
     d = cols.index("xi_plus")
     # the last axis runs fastest, so the first grid_n rows hold its phases
     axis = np.array(csv_floats(values[:grid_n, d - 1]), dtype=object)
     yield ",".join(cols)
-    for start in range(0, len(values), ROW_BLOCK):
-        block = values[start : start + ROW_BLOCK]
-        rows = np.arange(start, start + len(block))
-        out = [axis[rows // w % grid_n].tolist() for w in place_values(grid_n, d)]
-        for j in range(d, len(cols), 2):
-            plus = csv_floats(block[:, j])
-            out += [plus, list(map("-".__add__, plus))]
-        yield "\n".join(map(",".join, zip(*out)))
+    block = functools.partial(_band_block, values, axis, d)
+    yield from mapper(block, range(0, len(values), ROW_BLOCK))
+
+
+def _band_block(values: np.ndarray, axis: np.ndarray, d: int, start: int) -> str:
+    """CSV text of rows start..start+ROW_BLOCK-1 of the band table values.
+
+    Each phase is looked up in axis, the formatted phases of one axis, and
+    each energy is formatted once and its negative printed as "-" and that
+    string (the same text for every value >= 0, zero and inf included).
+    """
+    block = values[start : start + ROW_BLOCK]
+    rows = np.arange(start, start + len(block))
+    cols = [axis[rows // w % axis.size].tolist() for w in place_values(axis.size, d)]
+    for j in range(d, values.shape[1], 2):
+        plus = csv_floats(block[:, j])
+        cols += [plus, list(map("-".__add__, plus))]
+    return _csv_block(cols)
+
+
+def _csv_block(cols: list[list[str]]) -> str:
+    """The rows of the equal-length string columns cols as newline-joined
+    CSV lines: cells and separators go into one flat list by slice
+    assignment, then one join."""
+    m, n = len(cols), len(cols[0])
+    cells = [","] * (2 * m * n)
+    for j, col in enumerate(cols):
+        cells[2 * j :: 2 * m] = col
+    cells[2 * m - 1 :: 2 * m] = ["\n"] * n
+    cells.pop()
+    return "".join(cells)

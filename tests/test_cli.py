@@ -272,6 +272,50 @@ def test_console_entry_point():
     assert doc["has_zero"] is True
 
 
+def _child_env(**extra):
+    """The environment of a child that imports the package these tests
+    import, installed or not."""
+    src = str(Path(kitaev_diamond.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+BIG_BANDS = ["bands", "--d", "3", "--J", "1,1,1,1", "--grid", "64"]
+
+
+def test_a_reader_that_stops_early_is_a_usage_error():
+    """`bands ... | head -1`: exit code 2, one error line, no traceback.
+
+    With one BLAS thread the command forks workers for its blocks; each
+    holds the child's stderr, so its end of file shows that none outlived
+    the command.
+    """
+    proc = subprocess.Popen([sys.executable, "-m", "kitaev_diamond", *BIG_BANDS],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"))
+    assert proc.stdout.readline() == b"phi_1,phi_2,phi_3,xi_plus,xi_minus\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [BIG_BANDS, ["gapmap", "--d", "2", "--resolution", "4"]])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_full_device_is_a_usage_error(argv, to_file):
+    """A write that fails, at once or when the output is flushed, ends
+    with exit code 2 and one error line."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kitaev_diamond", *argv, *(["--out", "/dev/full"] * to_file)],
+            stdout=subprocess.DEVNULL if to_file else full, stderr=subprocess.PIPE,
+            env=_child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"), timeout=60)
+    name = "/dev/full" if to_file else "stdout"
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {name}: No space left on device\n".encode()
+
+
 def test_import_graph_has_no_scipy():
     """The package runs on numpy alone: no scipy module is loaded or named."""
     pkg = Path(kitaev_diamond.__file__).resolve().parent

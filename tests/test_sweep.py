@@ -1,10 +1,11 @@
-"""The pooled `verify` sweep against the serial one.
+"""The forked runner `cli._ordered` against the serial map.
 
-`verify` forks workers only in a process that runs one thread, and the
-pytest process may run BLAS threads, so every pooled sweep here runs in a
-fresh interpreter with one BLAS thread.  It reports three usable CPUs, so
-the pool also runs, with uneven shares, on a machine with fewer; a fork
-hook counts the workers each sweep forked.
+`verify`'s sweep and the CSV blocks of `bands` and `gapmap` fork workers
+only in a process that runs one thread, and the pytest process may run BLAS
+threads, so every pooled command here runs in a fresh interpreter with one
+BLAS thread.  It reports three usable CPUs, so the pool also runs, with
+uneven shares, on a machine with fewer; a fork hook counts the workers each
+command forked.
 """
 
 import json
@@ -20,45 +21,58 @@ import kitaev_diamond
 from kitaev_diamond import cli
 
 CHILD = r"""
-import contextlib, io, json, os, sys, tempfile, threading
+import contextlib, hashlib, io, json, os, sys, tempfile, threading, time
 import multiprocessing
 from kitaev_diamond import cli, lattice
 
 forks = []
 os.register_at_fork(before=lambda: forks.append(1))
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-serial_workers = lambda draws, order: 1
+serial_workers = lambda items, cap=None: 1
 pooled_workers = cli._workers
 
 
-def run(argv):
-    forked = len(forks)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(argv)
-    out = buf.getvalue()
-    if "--out" in argv:
-        with open(argv[argv.index("--out") + 1]) as fh:
-            out = fh.read()
-    return {"code": code, "out": out, "forks": len(forks) - forked,
+def state(forked):
+    return {"forks": len(forks) - forked,
             "children": len(multiprocessing.active_children()),
             # every child process, zombies included
             "processes": len(open(f"/proc/self/task/{os.getpid()}/children").read().split()),
             "threads": len(os.listdir("/proc/self/task"))}
 
 
-def both(argv):
+def run(argv, stdout=None):
+    forked = len(forks)
+    buf = io.StringIO() if stdout is None else stdout
+    err = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out = buf.getvalue() if stdout is None else ""
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1]) as fh:
+            out = fh.read()
+    return {"code": code, "out": out, "err": err.getvalue(), **state(forked)}
+
+
+def both(argv, digest=False):
     pooled = run(argv)
     cli._workers = serial_workers
     try:
         serial = run(argv)
     finally:
         cli._workers = pooled_workers
+    if digest:
+        # a table's text is kept as its sha256, its size and its line count
+        for side in (pooled, serial):
+            text = side.pop("out")
+            side["out"] = [hashlib.sha256(text.encode()).hexdigest(), len(text),
+                           text.count("\n")]
     return {"argv": argv, "pooled": pooled, "serial": serial}
 
 
 tmp = tempfile.mkdtemp()
 report = {"cases": [both(argv) for argv in json.loads(sys.argv[1])]}
+report["tables"] = [both([a.replace("OUT", os.path.join(tmp, "t.csv")) for a in argv], True)
+                    for argv, _ in json.loads(sys.argv[2])]
 report["out"] = both(["verify", "--d", "2", "--N", "4", "--draws", "6",
                       "--corrupt-sign", "--out", os.path.join(tmp, "v.json")])
 
@@ -84,11 +98,53 @@ def compare_here(torus, J):
 
 
 cli.spectrum.verify_bloch_equivalence = compare_here
-err = io.StringIO()
-with contextlib.redirect_stderr(err):
-    report["raised"] = run(["verify", "--d", "2", "--N", "3", "--draws", "4"])
-report["raised"]["err"] = err.getvalue()
+report["raised"] = run(["verify", "--d", "2", "--N", "3", "--draws", "4"])
 cli.spectrum.verify_bloch_equivalence = compare
+
+# the same for a CSV block: the rows before the failed block are written
+band_block = cli.spectrum._band_block
+
+
+def band_block_here(values, axis, d, start):
+    if os.getpid() != parent:
+        raise ValueError("raised in a worker")
+    return band_block(values, axis, d, start)
+
+
+cli.spectrum._band_block = band_block_here
+report["raised_block"] = run(["bands", "--d", "2", "--J", "1,1,1", "--grid", "200"])
+cli.spectrum._band_block = band_block
+report["raised_block"]["lines"] = report["raised_block"].pop("out").count("\n")
+
+# a consumer that stops early: the worker still on its item is terminated,
+# and every worker is joined
+def slow(k):
+    if k == 5:
+        time.sleep(60)
+    return k
+
+
+forked, started = len(forks), time.monotonic()
+items = cli._ordered(slow, range(10), 3)
+got = [next(items) for _ in range(3)]
+items.close()
+report["closed"] = {"got": got, "seconds": time.monotonic() - started, **state(forked)}
+
+# a stdout whose reader goes once the header is written, as the first
+# worker is forked: exit code 2 with one line, and every worker joined
+read_end, write_end = os.pipe()
+
+
+def close_reader():
+    global read_end
+    if read_end is not None:
+        os.close(read_end)
+        read_end = None
+
+
+os.register_at_fork(before=close_reader)
+with os.fdopen(write_end, "w") as closing:
+    report["broken_pipe"] = run(["bands", "--d", "2", "--J", "1,1,1", "--grid", "200"], closing)
 
 # a daemonic process may start no process: its sweep stays serial
 def in_daemon(conn):
@@ -132,14 +188,26 @@ CASES = [
 ]
 
 
+# CSV tables and their blocks of ROW_BLOCK rows; OUT stands for a file in a
+# temporary directory
+TABLES = [
+    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--grid", "100"], 1),
+    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--t", "1.1,0.4,-0.9", "--grid", "200"], 3),
+    (["bands", "--d", "3", "--J", "1,1,1,1", "--grid", "64", "--out", "OUT"], 16),
+    (["gapmap", "--d", "2", "--resolution", "40"], 1),
+    (["gapmap", "--d", "2", "--resolution", "300"], 3),
+    (["gapmap", "--d", "4", "--resolution", "48", "--out", "OUT"], 17),
+]
+
+
 @pytest.fixture(scope="module")
 def report():
     src = str(Path(kitaev_diamond.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(CASES)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(CASES), json.dumps(TABLES)],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -171,8 +239,20 @@ def test_pooled_sweep_writes_the_serial_bytes_to_out(report):
     assert pooled["out"] == serial["out"]
 
 
+@pytest.mark.parametrize("index", range(len(TABLES)))
+def test_pooled_tables_print_the_serial_bytes(report, index):
+    case, blocks = report["tables"][index], TABLES[index][1]
+    pooled, serial = case["pooled"], case["serial"]
+    # one process per block, at most one per CPU
+    assert pooled["forks"] == min(3, blocks) - 1 and serial["forks"] == 0
+    assert (pooled["code"], pooled["err"]) == (serial["code"], serial["err"]) == (0, "")
+    assert pooled["out"] == serial["out"]
+    # the header and one line per row
+    assert -(-(pooled["out"][2] - 1) // cli.spectrum.ROW_BLOCK) == blocks
+
+
 def test_no_worker_outlives_the_sweep(report):
-    for case in report["cases"]:
+    for case in report["cases"] + report["tables"]:
         assert case["pooled"]["children"] == case["pooled"]["processes"] == 0
         assert case["pooled"]["threads"] == 1
 
@@ -182,6 +262,30 @@ def test_an_error_in_a_worker_is_raised_by_the_caller(report):
     assert raised["forks"] == 2 and raised["code"] == 2 and raised["out"] == ""
     assert raised["err"] == "error: raised in a worker\n"
     assert raised["children"] == raised["processes"] == 0 and raised["threads"] == 1
+
+
+def test_an_error_in_a_block_worker_is_raised_at_its_block(report):
+    raised = report["raised_block"]
+    assert raised["forks"] == 2 and raised["code"] == 2
+    assert raised["err"] == "error: raised in a worker\n"
+    # the header and block 0, formatted by the calling process, were written
+    assert raised["lines"] == 1 + cli.spectrum.ROW_BLOCK
+    assert raised["children"] == raised["processes"] == 0 and raised["threads"] == 1
+
+
+def test_a_consumer_that_stops_early_joins_every_worker(report):
+    closed = report["closed"]
+    assert closed["got"] == [0, 1, 2] and closed["forks"] == 2
+    # the worker asleep on item 5 was terminated, not waited for
+    assert closed["seconds"] < 30
+    assert closed["children"] == closed["processes"] == 0 and closed["threads"] == 1
+
+
+def test_a_closed_stdout_is_a_usage_error(report):
+    broken = report["broken_pipe"]
+    assert broken["forks"] == 2 and broken["code"] == 2
+    assert broken["err"] == "error: cannot write stdout: Broken pipe\n"
+    assert broken["children"] == broken["processes"] == 0 and broken["threads"] == 1
 
 
 def test_a_second_thread_keeps_the_sweep_serial(report):
