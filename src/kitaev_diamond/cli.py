@@ -160,22 +160,22 @@ def _verify_payload(args, torus) -> dict:
         frm, to = torus.frm.copy(), torus.to.copy()
         frm[0], to[0] = to[0], frm[0]
         swept = dataclasses.replace(torus, frm=frm, to=to)
-    deviations = _sweep(swept, args.seed, args.draws)
-    # one pass over the coupling stream that keeps draw 0 and the failed
-    # draws alone: a list of every draw would hold draws * (d+1) floats
-    first_J, failures = None, []
-    for k, (J, dev) in enumerate(zip(_couplings(args.seed, args.d, 0, args.draws), deviations)):
-        if k == 0:
-            first_J = J
-        if not dev < BLOCH_TOL:
-            failures.append({"draw": k, "d": args.d, "N": args.N, "seed": args.seed,
-                             "J": list(J), "deviation": dev})
+    # each eigvalsh is one LAPACK call that threads barely speed up, so the
+    # draws run in processes, at most one per order^2 entries of ENTRY_BUDGET
+    # for the hopping form's order
+    deviations = list(_ordered(
+        lambda k: spectrum.verify_bloch_equivalence(swept, _draw(args.seed, args.d, k)),
+        range(args.draws), lattice.ENTRY_BUDGET // (2 * torus.n_cells) ** 2))
+    failures = [{"draw": k, "d": args.d, "N": args.N, "seed": args.seed,
+                 "J": list(_draw(args.seed, args.d, k)), "deviation": dev}
+                for k, dev in enumerate(deviations) if not dev < BLOCH_TOL]
     operator_suite = None
     # the sweep's torus where its spin model fits the entry budget, else its
     # one cell where that fits, else no suite
     fits = spinham.hamiltonian_fits
     algebra_torus = torus if fits(torus) else build_torus(args.d, 1)
-    if first_J is not None and fits(algebra_torus):
+    if args.draws and fits(algebra_torus):
+        first_J = _draw(args.seed, args.d, 0)
         system = spinham.build_spin_hamiltonian(algebra_torus, first_J)
         operator_suite = verify_ops_payload(system)
         if not operator_suite["pass"]:
@@ -196,23 +196,13 @@ def _verify_payload(args, torus) -> dict:
     }
 
 
-def _couplings(seed: int, d: int, start: int, stop: int):
-    """Draws start..stop-1 of the sweep's coupling stream.
-
-    Draw k is the k-th d+1 uniforms on [-2, 2) of default_rng(seed); each
-    uniform takes one 64-bit output, so advancing the generator by
-    start*(d+1) outputs gives the serial draws bit for bit.
-    """
+def _draw(seed: int, d: int, k: int) -> np.ndarray:
+    """Draw k of the sweep's couplings: the k-th d+1 uniforms on [-2, 2) of
+    default_rng(seed).  Each uniform takes one 64-bit output, so advancing
+    the generator by k*(d+1) outputs gives the serial draw bit for bit."""
     rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * (d + 1))
-    for _ in range(start, stop):
-        yield rng.uniform(-2.0, 2.0, size=d + 1)
-
-
-def _deviations(torus, seed: int, start: int, stop: int) -> list[float]:
-    """Bloch deviations of draws start..stop-1 on torus."""
-    couplings = _couplings(seed, torus.d, start, stop)
-    return [spectrum.verify_bloch_equivalence(torus, J) for J in couplings]
+    rng.bit_generator.advance(k * (d + 1))
+    return rng.uniform(-2.0, 2.0, size=d + 1)
 
 
 def _workers(items: int, cap: int | None = None) -> int:
@@ -249,21 +239,20 @@ def _send_each(conn, fn, items) -> None:
         conn.send(exc)
 
 
-def _ordered(fn, items, workers: int | None = None):
+def _ordered(fn, items, cap: int | None = None):
     """fn(item) for each item of the sequence items, yielded in order.
 
-    Item k runs in process k % workers (default `_workers(len(items))`):
-    this one for 0, and for the rest one worker each, forked when the first
-    item is asked for.  Each worker sends its results one at a time through
-    its own pipe, so this process holds about one result per worker and
-    starts no thread; forked, because a spawned worker would import the
-    package again.  A worker's exception is raised here, at its item.
-    Every worker is terminated and joined on every exit: by then it has sent
-    every result, or the consumer stopped early or an item failed, and its
-    results are not wanted.
+    Item k runs in process k % workers, for `_workers(len(items), cap)`
+    workers: this one for 0, and for the rest one worker each, forked when
+    the first item is asked for.  Each worker sends its results one at a
+    time through its own pipe, so this process holds about one result per
+    worker and starts no thread; forked, because a spawned worker would
+    import the package again.  A worker's exception is raised here, at its
+    item.  Every worker is terminated and joined on every exit: by then it
+    has sent every result, or the consumer stopped early or an item failed,
+    and its results are not wanted.
     """
-    if workers is None:
-        workers = _workers(len(items))
+    workers = _workers(len(items), cap)
     if workers < 2:
         yield from map(fn, items)
         return
@@ -295,21 +284,6 @@ def _ordered(fn, items, workers: int | None = None):
             proc.join()
 
 
-def _sweep(torus, seed: int, draws: int) -> list[float]:
-    """Bloch deviations, in draw order, of draws 0..draws-1 on torus.
-
-    The draws split into one contiguous share per `_workers` process, at
-    most one per order^2 entries of ENTRY_BUDGET for the hopping form's
-    order, and `_ordered` sweeps them.  Each eigvalsh is one LAPACK call that
-    threads barely speed up, so the shares run in processes.
-    """
-    workers = _workers(draws, lattice.ENTRY_BUDGET // (2 * torus.n_cells) ** 2)
-    bounds = [draws * w // workers for w in range(workers + 1)]
-    shares = _ordered(lambda w: _deviations(torus, seed, bounds[w], bounds[w + 1]),
-                      range(workers), workers)
-    return [dev for share in shares for dev in share]
-
-
 def verify_ops_payload(system) -> dict:
     report = spinham.verify_operator_identities(system)
     ok = (
@@ -321,11 +295,12 @@ def verify_ops_payload(system) -> dict:
 
 
 def cmd_verify_algebra(args) -> int:
+    check_size(args.seed, 0, "--seed")
     torus = build_torus(args.d, args.N)
     if args.J is not None:
         J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     else:
-        J = next(_couplings(check_size(args.seed, 0, "--seed"), args.d, 0, 1))
+        J = _draw(args.seed, args.d, 0)
     system = spinham.build_spin_hamiltonian(torus, J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})

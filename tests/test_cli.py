@@ -171,11 +171,31 @@ def test_verify_failure_records_recompute(capsys, N):
     assert code == 1
     doc = json.loads(out)
     swept = reversed_edge_0(build_torus(d, N))
+    couplings = [cli._draw(seed, d, k) for k in range(draws)]
     want = [{"draw": k, "d": d, "N": N, "seed": seed, "J": J.tolist(),
              "deviation": spectrum.verify_bloch_equivalence(swept, J)}
-            for k, J in enumerate(cli._couplings(seed, d, 0, draws))]
+            for k, J in enumerate(couplings)]
     assert doc["failures"] == want
     assert doc["max_deviation"] == max(f["deviation"] for f in want)
+
+
+def test_verify_records_failed_draws_between_passing_ones(monkeypatch, capsys):
+    """A draw fails here where its first coupling is positive: the records
+    are those draws alone, in draw order, each with its own couplings."""
+    d, N, draws, seed = 3, 2, 12, 4
+    monkeypatch.setattr(cli.spectrum, "verify_bloch_equivalence",
+                        lambda torus, J: 1.0 if J[0] > 0 else 0.0)
+    code, out, _ = run_cli(capsys, "verify", "--d", str(d), "--N", str(N), "--draws",
+                           str(draws), "--seed", str(seed))
+    doc = json.loads(out)
+    failed = [k for k in range(draws) if cli._draw(seed, d, k)[0] > 0]
+    # the seed gives failed draws between passing ones
+    assert 0 < len(failed) < draws and failed != list(range(failed[0], failed[-1] + 1))
+    want = [{"draw": k, "d": d, "N": N, "seed": seed, "J": cli._draw(seed, d, k).tolist(),
+             "deviation": 1.0} for k in failed]
+    assert code == 1 and doc["pass"] is False
+    assert doc["failures"] == want
+    assert doc["max_deviation"] == 1.0
 
 
 @pytest.mark.parametrize("seed, d", [(0, 2), (7, 3), (2**40, 5)])
@@ -184,7 +204,7 @@ def test_verify_algebra_draws_verify_draw_0(capsys, seed, d):
     _, out, _ = run_cli(capsys, "verify-algebra", "--d", str(d), "--seed", str(seed))
     _, swept, _ = run_cli(capsys, "verify", "--d", str(d), "--N", "1", "--draws", "1",
                           "--seed", str(seed), "--corrupt-sign")
-    J = next(cli._couplings(seed, d, 0, 1)).tolist()
+    J = cli._draw(seed, d, 0).tolist()
     assert json.loads(out)["J"] == json.loads(swept)["failures"][0]["J"] == J
 
 
@@ -413,6 +433,8 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv, code):
     ["gap", "--d", "4", "--J", "1.79e308,1e308,1e308,1e308,1e308"],
     ["gapmap", "--d", "4", "--resolution", "400"],
     ["verify", "--d", "2", "--N", "2", "--draws", "-3"],
+    # the seed is checked whether or not couplings are given
+    ["verify-algebra", "--d", "2", "--seed", "-1", "--J", "1,1,1"],
 ])
 def test_a_refused_request_leaves_no_out_file(tmp_path, capsys, argv):
     target = tmp_path / "out"

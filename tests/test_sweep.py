@@ -1,11 +1,11 @@
 """The forked runner `cli._ordered` against the serial map.
 
-`verify`'s sweep and the CSV blocks of `bands` and `gapmap` fork workers
+`verify`'s draws and the CSV blocks of `bands` and `gapmap` fork workers
 only in a process that runs one thread, and the pytest process may run BLAS
 threads, so every pooled command here runs in a fresh interpreter with one
-BLAS thread.  It reports three usable CPUs, so the pool also runs, with
-uneven shares, on a machine with fewer; a fork hook counts the workers each
-command forked.
+BLAS thread.  It reports three usable CPUs, so the pool also runs three
+processes, over item counts that three does not divide, on a machine with
+fewer; a fork hook counts the workers each command forked.
 """
 
 import json
@@ -99,6 +99,10 @@ def compare_here(torus, J):
 
 cli.spectrum.verify_bloch_equivalence = compare_here
 report["raised"] = run(["verify", "--d", "2", "--N", "3", "--draws", "4"])
+# failed draws between passing ones: a draw fails where its first coupling
+# is positive
+cli.spectrum.verify_bloch_equivalence = lambda torus, J: 1.0 if J[0] > 0 else 0.0
+report["scattered"] = both(["verify", "--d", "3", "--N", "2", "--draws", "12", "--seed", "4"])
 cli.spectrum.verify_bloch_equivalence = compare
 
 # the same for a CSV block: the rows before the failed block are written
@@ -175,8 +179,8 @@ lattice.ENTRY_BUDGET = budget
 print(json.dumps(report))
 """
 
-# (d, N, draws, seed): three shares of 20, 10 and 7 draws, two shares of 2
-# draws, and one draw, which stays serial
+# (d, N, draws, seed): 20, 10 and 7 draws over three processes, 2 draws over
+# two, and one draw, which stays serial
 CASES = [
     ["verify", "--d", "2", "--N", "12", "--draws", "20"],
     ["verify", "--d", "2", "--N", "3", "--draws", "10", "--seed", "7"],
@@ -288,6 +292,16 @@ def test_a_closed_stdout_is_a_usage_error(report):
     assert broken["children"] == broken["processes"] == 0 and broken["threads"] == 1
 
 
+def test_failed_draws_between_passing_ones_give_the_serial_bytes(report):
+    pooled, serial = report["scattered"]["pooled"], report["scattered"]["serial"]
+    assert pooled["forks"] == 2 and serial["forks"] == 0
+    assert (pooled["code"], pooled["out"]) == (serial["code"], serial["out"])
+    failed = [f["draw"] for f in json.loads(pooled["out"])["failures"]]
+    assert pooled["code"] == 1
+    assert failed == [k for k in range(12) if cli._draw(4, 3, k)[0] > 0]
+    assert failed != list(range(failed[0], failed[-1] + 1))
+
+
 def test_a_second_thread_keeps_the_sweep_serial(report):
     threaded = report["threaded"]
     assert threaded["forks"] == 0
@@ -307,10 +321,9 @@ def test_the_sweep_pools_only_matrices_that_fit_the_budget_twice(report):
 
 @pytest.mark.parametrize("seed, d", [(0, 1), (0, 2), (7, 3), (2**40, 16), (3, 1000)])
 def test_each_share_draws_the_serial_couplings(seed, d):
+    """Draw k is the k-th serial draw bit for bit, so every process draws
+    the serial couplings for its share of the draws."""
     rng = np.random.default_rng(seed)
-    serial = [rng.uniform(-2.0, 2.0, size=d + 1) for _ in range(11)]
-    for start, stop in [(0, 11), (0, 3), (3, 7), (7, 11), (10, 11), (11, 11)]:
-        share = list(cli._couplings(seed, d, start, stop))
-        assert len(share) == stop - start
-        for got, want in zip(share, serial[start:stop]):
-            assert got.tobytes() == want.tobytes()
+    for k in range(11):
+        want = rng.uniform(-2.0, 2.0, size=d + 1)
+        assert cli._draw(seed, d, k).tobytes() == want.tobytes()
