@@ -92,19 +92,19 @@ class PauliString:
 
 
 def _mask_matrix(strings: Sequence[PauliString], coefficients, what: str) -> MaskMatrix:
-    """sum_k coefficients[k] strings[k] over real coefficients and strings of
-    one width n, refused as `what` before any allocation when its 2^n rows
-    times len(strings) pass ENTRY_BUDGET.  A string reaches column r ^ x in
-    every row r, so one running sum per distinct x mask adds the strings in
-    order from +0.0: it never holds -0.0 (x + y is -0.0 only for x = y =
-    -0.0), and as every addend is finite it never meets inf - inf, so an
-    entry past the float range is +-inf, never NaN."""
+    """sum_k coefficients[k] strings[k] over real coefficients, one per string, and strings
+    of one width n, refused as `what` before any allocation when its 2^n rows times
+    len(strings) pass ENTRY_BUDGET; other counts raise ValueError, never dropping a term.
+    A string reaches column r ^ x in every row r, so one running sum per distinct x mask
+    adds the strings in order from +0.0: it never holds -0.0 (x + y is -0.0 only for
+    x = y = -0.0), and as every addend is finite it never meets inf - inf, so an entry
+    past the float range is +-inf, never NaN."""
     n = strings[0].n
     check_budget(grid_count(2, n) * len(strings), what)
     slot = {x: k for k, x in enumerate(dict.fromkeys(s.x for s in strings))}
     values = np.zeros((1 << n, len(slot)), dtype=complex)  # row, x mask -> running sum
     with np.errstate(over="ignore"):
-        for s, c in zip(strings, coefficients):
+        for s, c in zip(strings, coefficients, strict=True):
             # popcount(r & z) mod 2 for every row r, one qubit (bit) at a time
             odd = np.zeros(1, dtype=bool)
             for q in range(n):

@@ -32,6 +32,9 @@ _DEGENERATE_RTOL = 32.0 * np.finfo(float).eps
 # The numeric oracle refuses a scan whose tail, the grid_n^(d-2) points one
 # row of the scan adds to each leading phase, exceeds this.
 _SCAN_CAP = 50_000_000
+# It also refuses a scan that visits more than this, grid_n^(d-1) points: the tail cap
+# alone admits scans of months, and 2^31 points take about 10 s on one core at d = 3..5.
+_SCAN_WORK = 1 << 31
 # Most grid points per vectorised slice of the oracle's scan.
 _SCAN_CHUNK = 1 << 15
 # Shortest scan row filled by its own add: below it the call per row (about a
@@ -343,13 +346,13 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     undercut the true minimum, and a wrong bound could only stop the polish
     early, at a value the closed-form gate rejects; it is inf only where
     that value exceeds the float range.
-    The scan's tail, grid_n^(d-2) points (counted as at least grid_n), is
-    refused above _SCAN_CAP before anything is allocated.
+    Refused before anything is allocated: a scan tail of grid_n^(d-2) points (counted
+    as at least grid_n) above _SCAN_CAP, or a scan of grid_n^(d-1) points above _SCAN_WORK.
     """
     J = as_couplings(J)
     grid_n = check_size(grid_n, 2, "grid_n")
     d = J.size - 1
-    if grid_count(grid_n, max(d - 2, 1)) > _SCAN_CAP:
+    if grid_count(grid_n, max(d - 2, 1)) > _SCAN_CAP or grid_count(grid_n, d - 1) > _SCAN_WORK:
         raise ValueError(
             f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
         )

@@ -43,8 +43,8 @@ class SpinSystem:
 
     link_ops[k] is the involution attached to edge k of the torus (the
     entries k of its frm, to and label arrays); parity is the site-wise
-    tensor power of the single-site parity operator.  term_strings[k] is the
-    spin product on edge k, so that H = -sum_k J_{label[k]} term_strings[k].
+    tensor power of the single-site parity operator.  term_strings[k] is the spin
+    product on edge k, couplings[k] its coupling, so H = -sum_k couplings[k] term_strings[k].
     """
 
     torus: DiamondTorus
@@ -60,8 +60,7 @@ class SpinSystem:
     @property
     def hamiltonian(self):
         """H as a `clifford.MaskMatrix`, expanded on each access within ENTRY_BUDGET."""
-        J = self.couplings[self.torus.label - 1]
-        return _mask_matrix(self.term_strings, -J,
+        return _mask_matrix(self.term_strings, -self.couplings,
                             f"spin model on torus d={self.torus.d}, N={self.torus.N}")
 
 
@@ -111,6 +110,7 @@ def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
+    J holds the d + 1 label couplings, stored once per edge as J[torus.label - 1].
     Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET.
     """
     J = as_couplings(J, d=torus.d)
@@ -119,7 +119,7 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     n_sites = 2 * torus.n_cells
     terms = _edge_strings(spin_ops(torus.d), torus)
     parity = _on_sites(d_operator(torus.d), range(n_sites), n_sites)
-    return SpinSystem(torus=torus, couplings=J, link_ops=link_operators(torus),
+    return SpinSystem(torus=torus, couplings=J[torus.label - 1], link_ops=link_operators(torus),
                       parity=parity, term_strings=terms)
 
 
@@ -181,8 +181,7 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     report never holds inf or NaN.
     """
     dim = system.total_dim
-    terms = system.term_strings
-    J = system.couplings[system.torus.label - 1]
+    terms, J = system.term_strings, system.couplings
     links, P = system.link_ops, system.parity
     residuals = {
         "commutator_parity": _commutator_norm(terms, J, P, dim),

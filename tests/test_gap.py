@@ -306,6 +306,13 @@ def test_min_gap_refuses_oversized_scan(monkeypatch):
     assert gap.min_gap_numeric(np.ones(3), grid_n=1000) < 1e-12
     with pytest.raises(ValueError, match="too large"):
         gap.min_gap_numeric(np.ones(3), grid_n=1001)
+    # _SCAN_WORK bounds the points the scan visits, grid_n^(d-1), and is
+    # checked before the scan starts
+    monkeypatch.setattr(gap, "_SCAN_WORK", 31**2)
+    assert gap.min_gap_numeric(np.ones(4), grid_n=31) < 1e-12
+    monkeypatch.setattr(gap, "_grid_start", lambda *args: pytest.fail("the scan started"))
+    with pytest.raises(ValueError, match="too large"):
+        gap.min_gap_numeric(np.ones(4), grid_n=32)
 
 
 def _grid_start_per_slice(J, grid_n):

@@ -58,6 +58,14 @@ GOLDEN = {
         "aa6b2ee3378f373ab5e39442add1bb2281e81d19eac89d8ebfdb178f0c17e6c2",
     ("verify-algebra", "--d", "1", "--N", "8"):
         "69dea8a273383cdc7ccafd0e951873ef8351065dcf706a3417e37d9d917cc4a1",
+    ("verify-algebra", "--d", "3", "--N", "2"):
+        "5ae9ecec0a46e24f6f219cd19d7641b9ee420f598ab15be450701c4348e15404",
+    ("verify-algebra", "--d", "2", "--N", "3"):
+        "6aa55ba62cfc96d96534893fe91ef4e2ceb279ad04928d0c27449b8da99075ae",
+    ("verify-algebra", "--d", "4", "--N", "2"):
+        "4685f09d86c271e35b2e61faa61398c62a959092c5ab1b885345b620dbe9c9d0",
+    ("verify-algebra", "--d", "1", "--N", "20"):
+        "be97b7d051e025ba51266b4dcd956fd50ba495350ff02533d71663ad45edf19e",
     ("verify", "--d", "16", "--N", "1", "--draws", "2"):
         "f1ab7c416e7ff78b2a1705238280a5318f3d3150a12db5b6757adaf428604b43",
     ("gapmap", "--d", "2", "--resolution", "40"):

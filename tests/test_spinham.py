@@ -428,7 +428,7 @@ def test_residuals_at_dimensions_past_the_float_range(log2_dim):
     dim = 2**log2_dim
     torus = build_torus(2, 1)
     sys_ = spinham.build_spin_hamiltonian(torus, J2)
-    J = sys_.couplings[torus.label - 1].tolist()
+    J = sys_.couplings.tolist()
     u, P = sys_.link_ops[0], sys_.parity
     c1 = on_site(clifford.majorana_rep(4)[0], 0, 2)  # anticommutes with the parity
     top = np.finfo(float).max
@@ -694,3 +694,49 @@ def test_couplings_length_checked():
     t = build_torus(2, 1)
     with pytest.raises(ValueError):
         spinham.build_spin_hamiltonian(t, [1.0, 2.0])
+    # the expansion takes one coupling per term string: at N = 2 the d + 1
+    # label couplings are too few, and are refused, not expanded from the
+    # first d + 1 terms; so is one coupling too many
+    for d in (1, 2):
+        sys_ = spinham.build_spin_hamiltonian(build_torus(d, 2), np.ones(d + 1))
+        for couplings in (np.ones(d + 1), np.ones(len(sys_.term_strings) + 1)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(sys_, couplings=couplings).hamiltonian
+
+
+@pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
+def test_couplings_stored_one_per_term_string(d, N):
+    """The system holds J_l once per edge, beside that edge's term string."""
+    torus = build_torus(d, N)
+    J = np.linspace(-1.0, 1.3, d + 1)
+    sys_ = spinham.build_spin_hamiltonian(torus, J)
+    assert len(sys_.couplings) == len(sys_.term_strings) == torus.label.size
+    assert np.array_equal(sys_.couplings, J[torus.label - 1])
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 2)])
+def test_links_commute_with_per_edge_couplings(d, N):
+    """Bond disorder: a coupling of its own on every edge, negative ones and
+    an exact zero among them, keeps every identity exact."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
+    E = len(sys_.term_strings)
+    couplings = np.random.default_rng(10 * d + N).uniform(0.1, 2.0, E) * (-1.0) ** np.arange(E)
+    couplings[2] = 0.0
+    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, couplings=couplings))
+    assert rep["max_residual"] == 0.0
+    assert rep["links_exact_pm_one"] and rep["parity_diagonal_pm_one"]
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (1, 4)])
+def test_zero_coupling_deletes_the_edge(d, N):
+    """A zero coupling on edge e gives the bits of H without term e."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.linspace(-1.0, 1.3, d + 1))
+    for e in range(len(sys_.term_strings)):
+        zeroed = sys_.couplings.copy()
+        zeroed[e] = 0.0
+        got = dataclasses.replace(sys_, couplings=zeroed).hamiltonian.toarray()
+        without = dataclasses.replace(
+            sys_, couplings=np.delete(sys_.couplings, e),
+            term_strings=sys_.term_strings[:e] + sys_.term_strings[e + 1:])
+        want = without.hamiltonian.toarray()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), e
