@@ -71,11 +71,12 @@ def range_exponent(top: float, n: int) -> int:
     return int(np.frexp(top)[1]) if 2.0 * n * top > FLOAT_MAX else 0
 
 
-def _bloch_sum(c: np.ndarray, phi: np.ndarray, prefactor: float | None = None):
-    """prefactor * (c_0 + sum_i c_{i+1} e^{i phi_i}) over the last axis of phi.
+def _bloch_sum(c: np.ndarray, z: np.ndarray, prefactor: float | None = None):
+    """prefactor * (c_0 + sum_i c_{i+1} z_i) over the last axis of the phase
+    factors z = e^{i phi}, the one amplitude of both band models.
 
-    c and phi are already checked: phi by `as_phases`, or built in [0, 2pi)
-    by `bz_grid`, where `as_phases` would return it unchanged.
+    c is already checked, and z is exp(1j * phi) of phases checked by
+    `as_phases`, or `_grid_factors` over the grid.
     c is scaled by the power of two of `range_exponent` over its largest
     component, and the result scaled back component by component: a sum
     that overflows then gives infinite components instead of inf - inf =
@@ -86,7 +87,7 @@ def _bloch_sum(c: np.ndarray, phi: np.ndarray, prefactor: float | None = None):
     e = range_exponent(top, c.size)
     if e:
         c = c * 2.0**-e
-    val = c[0] + np.exp(1j * phi) @ c[1:]
+    val = c[0] + z @ c[1:]
     if prefactor is not None:
         val = prefactor * val
     if e:
@@ -105,7 +106,7 @@ def f_of_q(J, phi) -> complex | np.ndarray:
     maximum give infinite components, never NaN.
     """
     J = as_couplings(J)
-    return _bloch_sum(J, as_phases(phi, d=J.size - 1), 2.0)
+    return _bloch_sum(J, np.exp(1j * as_phases(phi, d=J.size - 1)), 2.0)
 
 
 class DispersionResult(NamedTuple):
@@ -118,7 +119,7 @@ def dispersion(J, phi) -> DispersionResult:
     """Two-band energies xi = +-|f(phi)|."""
     J = as_couplings(J)
     phi = as_phases(phi, d=J.size - 1)
-    xi = np.abs(_bloch_sum(J, phi, 2.0))
+    xi = np.abs(_bloch_sum(J, np.exp(1j * phi), 2.0))
     return DispersionResult(phi=phi, xi_plus=xi, xi_minus=-xi)
 
 
@@ -130,26 +131,35 @@ def bloch_hamiltonian(J, phi) -> np.ndarray:
     return np.array([[0.0, 1j * f], [-1j * np.conj(f), 0.0]])
 
 
-def bz_grid(d: int, N: int) -> np.ndarray:
-    """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d).
-
-    The digits m_i come from `place_values`, at any d.  A grid of more than
-    ENTRY_BUDGET phases is refused before it is built.
-    """
+def _grid_digits(d: int, N: int) -> np.ndarray:
+    """The digits m_i of the N^d grid points, from `place_values` at any d, as
+    a C-ordered (d, N^d) array; more than ENTRY_BUDGET phases are refused."""
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "grid size")
     check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
     w = np.array(place_values(N, d))
-    # the transpose of a C-ordered (d, N^d) array, as np.indices gives it:
-    # exp(1j*phi) @ c rounds differently on a C-ordered (N^d, d) array
-    digits = (np.arange(N**d) // w[:, None] % N).T
-    return TWO_PI * digits / N
+    return np.arange(N**d) // w[:, None] % N
+
+
+def bz_grid(d: int, N: int) -> np.ndarray:
+    """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d).
+
+    The layout is the transpose of `_grid_digits`, as np.indices gives it:
+    exp(1j*phi) @ c rounds differently on a C-ordered (N^d, d) array."""
+    return TWO_PI * _grid_digits(d, N).T / N
+
+
+def _grid_factors(d: int, N: int) -> np.ndarray:
+    """np.exp(1j * bz_grid(d, N)) bit for bit, F-ordered as it and within its
+    budget, gathered from the N factors of one axis: exp runs N times, not d N^d."""
+    digits = _grid_digits(d, N)
+    return np.exp(1j * (TWO_PI * np.arange(N) / N))[digits].T
 
 
 def bloch_multiset(J, N: int) -> np.ndarray:
     """Sorted multiset of the 2*N^d dispersion values +-|f| over the grid."""
     J = as_couplings(J)
-    absf = np.abs(_bloch_sum(J, bz_grid(J.size - 1, N), 2.0))
+    absf = np.abs(_bloch_sum(J, _grid_factors(J.size - 1, N), 2.0))
     return np.sort(np.concatenate([-absf, absf]))
 
 
@@ -205,27 +215,33 @@ def csv_floats(values: np.ndarray) -> list[str]:
     return list(map("{:.17g}".format, values.tolist()))
 
 
-def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
-    """Column names and values of the band table over the grid_n^d phase grid.
-
-    Rows are the grid points, row-major as `bz_grid`; columns are the d
-    phases, xi_plus = |f| and xi_minus = -|f|, then with hoppings E_plus =
-    |r| and E_minus = -|r|.  Every input, the hoppings' length included, is
-    validated and the grid checked against the budget before anything is
-    computed.
-    """
+def _band_columns(J, hoppings) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
+    """Checked couplings and hoppings, the hoppings' length included, and the
+    band table's columns: the d phases, xi_plus = |f| and xi_minus = -|f|,
+    then with hoppings E_plus = |r| and E_minus = -|r|."""
     J = as_couplings(J)
     d = J.size - 1
     cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
     if hoppings is not None:
-        from .tightbinding import as_hoppings, tb_energy
+        from .tightbinding import as_hoppings
 
         hoppings = as_hoppings(hoppings, d=d)
         cols += ["E_plus", "E_minus"]
-    phi = bz_grid(d, grid_n)
-    xi = np.abs(_bloch_sum(J, phi, 2.0))
+    return J, hoppings, cols
+
+
+def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
+    """Column names and values of the band table over the grid_n^d phase grid.
+
+    Rows are the grid points, row-major as `bz_grid`.  Every input is checked
+    by `_band_columns` and the grid against the budget before any work."""
+    J, hoppings, cols = _band_columns(J, hoppings)
+    phi = bz_grid(J.size - 1, grid_n)
+    xi = np.abs(_bloch_sum(J, np.exp(1j * phi), 2.0))
     values = [phi, xi[:, None], -xi[:, None]]
     if hoppings is not None:
+        from .tightbinding import tb_energy
+
         values += [e[:, None] for e in tb_energy(hoppings, phi)]
     return cols, np.concatenate(values, axis=1)
 
@@ -234,33 +250,37 @@ def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):
     """The band table over the full phase grid, as CSV text.
 
     Yields the header, then each block of up to ROW_BLOCK rows as one
-    newline-joined string: one row per grid point, row-major, 17 significant
-    digits, and with `hoppings` the tight-binding energies as extra columns.
-    The table is computed before the header is yielded.  The blocks are
-    `mapper(block, starts)` over their first rows, in order: the builtin map
-    by default; the CLI passes one that formats them in forked processes.
+    newline-joined string: the rows of `band_table`, 17 significant digits.
+    Before the header |f|, and |r| with `hoppings`, is computed over the
+    whole grid from `_grid_factors`, in `band_table`'s bits, which a product
+    per block would not keep: the BLAS groups a short block's rows otherwise.
+    The blocks, formatted from those columns and one axis's phase strings,
+    are `mapper(block, starts)` over their first rows, in order: the builtin
+    map by default; the CLI passes one that formats them in forked processes.
     """
-    cols, values = band_table(J, grid_n, hoppings)
-    d = cols.index("xi_plus")
-    # the last axis runs fastest, so the first grid_n rows hold its phases
-    axis = np.array(csv_floats(values[:grid_n, d - 1]), dtype=object)
+    J, hoppings, cols = _band_columns(J, hoppings)
+    d = J.size - 1
+    z = _grid_factors(d, grid_n)
+    energies = [np.abs(_bloch_sum(J, z, 2.0))]
+    if hoppings is not None:
+        energies.append(np.abs(_bloch_sum(hoppings, z)))
+    del z
+    axis = np.array(csv_floats(TWO_PI * np.arange(grid_n) / grid_n), dtype=object)
     yield ",".join(cols)
-    block = functools.partial(_band_block, values, axis, d)
-    yield from mapper(block, range(0, len(values), ROW_BLOCK))
+    block = functools.partial(_band_block, energies, axis, d)
+    yield from mapper(block, range(0, energies[0].size, ROW_BLOCK))
 
 
-def _band_block(values: np.ndarray, axis: np.ndarray, d: int, start: int) -> str:
-    """CSV text of rows start..start+ROW_BLOCK-1 of the band table values.
+def _band_block(energies: list[np.ndarray], axis: np.ndarray, d: int, start: int) -> str:
+    """CSV text of rows start..start+ROW_BLOCK-1 of the band table.
 
     Each phase is looked up in axis, the formatted phases of one axis, and
-    each energy is formatted once and its negative printed as "-" and that
-    string (the same text for every value >= 0, zero and inf included).
-    """
-    block = values[start : start + ROW_BLOCK]
-    rows = np.arange(start, start + len(block))
+    each energy, |f| and maybe |r|, is formatted once and its negative printed
+    as "-" and that string (the same text for every value >= 0, zero and inf)."""
+    rows = np.arange(start, min(start + ROW_BLOCK, energies[0].size))
     cols = [axis[rows // w % axis.size].tolist() for w in place_values(axis.size, d)]
-    for j in range(d, values.shape[1], 2):
-        plus = csv_floats(block[:, j])
+    for e in energies:
+        plus = csv_floats(e[start : start + ROW_BLOCK])
         cols += [plus, list(map("-".__add__, plus))]
     return _csv_block(cols)
 

@@ -178,10 +178,13 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     Everything is read off the strings' masks and phases.  A commutator
     that does not vanish is that of the exact sum, which the expanded H
     rounds.  Values beyond the float range saturate at its maximum, so the
-    report never holds inf or NaN.
+    report never holds inf or NaN.  A system without one coupling per term
+    string is refused, as its H is.
     """
     dim = system.total_dim
     terms, J = system.term_strings, system.couplings
+    if len(J) != len(terms):
+        raise ValueError(f"expected {len(terms)} couplings, one per term string, got {len(J)}")
     links, P = system.link_ops, system.parity
     residuals = {
         "commutator_parity": _commutator_norm(terms, J, P, dim),

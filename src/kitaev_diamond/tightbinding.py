@@ -27,7 +27,7 @@ def r_of_q(t, phi) -> complex | np.ndarray:
     Hoppings near the float maximum give infinite components, never NaN.
     """
     t = as_hoppings(t)
-    return _bloch_sum(t, as_phases(phi, d=t.size - 1))
+    return _bloch_sum(t, np.exp(1j * as_phases(phi, d=t.size - 1)))
 
 
 def tb_energy(t, phi) -> tuple:

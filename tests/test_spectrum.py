@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kitaev_diamond import spectrum
+from kitaev_diamond import lattice, spectrum
 from kitaev_diamond.lattice import build_torus
+from kitaev_diamond.tightbinding import as_hoppings
 
 EQUAL_J2 = np.array([1.0, 1.0, 1.0])
 
@@ -221,3 +222,77 @@ def test_phase_wrap_never_returns_two_pi():
     assert np.all((0.0 <= phi) & (phi < spectrum.TWO_PI))
     assert phi[0] == 0.0
     assert np.array_equal(spectrum.as_phases(phi), phi)
+
+
+def _bloch_sum_old(c, phi, prefactor=None):
+    """The amplitude as it was computed from phases, exp taken on every one."""
+    top = float(np.maximum(np.abs(c.real), np.abs(c.imag)).max())
+    e = spectrum.range_exponent(top, c.size)
+    if e:
+        c = c * 2.0**-e
+    val = c[0] + np.exp(1j * phi) @ c[1:]
+    if prefactor is not None:
+        val = prefactor * val
+    if e:
+        val, scaled = np.empty(np.shape(val), complex), val
+        with np.errstate(over="ignore"):
+            val.real = np.ldexp(np.real(scaled), e)
+            val.imag = np.ldexp(np.imag(scaled), e)
+    return val
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+GRID_FACTOR_CASES = [(1, 1), (1, 5000), (2, 1), (2, 300), (3, 7), (3, 64), (4, 23), (4, 32),
+                     (5, 1), (5, 9)]
+
+
+@pytest.mark.parametrize("d,N", GRID_FACTOR_CASES)
+def test_grid_factors_are_the_exponentials_of_the_grid(d, N):
+    """Gathered from one axis, the factors have the bits and the F layout of
+    exp over the whole grid, and so does the Bloch sum over them; (4, 32)
+    is the budget edge, 32^4 * 4 phases."""
+    want = np.exp(1j * spectrum.bz_grid(d, N))
+    got = spectrum._grid_factors(d, N)
+    assert got.shape == want.shape == (N**d, d)
+    assert got.flags.f_contiguous and want.flags.f_contiguous
+    assert np.array_equal(bits(got), bits(want))
+    c = np.random.default_rng(d * 1000 + N).uniform(-2.0, 2.0, d + 1) * (1 + 0.5j)
+    assert np.array_equal(bits(got @ c[1:]), bits(want @ c[1:]))
+
+
+@pytest.mark.parametrize("d,N", [(1, 9), (2, 5), (3, 4), (4, 3), (5, 2), (5, 1)])
+def test_grid_factors_keep_the_grid_budget(monkeypatch, d, N):
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", N**d * d)
+    assert spectrum._grid_factors(d, N).shape == (N**d, d)
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", N**d * d - 1)
+    for build in (spectrum.bz_grid, spectrum._grid_factors):
+        with pytest.raises(ValueError, match=rf"^phase grid {N}\^{d} is over the budget"):
+            build(d, N)
+
+
+def csv_energies(lines, column):
+    return np.array([float(row.split(",")[column]) for row in lines[1:]])
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000, 1e308])
+@pytest.mark.parametrize("d,N", [(1, 40), (2, 13), (3, 6), (4, 4)])
+def test_grid_energies_have_the_bits_of_the_phase_route(d, N, scale):
+    """|f| and |r| over the grid factors, in the CSV and the multiset, are
+    those of exp taken on every phase of `bz_grid`; at 1e308 some rows of
+    |f| overflow to inf."""
+    rng = np.random.default_rng(d * 100 + N)
+    J = rng.uniform(-1.7, 1.7, d + 1) * scale
+    t = rng.uniform(-1.7, 1.7, d + 1) * scale * np.exp(1j * rng.uniform(0.0, 6.0, d + 1))
+    phi = spectrum.bz_grid(d, N)
+    xi = np.abs(_bloch_sum_old(J, phi, 2.0))
+    r = np.abs(_bloch_sum_old(as_hoppings(t), spectrum.as_phases(phi)))
+    lines = "\n".join(spectrum.band_csv_lines(J, N, hoppings=t)).split("\n")
+    assert np.array_equal(bits(csv_energies(lines, d)), bits(xi))
+    assert np.array_equal(bits(csv_energies(lines, d + 2)), bits(r))
+    want = np.sort(np.concatenate([-xi, xi]))
+    assert np.array_equal(bits(spectrum.bloch_multiset(J, N)), bits(want))
+    if scale == 1e308:
+        assert np.isposinf(xi).any()

@@ -704,6 +704,24 @@ def test_couplings_length_checked():
                 dataclasses.replace(sys_, couplings=couplings).hamiltonian
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (1, 4)])
+def test_identity_checks_refuse_a_coupling_count_other_than_the_term_count(d, N):
+    """The identity checks take one coupling per term string, as H does: the
+    d + 1 label couplings and one coupling too many are refused, not read as
+    a model whose couplings are never indexed."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
+    E = len(sys_.term_strings)
+    for couplings in (np.ones(d + 1), np.ones(E + 1)):
+        system = dataclasses.replace(sys_, couplings=couplings)
+        with pytest.raises(ValueError, match=f"expected {E} couplings"):
+            spinham.verify_operator_identities(system)
+        with pytest.raises(ValueError):
+            system.hamiltonian
+    rep = spinham.verify_operator_identities(dataclasses.replace(sys_, couplings=np.ones(E)))
+    assert rep["max_residual"] == 0.0
+    assert rep["links_exact_pm_one"] and rep["parity_diagonal_pm_one"]
+
+
 @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
 def test_couplings_stored_one_per_term_string(d, N):
     """The system holds J_l once per edge, beside that edge's term string."""

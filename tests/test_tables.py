@@ -8,6 +8,7 @@ budget and the `--t` check must refuse before anything is printed.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,3 +273,35 @@ def test_budget_admits_the_benchmark_commands():
     assert lattice.grid_count(2, 10**9) > lattice.ENTRY_BUDGET
     assert lattice.grid_count(1, 10**9) == 1
     assert lattice.simplex_count(10**9, 10**9) > lattice.ENTRY_BUDGET
+
+
+@pytest.mark.parametrize("d,grid,with_t", [(2, 1000, False), (2, 1000, True), (3, 100, False)])
+def test_band_csv_holds_only_its_energy_columns(d, grid, with_t):
+    """Once the header is out, the CSV route holds |f|, and |r| with --t, 8
+    bytes a row each, and one axis's phase strings: not the phases, their
+    exponentials or a table of every column."""
+    J = np.linspace(0.4, 1.1, d + 1)
+    t = J * (1 + 1j) if with_t else None
+    rows = grid**d
+    tracemalloc.start()
+    try:
+        lines = spectrum.band_csv_lines(J, grid, hoppings=t)
+        before = tracemalloc.get_traced_memory()[0]
+        assert next(lines).startswith("phi_1,")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    lines.close()
+    assert held <= 8 * rows * (2 if with_t else 1) + (1 << 20)
+
+
+def test_band_csv_route_builds_no_phase_grid(monkeypatch):
+    # bz_grid serves the JSON table; the CSV route needs only the grid factors
+    J, t = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
+    want = list(ref_band_csv_lines(J, 9, t))
+
+    def refused(d, N):
+        raise AssertionError("bz_grid called")
+
+    monkeypatch.setattr(spectrum, "bz_grid", refused)
+    assert "\n".join(spectrum.band_csv_lines(J, 9, hoppings=t)).split("\n") == want
