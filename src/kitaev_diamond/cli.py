@@ -131,7 +131,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_gapmap(args) -> int:
-    _emit_lines(gap_mod.gapmap_csv_lines(args.d, args.resolution, mapper=_ordered), args.out)
+    _emit_lines(gap_mod.gapmap_csv_lines(args.d, args.resolution), args.out)
     return 0
 
 

@@ -424,20 +424,19 @@ def barycentric_grid(d: int, resolution: int) -> np.ndarray:
     return _compositions(d, resolution) / resolution
 
 
-def gapmap_csv_lines(d: int, resolution: int, *, mapper=map):
+def gapmap_csv_lines(d: int, resolution: int):
     """CSV text classifying every barycentric grid point of the simplex.
 
     Yields the header, then each block of up to ROW_BLOCK rows, built from
     the resolution + 1 coordinate strings, as one newline-joined string.
-    The points are made, within the budget, before the header is yielded;
-    the blocks are `mapper(block, starts)` over their first rows, as in
-    `spectrum.band_csv_lines`.
+    The points are made, within the budget, before the header is yielded,
+    and each block, in this process, when it is asked for.
     """
     ks = _compositions(d, resolution)
     cells = np.array(csv_floats(np.arange(resolution + 1) / resolution), dtype=object)
     yield ",".join([f"x_{i}" for i in range(d + 1)] + ["gapped"])
-    block = functools.partial(_gapmap_block, ks, resolution, cells)
-    yield from mapper(block, range(0, len(ks), ROW_BLOCK))
+    for start in range(0, len(ks), ROW_BLOCK):
+        yield _gapmap_block(ks, resolution, cells, start)
 
 
 def _gapmap_block(ks: np.ndarray, resolution: int, cells: np.ndarray, start: int) -> str:
@@ -445,7 +444,7 @@ def _gapmap_block(ks: np.ndarray, resolution: int, cells: np.ndarray, start: int
     coordinate strings cells[k] of each row's parts k, then 1 where the point
     x = k / resolution is gapped, else 0.  A point is gapped when its float
     margin sum(x) - 2 max(x) is negative, the test `gapped_region` makes,
-    here on all rows of the block at once."""
+    here, in the calling process, on all rows of the block at once."""
     ks = ks[start : start + ROW_BLOCK]
     x = ks / resolution
     gapped = x.sum(axis=1) - 2.0 * x.max(axis=1) < 0.0

@@ -1,7 +1,7 @@
 """The forked runner `cli._ordered` against the serial map.
 
-`verify`'s draws and the CSV blocks of `bands` and `gapmap` fork workers
-only in a process that runs one thread, and the pytest process may run BLAS
+`verify`'s draws and the CSV blocks of `bands` fork workers only in a
+process that runs one thread, and the pytest process may run BLAS
 threads, so every pooled command here runs in a fresh interpreter with one
 BLAS thread.  It reports three usable CPUs, so the pool also runs three
 processes, over item counts that three does not divide, on a machine with
@@ -72,7 +72,7 @@ def both(argv, digest=False):
 tmp = tempfile.mkdtemp()
 report = {"cases": [both(argv) for argv in json.loads(sys.argv[1])]}
 report["tables"] = [both([a.replace("OUT", os.path.join(tmp, "t.csv")) for a in argv], True)
-                    for argv, _ in json.loads(sys.argv[2])]
+                    for argv, *_ in json.loads(sys.argv[2])]
 report["out"] = both(["verify", "--d", "2", "--N", "4", "--draws", "6",
                       "--corrupt-sign", "--out", os.path.join(tmp, "v.json")])
 
@@ -192,15 +192,16 @@ CASES = [
 ]
 
 
-# CSV tables and their blocks of ROW_BLOCK rows; OUT stands for a file in a
-# temporary directory
+# CSV tables, their blocks of ROW_BLOCK rows and the workers each forks:
+# bands one per block, at most one per CPU; gapmap formats its blocks in
+# process. OUT stands for a file in a temporary directory
 TABLES = [
-    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--grid", "100"], 1),
-    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--t", "1.1,0.4,-0.9", "--grid", "200"], 3),
-    (["bands", "--d", "3", "--J", "1,1,1,1", "--grid", "64", "--out", "OUT"], 16),
-    (["gapmap", "--d", "2", "--resolution", "40"], 1),
-    (["gapmap", "--d", "2", "--resolution", "300"], 3),
-    (["gapmap", "--d", "4", "--resolution", "48", "--out", "OUT"], 17),
+    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--grid", "100"], 1, 0),
+    (["bands", "--d", "2", "--J", "0.3,-1.2,0.7", "--t", "1.1,0.4,-0.9", "--grid", "200"], 3, 2),
+    (["bands", "--d", "3", "--J", "1,1,1,1", "--grid", "64", "--out", "OUT"], 16, 2),
+    (["gapmap", "--d", "2", "--resolution", "40"], 1, 0),
+    (["gapmap", "--d", "2", "--resolution", "300"], 3, 0),
+    (["gapmap", "--d", "4", "--resolution", "48", "--out", "OUT"], 17, 0),
 ]
 
 
@@ -245,10 +246,9 @@ def test_pooled_sweep_writes_the_serial_bytes_to_out(report):
 
 @pytest.mark.parametrize("index", range(len(TABLES)))
 def test_pooled_tables_print_the_serial_bytes(report, index):
-    case, blocks = report["tables"][index], TABLES[index][1]
+    case, (_, blocks, forks) = report["tables"][index], TABLES[index]
     pooled, serial = case["pooled"], case["serial"]
-    # one process per block, at most one per CPU
-    assert pooled["forks"] == min(3, blocks) - 1 and serial["forks"] == 0
+    assert pooled["forks"] == forks and serial["forks"] == 0
     assert (pooled["code"], pooled["err"]) == (serial["code"], serial["err"]) == (0, "")
     assert pooled["out"] == serial["out"]
     # the header and one line per row
