@@ -131,12 +131,18 @@ def bloch_hamiltonian(J, phi) -> np.ndarray:
     return np.array([[0.0, 1j * f], [-1j * np.conj(f), 0.0]])
 
 
-def _grid_digits(d: int, N: int) -> np.ndarray:
-    """The digits m_i of the N^d grid points, from `place_values` at any d, as
-    a C-ordered (d, N^d) array; more than ENTRY_BUDGET phases are refused."""
+def _grid_shape(d: int, N: int) -> tuple[int, int]:
+    """d and N checked; a grid of more than ENTRY_BUDGET phases, d N^d, is refused."""
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "grid size")
     check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
+    return d, N
+
+
+def _grid_digits(d: int, N: int) -> np.ndarray:
+    """The digits m_i of the N^d grid points, from `place_values` at any d, as
+    a C-ordered (d, N^d) array; more than ENTRY_BUDGET phases are refused."""
+    d, N = _grid_shape(d, N)
     w = np.array(place_values(N, d))
     return np.arange(N**d) // w[:, None] % N
 
@@ -151,9 +157,16 @@ def bz_grid(d: int, N: int) -> np.ndarray:
 
 def _grid_factors(d: int, N: int) -> np.ndarray:
     """np.exp(1j * bz_grid(d, N)) bit for bit, F-ordered as it and within its
-    budget, gathered from the N factors of one axis: exp runs N times, not d N^d."""
-    digits = _grid_digits(d, N)
-    return np.exp(1j * (TWO_PI * np.arange(N) / N))[digits].T
+    budget, copied from the N factors of one axis: exp runs N times, not d N^d.
+
+    Column i, viewed as (N^i, N, N^(d-1-i)) row-major, takes factor m_i
+    along its middle axis, so no digit array is made."""
+    d, N = _grid_shape(d, N)
+    w = np.exp(1j * (TWO_PI * np.arange(N) / N))
+    z = np.empty((N**d, d), dtype=complex, order="F")
+    for i in range(d):
+        z[:, i].reshape(N**i, N, N ** (d - 1 - i))[...] = w[:, None]
+    return z
 
 
 def bloch_multiset(J, N: int) -> np.ndarray:

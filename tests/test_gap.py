@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -408,6 +410,153 @@ def test_grid_start_scans_long_rows_in_pieces(monkeypatch, chunk):
             for J in (tied, *draws):
                 want = _grid_start_per_slice(J, grid_n)
                 assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
+
+
+def test_abs_of_a_complex_array_gives_each_element_the_same_bits_anywhere():
+    """The pruned scan's bit identity rests on np.abs giving an element the
+    same bits in an array of any length, at any offset or stride, and in a
+    gathered copy: the scan takes it in slices and gathered columns of
+    every size, and `_kept_columns` in single columns."""
+    rng = np.random.default_rng(34)
+    n = 3 * 2304 + 64
+    z = rng.uniform(-2.0, 2.0, n) * 2.0 ** rng.integers(-20, 2, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    z[::7] = z[::7].real
+    z[::11] = 1j * z[::11].imag
+    want = np.abs(z)
+    for size in (*range(1, 34), 2304):
+        for offset in range(4):
+            for stride in (1, 2, 3):
+                at = slice(offset, offset + size * stride, stride)
+                assert np.abs(z[at]).tobytes() == want[at].tobytes(), (size, offset, stride)
+        gather = rng.choice(n, size, replace=False)
+        assert np.abs(z[gather]).tobytes() == want[gather].tobytes(), size
+    # a 2-d view of a wider buffer, as the scan's slices are
+    grid = z[: 14 * 300].reshape(14, 300)[:5, 3:290]
+    assert np.abs(grid).tobytes() == np.abs(grid.copy()).tobytes()
+    assert np.abs(grid).ravel().tobytes() == want[: 14 * 300].reshape(14, 300)[:5, 3:290].tobytes()
+
+
+def _lead_and_tail(J, grid_n):
+    """The scan's rows lead = J_1 w and its tail, as `gap._grid_start` makes them."""
+    d = J.size - 1
+    w = np.exp(1j * (gap.TWO_PI / grid_n) * np.arange(grid_n))
+    tail = np.full((grid_n,) * (d - 2), complex(J[0]))
+    for i in range(2, d):
+        shape = [1] * (d - 2)
+        shape[i - 2] = grid_n
+        tail += J[i] * w.reshape(shape)
+    return J[1] * w, tail.ravel()
+
+
+def _scaled(J):
+    return np.ldexp(J, 1 - np.frexp(np.abs(J).max())[1])
+
+
+@pytest.mark.parametrize("grid_n", [12, 48])
+@pytest.mark.parametrize("d", [3, 4])
+def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_n):
+    """On the full deviation matrix, every dropped column's least deviation
+    is strictly above the minimum, so the column of the first minimum, and
+    of every tie of it, is kept."""
+    rng = np.random.default_rng(340 + 10 * d + grid_n)
+    dropped = 0
+    for kind in ("gapless", "gapped", "zeroed", "boundary"):
+        for _ in range(6):
+            J = _oracle_draw(rng, d, kind)
+            if not J.any():
+                continue
+            J = _scaled(J)
+            lead, tail = _lead_and_tail(J, grid_n)
+            dev = np.abs(np.abs(lead[:, None] + tail) - abs(J[d]))
+            kept = gap._kept_columns(J, lead, tail)
+            if kept is None:
+                continue
+            least = dev.min(axis=0)
+            assert kept[np.argmin(dev) % tail.size], (kind, J)
+            assert np.all(least[~kept] > dev.min()), (kind, J)
+            dropped += np.count_nonzero(~kept)
+    assert dropped > 0
+
+
+def test_kept_columns_on_a_wide_gap_keep_almost_nothing():
+    J = np.array([4.0, 0.5, 0.5, 0.5, 0.5])
+    kept = gap._kept_columns(J, *_lead_and_tail(J, 48))
+    assert kept.size == 48**2 and 1 <= np.count_nonzero(kept) <= 2
+
+
+@pytest.mark.parametrize("J,grid_n", [
+    # the tail's terms confine every |t_p| to [||J_1| - |J_d||, |J_1| + |J_d|]
+    (np.array([0.5, 1.0, 0.5, 0.5, 1.0]), 48),
+    # they do not, but on an odd grid every column's |t_p| lies there
+    (np.array([1.0, 1.0, -0.5, 0.5 + 2.0**-20, 1.0]), 47),
+    # one term: every |t_p| is the same
+    (np.array([1.5, 1.0, 0.0, 0.0, 0.25]), 48),
+])
+def test_grid_start_where_every_column_is_kept(J, grid_n):
+    lead, tail = _lead_and_tail(J, grid_n)
+    assert grid_n * tail.size > gap._SCAN_CHUNK
+    assert gap._kept_columns(J, lead, tail) is None
+    want = _grid_start_per_slice(J, grid_n)
+    assert gap._grid_start(J, grid_n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_pruned_scan_matches_the_per_slice_scan_at_grid_48(d):
+    """Gapped and boundary draws drop all but a few columns, gapless ones
+    some; magnitudes spread down to 2^-20 of the largest."""
+    rng = np.random.default_rng(3400 + d)
+    draws = [_oracle_draw(rng, d, kind) for kind in ("gapped", "boundary", "gapless")]
+    spread = rng.uniform(-2.0, 2.0, d + 1) * 2.0 ** -rng.integers(0, 21, d + 1)
+    for J in (*draws, spread, spread * 2.0**-20):
+        Js = _scaled(J)
+        lead, tail = _lead_and_tail(Js, 48)
+        kept = gap._kept_columns(Js, lead, tail)
+        assert kept is not None and not kept.all(), J
+        want = _grid_start_per_slice(Js, 48)
+        assert gap._grid_start(Js, 48).tobytes() == want.tobytes(), J
+        # and unscaled, as the tests above call the scan too
+        assert gap._grid_start(J, 48).tobytes() == _grid_start_per_slice(J, 48).tobytes(), J
+
+
+@pytest.mark.parametrize("chunk", [64, 1000])
+def test_pruned_scan_moves_kept_columns_across_pieces(monkeypatch, chunk):
+    """Tails longer than _SCAN_CHUNK are pruned and moved in pieces, and the
+    kept ones, longer or shorter than a piece, scanned in pieces again."""
+    monkeypatch.setattr(gap, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(3410 + chunk)
+    for d in (4, 5):
+        for grid_n in (9, 16):
+            for kind in ("gapless", "gapped", "zeroed", "boundary"):
+                J = _oracle_draw(rng, d, kind)
+                want = _grid_start_per_slice(J, grid_n)
+                assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
+
+
+@pytest.mark.parametrize("d,grid_n", [(5, 48), (6, 24)])
+def test_grid_start_holds_one_byte_per_tail_point_beyond_its_buffers(d, grid_n):
+    """The scan's traced peak is at most its tail of grid_n^(d-2) complex
+    points, the slice buffers of _SCAN_CHUNK points (one complex, one float
+    each), the column mask, one byte per tail point, the buffers numpy may
+    fill for an add (np.getbufsize() complex values for each of up to three
+    operands), and 16 KiB for the arrays of grid_n points and Python's own
+    objects: nothing else grows with the tail.  At d = 6, grid 24, a
+    float per tail point would exceed it."""
+    rng = np.random.default_rng(3420 + d)
+    size = grid_n ** (d - 2)
+    ufunc = 3 * 16 * np.getbufsize()
+    bound = 16 * size + 24 * gap._SCAN_CHUNK + size + ufunc + (16 << 10)
+    if d == 6:
+        # the tail, a float per tail point and the mask would not fit
+        assert (16 + 8 + 1) * size > bound
+    for kind in ("gapless", "gapless", "zeroed", "gapped"):
+        J = _scaled(_oracle_draw(rng, d, kind))
+        tracemalloc.start()
+        try:
+            gap._grid_start(J, grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (kind, peak - bound)
 
 
 def _min_gap_numeric_fresh_rng(J, grid_n):
