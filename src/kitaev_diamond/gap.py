@@ -7,13 +7,13 @@ direction angles, corrected for coupling signs and a global rotation, are
 phases at which the band amplitude vanishes.  A numeric minimiser is kept
 alongside as an independent oracle: a grid scan with the last phase in
 closed form by the two-term triangle inequality, which also rules out whole
-columns of the grid and so skips them with the full scan's bits, then one
-vectorised damped Newton polish from several starts, in plain numpy.  The
-polish stops once its best row reaches the reverse-triangle bound
-|s| >= 2 max |J| - sum |J|, up to rounding.  That bound only decides when
-to stop: the result is still evaluated at a phase vector, so a wrong bound
-could only stop the polish early, at a value the closed-form gate of the
-tests then rejects.
+columns of the grid, one piece of the tail at a time, and so skips them
+with the full scan's bits, then one vectorised damped Newton polish from
+several starts, in plain numpy.  The polish stops once its best row
+reaches the reverse-triangle bound |s| >= 2 max |J| - sum |J|, up to
+rounding.  That bound only decides when to stop: the result is still
+evaluated at a phase vector, so a wrong bound could only stop the polish
+early, at a value the closed-form gate of the tests then rejects.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ _SCAN_CHUNK = 1 << 15
 # ufunc buffer (see `_scan`): the call per row, about a microsecond, then
 # costs less than the page faults a broadcast add's buffers can take.
 _ROW_FILL_MIN = 256
-# Slack of the scan's column bound, per unit of sum |J| (see `_kept_columns`).
+# Slack of the scan's column bound, per unit of sum |J| (see `_column_limit`).
 _COLUMN_SLACK = 64.0 * np.finfo(float).eps
 # Rows of the scan whose points the column bound must be expected to save
-# before it is applied: the bound, the move of the kept tail points and the
-# lookup of the best point's column cost about that much at d = 4, grid 48.
+# before it is applied: about what the bound cost at d = 4, grid 48, where
+# this break-even was measured.
 _PRUNE_ROWS = 5
 # Damped Newton polish: iteration cap, step size that counts as converged,
 # and the initial and smallest damping (J is scaled to order one first).
@@ -200,9 +200,9 @@ def find_zero(J) -> np.ndarray | None:
     return as_phases(theta[1:] - theta[0])
 
 
-def _kept_columns(J: np.ndarray, lead: np.ndarray, tail: np.ndarray) -> np.ndarray | None:
-    """Mask of the scan's columns that can hold its first minimum, or None
-    where dropping columns would not pay.
+def _column_limit(J: np.ndarray, lead: np.ndarray, tail: np.ndarray) -> float:
+    """Largest key |T_p - c| of a scan column that can hold its first
+    minimum, or inf where dropping columns would not pay.
 
     Column p of the scan holds the points lead_m + t_p, m = 0..grid_n-1.
     Every lead_m = J_1 e^{i phi_1} has modulus L = |J_1|, so |lead_m + t_p|
@@ -212,113 +212,95 @@ def _kept_columns(J: np.ndarray, lead: np.ndarray, tail: np.ndarray) -> np.ndarr
     r = min(L, |J_d|).  That is the two-term triangle inequality of the
     closed-form last phase again, not the polygon criterion.
 
-    No column whose key |T_p - c| is at most max(r, the least key) can be
-    dropped.  Where the keys of every step-th column put fewer points beyond
-    that than _PRUNE_ROWS rows of the scan hold, None is returned: the full
-    scan needs no bound to be exact.  Otherwise the column with the least
-    key is evaluated in full; its least deviation best0 is one the scan
-    attains, so the scan's minimum is at most best0.  A column is kept iff
-    its computed key is at most r + best0 + slack, with slack =
-    _COLUMN_SLACK sum |J|.  With S = sum |J|, which bounds every modulus
-    involved, the computed values stray from the exact ones by: |lead_m|
-    from L, a few eps S (the modulus of exp's w_m and the product with
-    J_1); the complex add, eps S / 2; np.abs, about eps S; the subtraction
-    of |J_d|, eps S / 2; and on the key's side np.abs of t_p, the
-    subtraction of c and the sums in the limit, about 2 eps S: together
-    under 8 eps S, an eighth of the slack.  So every point of a dropped
-    column computes a deviation strictly above best0, and the first minimum
-    of the kept points in flat order is the full scan's.  The keys are
-    computed in pieces of at most _SCAN_CHUNK points, twice where the tail
-    is longer, and at most about 4096 are sampled, so the mask, one byte per
-    tail point, is the only array that grows with the tail.
+    The keys of every step-th column, at most about 4096, are sampled.  No
+    column whose key is at most max(r, the least sampled key) can be
+    dropped; where the sample puts fewer points beyond that than
+    _PRUNE_ROWS rows of the scan hold, inf is returned: the full scan needs
+    no bound to be exact.  Otherwise the sampled column of least key is
+    evaluated in full; its least deviation best0 is one the scan attains,
+    so the scan's minimum is at most best0, and the limit is r + best0 +
+    slack, with slack = _COLUMN_SLACK sum |J|.  With S = sum |J|, which
+    bounds every modulus involved, the computed values stray from the exact
+    ones by: |lead_m| from L, a few eps S (the modulus of exp's w_m and the
+    product with J_1); the complex add, eps S / 2; np.abs, about eps S; the
+    subtraction of |J_d|, eps S / 2; and on the key's side np.abs of t_p,
+    the subtraction of c and the sums in the limit, about 2 eps S: together
+    under 8 eps S, an eighth of the slack.  So every point of a column whose
+    computed key exceeds the limit computes a deviation strictly above best0.
     """
     d = J.size - 1
     L, Jd = abs(J[1]), abs(J[d])
     c, r = max(L, Jd), min(L, Jd)
     step = max(7, tail.size >> 12) | 1
     sample = np.abs(np.abs(tail[::step]) - c)
-    if np.count_nonzero(sample > max(r, sample.min())) * step * lead.size < _PRUNE_ROWS * tail.size:
-        return None
-    buf = np.empty(min(tail.size, _SCAN_CHUNK))
-
-    def keys(p: int) -> np.ndarray:
-        key = np.abs(tail[p : p + buf.size], out=buf[: tail.size - p])
-        key -= c
-        return np.abs(key, out=key)
-
-    near, at = np.inf, 0
-    for p in range(0, tail.size, buf.size):
-        key = keys(p)
-        k = key.argmin()
-        if key[k] < near:
-            near, at = key[k], p + k
-    best0 = np.abs(np.abs(lead + tail[at]) - Jd).min()
-    limit = r + (best0 + _COLUMN_SLACK * np.abs(J).sum())
-    kept = np.empty(tail.size, dtype=bool)
-    for p in range(0, tail.size, buf.size):
-        key = keys(p) if tail.size > buf.size else key
-        np.less_equal(key, limit, out=kept[p : p + buf.size])
-    return kept
+    k = int(sample.argmin())
+    if np.count_nonzero(sample > max(r, sample[k])) * step * lead.size < _PRUNE_ROWS * tail.size:
+        return np.inf
+    best0 = np.abs(np.abs(lead + tail[k * step]) - Jd).min()
+    return r + (best0 + _COLUMN_SLACK * np.abs(J).sum())
 
 
-def _nth_kept(kept: np.ndarray, j: int) -> int:
-    """Index of the j-th True of kept, counted in pieces of _SCAN_CHUNK."""
-    for p in range(0, kept.size, _SCAN_CHUNK):
-        piece = kept[p : p + _SCAN_CHUNK]
-        n = int(np.count_nonzero(piece))
-        if j < n:
-            return p + int(piece.nonzero()[0][j])
-        j -= n
-    raise IndexError(j)
-
-
-def _scan(lead: np.ndarray, tail: np.ndarray, Jd: float) -> tuple[int, complex]:
+def _scan(J: np.ndarray, lead: np.ndarray, tail: np.ndarray, limit: float) -> tuple[int, complex]:
     """Flat index and value of the first z = lead_m + t_p, row-major in
-    (m, p), with the least ||z| - Jd||.
+    (m, p), with the least ||z| - |J_d||, among the columns p whose key
+    ||t_p| - max(|J_1|, |J_d|)| is at most limit (see `_column_limit`).
 
-    The points are visited in slices of at most _SCAN_CHUNK, each filled
-    into one complex and one float buffer allocated per call.  A slice is
-    whole rows lead[m:m+rows, None] + tail, or a piece of one row where a
-    row is longer; the strict < across slices in flat order keeps the first
-    minimum, as one scan of the whole grid would.  A slice is filled by
-    copying lead_m across its row m and adding the tail in place: numpy 2
-    runs the broadcast lead + tail through its ufunc buffer (np.getbufsize()
-    elements) at about twice the cost of a plain add, with buffers for two
-    operands, where the in-place add buffers one.  Where a slice outgrows
-    that buffer and its rows have from _ROW_FILL_MIN points to a third of
-    it, each row is one contiguous scalar add instead: a buffer that size is
-    allocated on every call, and scans at grid 48 took up to 220 page
-    faults each that way, where row adds take none.  Every fill adds the
-    same two numbers, and addition commutes, so every value keeps its bits.
+    The tail is taken in pieces of at most _SCAN_CHUNK points.  Each piece
+    computes its keys once, gathers its kept points, and scans them in
+    slices of whole rows lead[m:m+rows, None] + kept, at most _SCAN_CHUNK
+    points each, filled into one complex and one float buffer allocated per
+    call.  Pieces come before rows, so a tie is broken by the smaller flat
+    index, not by the order of the slices: the first minimum wins, as in one
+    scan of the whole grid.  A slice is filled by copying lead_m across its
+    row m and adding the points in place: numpy 2 runs the broadcast
+    lead + kept through its ufunc buffer (np.getbufsize() elements) at about
+    twice the cost of a plain add, with buffers for two operands, where the
+    in-place add buffers one.  Where a slice outgrows that buffer and its
+    rows have from _ROW_FILL_MIN points to a third of it, each row is one
+    contiguous scalar add instead: a buffer that size is allocated on every
+    call, and scans at grid 48 took up to 220 page faults each that way,
+    where row adds take none.  Every fill adds the same two numbers, and
+    addition commutes, so every value keeps its bits.  Only the tail grows
+    with the tail: the buffers, the keys, a piece's column indices and its
+    gathered points are bounded by _SCAN_CHUNK.
     """
-    grid_n = lead.size
-    rows = min(grid_n, max(1, _SCAN_CHUNK // tail.size))
-    cols = min(tail.size, _SCAN_CHUNK)
-    zbuf = np.empty((rows, cols), dtype=complex)
-    dbuf = np.empty((rows, cols))
-    best = np.inf
+    grid_n, Jd = lead.size, abs(J[-1])
+    zbuf = np.empty(min(grid_n * tail.size, _SCAN_CHUNK), dtype=complex)
+    dbuf = np.empty(zbuf.size)
+    best, at = np.inf, 0
     bufsize = np.getbufsize()
-    by_row = _ROW_FILL_MIN <= tail.size <= bufsize // 3 and rows * tail.size > bufsize
-    # a slice is several whole rows (p = 0) or one piece of a row (rows =
-    # 1), so m * tail.size + p + k is the flat index of its k-th point
-    for m in range(0, grid_n, rows):
-        for p in range(0, tail.size, cols):
-            piece = tail[p : p + cols]
-            zs, dev = zbuf[: grid_n - m, : piece.size], dbuf[: grid_n - m, : piece.size]
+    for p in range(0, tail.size, _SCAN_CHUNK):
+        kept, cols = tail[p : p + _SCAN_CHUNK], None
+        if limit < np.inf:
+            key = np.abs(kept, out=dbuf[: kept.size])
+            key -= max(abs(J[1]), Jd)
+            cols = np.flatnonzero(np.abs(key, out=key) <= limit)
+            kept = kept[cols]
+        n = kept.size
+        if not n:
+            continue
+        rows = min(grid_n, _SCAN_CHUNK // n)
+        by_row = _ROW_FILL_MIN <= n <= bufsize // 3 and rows * n > bufsize
+        for m in range(0, grid_n, rows):
+            row = lead[m : m + rows]
+            zs = zbuf[: row.size * n].reshape(row.size, n)
+            dev = dbuf[: zs.size].reshape(zs.shape)
             if by_row:
-                for i, c in enumerate(lead[m : m + rows].tolist()):
-                    np.add(piece, c, zs[i])
+                for i, a in enumerate(row.tolist()):
+                    np.add(kept, a, zs[i])
             else:
-                zs[...] = lead[m : m + rows, None]
-                zs += piece
+                zs[...] = row[:, None]
+                zs += kept
             np.abs(zs, out=dev)
             dev -= Jd
             np.abs(dev, out=dev)
             k = int(dev.argmin())
-            if dev.flat[k] < best:
-                best = dev.flat[k]
-                z = zs.flat[k]
-                at = m * tail.size + p + k
+            i, j = divmod(k, n)
+            flat = (m + i) * tail.size + p + (j if cols is None else int(cols[j]))
+            if (dev.flat[k], flat) < (best, at):
+                best, at, z = dev.flat[k], flat, zs.flat[k]
+        # freed before the next piece's are made
+        del cols, kept
     return at, z
 
 
@@ -331,12 +313,12 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     inequality only, not the polygon criterion, so the oracle stays an
     independent check on the classifier.  The grid_n^(d-1) points are
     lead_m + t_p, a row per leading phase and a column per point of the
-    tail.  A grid of more than one slice of _SCAN_CHUNK points first drops
-    the columns that `_kept_columns` rules out, moving the kept tail points,
-    in order, to the front of the tail, so `_scan` visits only the kept
-    columns, in the flat order of the full grid.  Every path adds the same
-    operands and takes np.abs elementwise, so every value keeps its bits,
-    and so do the first minimum, its z and the phases returned.
+    tail.  A grid of more than one slice of _SCAN_CHUNK points takes the
+    limit of `_column_limit`, and `_scan` skips the columns beyond it, none
+    of which holds the first minimum.  The tail is only read.  Every path
+    adds the same operands and takes np.abs elementwise, so every value
+    keeps its bits, and so do the first minimum, its z and the phases
+    returned.
     """
     d = J.size - 1
     w = np.exp(1j * (TWO_PI / grid_n) * np.arange(grid_n))
@@ -348,19 +330,9 @@ def _grid_start(J: np.ndarray, grid_n: int) -> np.ndarray:
     z = tail[0]
     if d > 1:
         lead = J[1] * w
-        size = tail.size
-        kept = _kept_columns(J, lead, tail) if grid_n * size > _SCAN_CHUNK else None
-        if kept is not None:
-            n = 0
-            for p in range(0, size, _SCAN_CHUNK):
-                piece = tail[p : p + _SCAN_CHUNK][kept[p : p + _SCAN_CHUNK]]
-                tail[n : n + piece.size] = piece
-                n += piece.size
-            tail = tail[:n]
-        at, z = _scan(lead, tail, abs(J[d]))
-        m, j = divmod(at, tail.size)
-        flat = m * size + (j if kept is None else _nth_kept(kept, j))
-        idx = [flat // v % grid_n for v in place_values(grid_n, d - 1)]
+        limit = _column_limit(J, lead, tail) if grid_n * tail.size > _SCAN_CHUNK else np.inf
+        at, z = _scan(J, lead, tail, limit)
+        idx = [at // v % grid_n for v in place_values(grid_n, d - 1)]
     phi = np.empty(d)
     phi[:-1] = (TWO_PI / grid_n) * np.asarray(idx, dtype=float)
     phi[-1] = np.angle(-J[d] * z)

@@ -131,42 +131,37 @@ def bloch_hamiltonian(J, phi) -> np.ndarray:
     return np.array([[0.0, 1j * f], [-1j * np.conj(f), 0.0]])
 
 
-def _grid_shape(d: int, N: int) -> tuple[int, int]:
-    """d and N checked; a grid of more than ENTRY_BUDGET phases, d N^d, is refused."""
+def _grid_columns(d: int, N: int, of_phase) -> np.ndarray:
+    """of_phase over the N^d grid phases phi_i = 2 pi m_i / N, an F-ordered
+    (N^d, d) array, row-major in (m_1, ..., m_d); a grid of more than
+    ENTRY_BUDGET phases, d N^d, is refused first.
+
+    of_phase runs on the N phases of one axis only.  Column i, viewed as
+    (N^i, N, N^(d-1-i)) row-major, takes value m_i along its middle axis,
+    so no digit array is made."""
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "grid size")
     check_budget(grid_count(N, d) * d, f"phase grid {N}^{d}")
-    return d, N
-
-
-def _grid_digits(d: int, N: int) -> np.ndarray:
-    """The digits m_i of the N^d grid points, from `place_values` at any d, as
-    a C-ordered (d, N^d) array; more than ENTRY_BUDGET phases are refused."""
-    d, N = _grid_shape(d, N)
-    w = np.array(place_values(N, d))
-    return np.arange(N**d) // w[:, None] % N
+    axis = of_phase(TWO_PI * np.arange(N) / N)
+    # F-ordered; at d = 1 both orders hold, and np.indices' has C strides
+    out = np.empty((N**d, d), dtype=axis.dtype, order="F" if d > 1 else "C")
+    for i in range(d):
+        out[:, i].reshape(N**i, N, N ** (d - 1 - i))[...] = axis[:, None]
+    return out
 
 
 def bz_grid(d: int, N: int) -> np.ndarray:
     """All N^d grid phases phi_i = 2 pi m_i / N, row-major in (m_1, ..., m_d).
 
-    The layout is the transpose of `_grid_digits`, as np.indices gives it:
+    The layout is F-ordered, as np.indices' transpose gives it:
     exp(1j*phi) @ c rounds differently on a C-ordered (N^d, d) array."""
-    return TWO_PI * _grid_digits(d, N).T / N
+    return _grid_columns(d, N, lambda phi: phi)
 
 
 def _grid_factors(d: int, N: int) -> np.ndarray:
     """np.exp(1j * bz_grid(d, N)) bit for bit, F-ordered as it and within its
-    budget, copied from the N factors of one axis: exp runs N times, not d N^d.
-
-    Column i, viewed as (N^i, N, N^(d-1-i)) row-major, takes factor m_i
-    along its middle axis, so no digit array is made."""
-    d, N = _grid_shape(d, N)
-    w = np.exp(1j * (TWO_PI * np.arange(N) / N))
-    z = np.empty((N**d, d), dtype=complex, order="F")
-    for i in range(d):
-        z[:, i].reshape(N**i, N, N ** (d - 1 - i))[...] = w[:, None]
-    return z
+    budget, from the N factors of one axis: exp runs N times, not d N^d."""
+    return _grid_columns(d, N, lambda phi: np.exp(1j * phi))
 
 
 def bloch_multiset(J, N: int) -> np.ndarray:

@@ -416,7 +416,7 @@ def test_abs_of_a_complex_array_gives_each_element_the_same_bits_anywhere():
     """The pruned scan's bit identity rests on np.abs giving an element the
     same bits in an array of any length, at any offset or stride, and in a
     gathered copy: the scan takes it in slices and gathered columns of
-    every size, and `_kept_columns` in single columns."""
+    every size, and `_column_limit` in single columns."""
     rng = np.random.default_rng(34)
     n = 3 * 2304 + 64
     z = rng.uniform(-2.0, 2.0, n) * 2.0 ** rng.integers(-20, 2, n) + 1j * rng.uniform(-2.0, 2.0, n)
@@ -452,12 +452,18 @@ def _scaled(J):
     return np.ldexp(J, 1 - np.frexp(np.abs(J).max())[1])
 
 
+def _keys(J, tail):
+    """The scan's column keys ||t_p| - max(|J_1|, |J_d|)|, as `gap._scan`
+    computes them."""
+    return np.abs(np.abs(tail) - max(abs(J[1]), abs(J[-1])))
+
+
 @pytest.mark.parametrize("grid_n", [12, 48])
 @pytest.mark.parametrize("d", [3, 4])
 def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_n):
-    """On the full deviation matrix, every dropped column's least deviation
-    is strictly above the minimum, so the column of the first minimum, and
-    of every tie of it, is kept."""
+    """On the full deviation matrix, the first minimum's column has a key
+    within the limit, and every column beyond it has its least deviation
+    strictly above the minimum, so no tie of it is dropped either."""
     rng = np.random.default_rng(340 + 10 * d + grid_n)
     dropped = 0
     for kind in ("gapless", "gapped", "zeroed", "boundary"):
@@ -468,9 +474,10 @@ def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_
             J = _scaled(J)
             lead, tail = _lead_and_tail(J, grid_n)
             dev = np.abs(np.abs(lead[:, None] + tail) - abs(J[d]))
-            kept = gap._kept_columns(J, lead, tail)
-            if kept is None:
+            limit = gap._column_limit(J, lead, tail)
+            if limit == np.inf:
                 continue
+            kept = _keys(J, tail) <= limit
             least = dev.min(axis=0)
             assert kept[np.argmin(dev) % tail.size], (kind, J)
             assert np.all(least[~kept] > dev.min()), (kind, J)
@@ -480,7 +487,8 @@ def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_
 
 def test_kept_columns_on_a_wide_gap_keep_almost_nothing():
     J = np.array([4.0, 0.5, 0.5, 0.5, 0.5])
-    kept = gap._kept_columns(J, *_lead_and_tail(J, 48))
+    lead, tail = _lead_and_tail(J, 48)
+    kept = _keys(J, tail) <= gap._column_limit(J, lead, tail)
     assert kept.size == 48**2 and 1 <= np.count_nonzero(kept) <= 2
 
 
@@ -495,7 +503,7 @@ def test_kept_columns_on_a_wide_gap_keep_almost_nothing():
 def test_grid_start_where_every_column_is_kept(J, grid_n):
     lead, tail = _lead_and_tail(J, grid_n)
     assert grid_n * tail.size > gap._SCAN_CHUNK
-    assert gap._kept_columns(J, lead, tail) is None
+    assert gap._column_limit(J, lead, tail) == np.inf
     want = _grid_start_per_slice(J, grid_n)
     assert gap._grid_start(J, grid_n).tobytes() == want.tobytes()
 
@@ -510,8 +518,8 @@ def test_pruned_scan_matches_the_per_slice_scan_at_grid_48(d):
     for J in (*draws, spread, spread * 2.0**-20):
         Js = _scaled(J)
         lead, tail = _lead_and_tail(Js, 48)
-        kept = gap._kept_columns(Js, lead, tail)
-        assert kept is not None and not kept.all(), J
+        limit = gap._column_limit(Js, lead, tail)
+        assert limit < np.inf and np.any(_keys(Js, tail) > limit), J
         want = _grid_start_per_slice(Js, 48)
         assert gap._grid_start(Js, 48).tobytes() == want.tobytes(), J
         # and unscaled, as the tests above call the scan too
@@ -520,8 +528,8 @@ def test_pruned_scan_matches_the_per_slice_scan_at_grid_48(d):
 
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_pruned_scan_moves_kept_columns_across_pieces(monkeypatch, chunk):
-    """Tails longer than _SCAN_CHUNK are pruned and moved in pieces, and the
-    kept ones, longer or shorter than a piece, scanned in pieces again."""
+    """Tails longer than _SCAN_CHUNK are pruned and gathered in pieces, and
+    the kept columns of a piece scanned in slices of whole rows."""
     monkeypatch.setattr(gap, "_SCAN_CHUNK", chunk)
     rng = np.random.default_rng(3410 + chunk)
     for d in (4, 5):
@@ -532,22 +540,39 @@ def test_pruned_scan_moves_kept_columns_across_pieces(monkeypatch, chunk):
                 assert gap._grid_start(J, grid_n).tobytes() == want.tobytes(), (grid_n, J)
 
 
-@pytest.mark.parametrize("d,grid_n", [(5, 48), (6, 24)])
-def test_grid_start_holds_one_byte_per_tail_point_beyond_its_buffers(d, grid_n):
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_pruned_scan_breaks_a_tie_across_pieces_by_the_flat_index(monkeypatch, chunk):
+    """The scan visits the tail's pieces before their rows, so it meets this
+    minimum first in a later row of an earlier piece; the same deviation in
+    an earlier row of a later piece has the smaller flat index and wins."""
+    monkeypatch.setattr(gap, "_SCAN_CHUNK", chunk)
+    J, grid_n = np.array([1.0, -1.0, -1.0, 0.5]), 5
+    lead, tail = _lead_and_tail(J, grid_n)
+    dev = np.abs(np.abs(lead[:, None] + tail) - abs(J[3]))
+    rows, cols = np.nonzero(dev == dev.min())
+    assert (rows.tolist(), cols.tolist()) == ([1, 4], [4, 1])
+    assert cols[1] // chunk < cols[0] // chunk
+    want = _grid_start_per_slice(J, grid_n)
+    assert gap._grid_start(J, grid_n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d,grid_n", [(5, 48), (6, 24), (6, 40)])
+def test_grid_start_holds_nothing_per_tail_point_beyond_its_tail(d, grid_n):
     """The scan's traced peak is at most its tail of grid_n^(d-2) complex
-    points, the slice buffers of _SCAN_CHUNK points (one complex, one float
-    each), the column mask, one byte per tail point, the buffers numpy may
-    fill for an add (np.getbufsize() complex values for each of up to three
-    operands), and 16 KiB for the arrays of grid_n points and Python's own
-    objects: nothing else grows with the tail.  At d = 6, grid 24, a
-    float per tail point would exceed it."""
+    points, 48 bytes per _SCAN_CHUNK points (the complex and the float
+    slice buffer, and one piece's column indices and gathered points), the
+    buffers numpy may fill for an add (np.getbufsize() complex values for
+    each of up to three operands), and 16 KiB for the arrays of grid_n
+    points and Python's own objects: nothing but the tail grows with it.
+    At d = 6, a float per tail point would exceed it at grid 24, and a
+    one-byte column mask at grid 40."""
     rng = np.random.default_rng(3420 + d)
     size = grid_n ** (d - 2)
     ufunc = 3 * 16 * np.getbufsize()
-    bound = 16 * size + 24 * gap._SCAN_CHUNK + size + ufunc + (16 << 10)
-    if d == 6:
-        # the tail, a float per tail point and the mask would not fit
-        assert (16 + 8 + 1) * size > bound
+    bound = 16 * size + 48 * gap._SCAN_CHUNK + ufunc + (16 << 10)
+    beyond = {(6, 24): 8, (6, 40): 1}.get((d, grid_n))
+    if beyond:
+        assert (16 + beyond) * size > bound
     for kind in ("gapless", "gapless", "zeroed", "gapped"):
         J = _scaled(_oracle_draw(rng, d, kind))
         tracemalloc.start()
