@@ -368,9 +368,8 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
     s, r = _amplitude(J, phi)
     a = np.abs(s)
     mu = np.full(n, _NEWTON_MU0)
-    mags = np.abs(J)
-    total = mags.sum()
-    floor = max(0.0, 2.0 * mags.max() - total) + np.finfo(float).eps * total
+    total, margin = _abs_sum_and_margin(J)
+    floor = max(0.0, -margin) + np.finfo(float).eps * total
     for _ in range(_NEWTON_MAX_ITER):
         if a.min() <= floor:
             break

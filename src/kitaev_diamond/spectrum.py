@@ -50,6 +50,14 @@ def as_couplings(J, d: int | None = None) -> np.ndarray:
     return _edge_vector(_as_real(J, "couplings"), d, "couplings")
 
 
+def as_hoppings(t, d: int | None = None) -> np.ndarray:
+    """Validate a hopping vector t_1..t_{d+1}; complex amplitudes allowed."""
+    t = np.asarray(t)
+    if t.dtype.kind not in "iufc":
+        raise ValueError("hoppings must be real or complex")
+    return _edge_vector(t.astype(complex), d, "hoppings")
+
+
 def as_phases(phi, d: int | None = None) -> np.ndarray:
     """Wrap phases into [0, 2pi).  Accepts shape (..., d)."""
     phi = _as_real(phi, "phases")
@@ -231,8 +239,6 @@ def _band_columns(J, hoppings) -> tuple[np.ndarray, np.ndarray | None, list[str]
     d = J.size - 1
     cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
     if hoppings is not None:
-        from .tightbinding import as_hoppings
-
         hoppings = as_hoppings(hoppings, d=d)
         cols += ["E_plus", "E_minus"]
     return J, hoppings, cols
@@ -245,7 +251,7 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
     by `_band_columns` and the grid against the budget before any work."""
     J, hoppings, cols = _band_columns(J, hoppings)
     phi = bz_grid(J.size - 1, grid_n)
-    xi = np.abs(_bloch_sum(J, np.exp(1j * phi), 2.0))
+    xi = np.abs(_bloch_sum(J, _grid_factors(J.size - 1, grid_n), 2.0))
     values = [phi, xi[:, None], -xi[:, None]]
     if hoppings is not None:
         from .tightbinding import tb_energy

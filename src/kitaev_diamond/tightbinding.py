@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import _bloch_sum, _edge_vector, as_couplings, as_phases, f_of_q, range_exponent
-
-
-def as_hoppings(t, d: int | None = None) -> np.ndarray:
-    """Validate a hopping vector t_1..t_{d+1}; complex amplitudes allowed."""
-    t = np.asarray(t)
-    if t.dtype.kind not in "iufc":
-        raise ValueError("hoppings must be real or complex")
-    return _edge_vector(t.astype(complex), d, "hoppings")
+from .spectrum import _bloch_sum, as_couplings, as_hoppings, as_phases, f_of_q, range_exponent
 
 
 def r_of_q(t, phi) -> complex | np.ndarray:

@@ -136,14 +136,6 @@ def test_ladder_relations():
             assert b is None
 
 
-def test_vacuum_is_annihilated():
-    for k in (2, 3, 4, 5, 6, 7, 8, 9, 10):
-        a, _, _, vac = ladder(k)
-        assert abs(np.linalg.norm(vac) - 1.0) < 1e-14
-        for op in a:
-            assert np.max(np.abs(op @ vac)) < 1e-14
-
-
 def test_vacuum_is_exactly_annihilated():
     # under Jordan-Wigner the vacuum is the basis state e_0, with no rounding
     for k in range(2, 13):

@@ -460,7 +460,7 @@ def _keys(J, tail):
 
 @pytest.mark.parametrize("grid_n", [12, 48])
 @pytest.mark.parametrize("d", [3, 4])
-def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_n):
+def test_column_limit_keeps_every_column_that_can_hold_the_first_minimum(d, grid_n):
     """On the full deviation matrix, the first minimum's column has a key
     within the limit, and every column beyond it has its least deviation
     strictly above the minimum, so no tie of it is dropped either."""
@@ -485,7 +485,7 @@ def test_kept_columns_keep_every_column_that_can_hold_the_first_minimum(d, grid_
     assert dropped > 0
 
 
-def test_kept_columns_on_a_wide_gap_keep_almost_nothing():
+def test_column_limit_on_a_wide_gap_keeps_almost_nothing():
     J = np.array([4.0, 0.5, 0.5, 0.5, 0.5])
     lead, tail = _lead_and_tail(J, 48)
     kept = _keys(J, tail) <= gap._column_limit(J, lead, tail)

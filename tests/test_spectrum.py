@@ -292,7 +292,26 @@ def test_grid_energies_have_the_bits_of_the_phase_route(d, N, scale):
     lines = "\n".join(spectrum.band_csv_lines(J, N, hoppings=t)).split("\n")
     assert np.array_equal(bits(csv_energies(lines, d)), bits(xi))
     assert np.array_equal(bits(csv_energies(lines, d + 2)), bits(r))
+    _, table = spectrum.band_table(J, N, hoppings=t)
+    assert np.array_equal(bits(table[:, d]), bits(xi))
+    assert np.array_equal(bits(table[:, d + 2]), bits(r))
     want = np.sort(np.concatenate([-xi, xi]))
     assert np.array_equal(bits(spectrum.bloch_multiset(J, N)), bits(want))
     if scale == 1e308:
         assert np.isposinf(xi).any()
+
+
+@pytest.mark.parametrize("d,N", [(2, 64), (3, 16)])
+def test_band_table_exponentiates_one_axis(monkeypatch, d, N):
+    """Without hoppings the table's |f| comes from one axis's N phase
+    factors, not from exp over all d N^d grid phases."""
+    sizes = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    spectrum.band_table(np.arange(1.0, d + 2), N)
+    assert 0 < sum(sizes) <= N

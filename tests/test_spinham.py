@@ -177,7 +177,7 @@ def test_one_step_strings_match_on_site_products(d, N):
     assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
 
 
-def test_tensor_dims():
+def test_site_and_register_dims():
     """A site holds 2^(d//2 + 1) dimensions and the register their 2 N^d-th power."""
     for d, site_dim, total_dim in [(2, 4, 16), (3, 4, 16), (4, 8, 64)]:
         system = spinham.build_spin_hamiltonian(build_torus(d, 1), np.ones(d + 1))
@@ -185,7 +185,7 @@ def test_tensor_dims():
         assert system.total_dim == total_dim
 
 
-def test_tensor_dims_cap():
+def test_hamiltonian_fits_refuses_3_2_and_admits_2_2():
     assert not spinham.hamiltonian_fits(build_torus(3, 2))
     # d=2, N=2 allocates 2^16 x 12 entries, within the entry budget
     torus = build_torus(2, 2)
