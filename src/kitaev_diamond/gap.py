@@ -421,7 +421,7 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     undercut every grid point near the true zero set.  The restarts escape
     them (for a positive margin all nonzero critical points are strict
     saddles, so a descent started off the razor edge falls through to the
-    zero set).  The couplings are first scaled by a power of two so the
+    zero set).  Nonzero couplings are first scaled by a power of two so the
     largest magnitude lies in [1, 2), and the result is scaled back, so
     inputs that differ by a power of two give results that differ by the
     same power.  The polish stops within rounding of the reverse-triangle
@@ -440,10 +440,7 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
         raise ValueError(
             f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
         )
-    top = float(np.abs(J).max())
-    if top == 0.0:
-        return 0.0
-    e = 1 - np.frexp(top)[1]
+    e = 1 - np.frexp(np.abs(J).max())[1]
     J = np.ldexp(J, e)
     phi0 = _grid_start(J, grid_n)
     jitter, spread = _restart_offsets(d, grid_n)

@@ -41,10 +41,10 @@ from .spectrum import FLOAT_MAX, as_couplings
 class SpinSystem:
     """Hamiltonian and its commuting frame on one torus, as Pauli strings.
 
-    link_ops[k] is the involution attached to edge k of the torus (the
-    entries k of its frm, to and label arrays); parity is the site-wise
-    tensor power of the single-site parity operator.  term_strings[k] is the spin
-    product on edge k, couplings[k] its coupling, so H = -sum_k couplings[k] term_strings[k].
+    link_ops[k] is the involution attached to edge k of the torus (the entries k of its frm,
+    to and label arrays); parity is the site-wise tensor power of the single-site parity
+    operator.  term_strings[k] is the spin product on edge k, couplings[k] its coupling, so
+    H = -sum_k couplings[k] term_strings[k]; couplings must be a 1-d float or signed int array.
     """
 
     torus: DiamondTorus
@@ -52,6 +52,11 @@ class SpinSystem:
     link_ops: tuple[PauliString, ...]
     parity: PauliString
     term_strings: tuple[PauliString, ...]
+
+    def __post_init__(self):
+        if not (isinstance(self.couplings, np.ndarray) and self.couplings.dtype.kind in "if"
+                and self.couplings.shape == (len(self.term_strings),)):
+            raise ValueError(f"expected {len(self.term_strings)} couplings in a 1-d real array")
 
     @property
     def total_dim(self) -> int:
@@ -178,13 +183,10 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     Everything is read off the strings' masks and phases.  A commutator
     that does not vanish is that of the exact sum, which the expanded H
     rounds.  Values beyond the float range saturate at its maximum, so the
-    report never holds inf or NaN.  A system without one coupling per term
-    string is refused, as its H is.
+    report never holds inf or NaN.
     """
     dim = system.total_dim
     terms, J = system.term_strings, system.couplings
-    if len(J) != len(terms):
-        raise ValueError(f"expected {len(terms)} couplings, one per term string, got {len(J)}")
     links, P = system.link_ops, system.parity
     residuals = {
         "commutator_parity": _commutator_norm(terms, J, P, dim),

@@ -270,6 +270,26 @@ def test_min_gap_at_extreme_scales():
             assert got == np.ldexp(want, k), (J, k)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_min_gap_polishes_all_zero_couplings(monkeypatch, d):
+    """All-zero couplings, signed zeros among them, take the scan and the
+    polish like every other vector: one polish, which stops at once on its
+    floor of 0, and a result of +0.0 evaluated at a phase vector."""
+    calls = []
+    polish = gap._newton_polish
+
+    def counted(J, phi):
+        calls.append(len(phi))
+        return polish(J, phi)
+
+    monkeypatch.setattr(gap, "_newton_polish", counted)
+    for J in (np.zeros(d + 1), np.full(d + 1, -0.0), np.where(np.arange(d + 1) % 2, -0.0, 0.0)):
+        calls.clear()
+        got = gap.min_gap_numeric(J)
+        assert got == 0.0 and not np.signbit(got), J
+        assert len(calls) == 1, J
+
+
 def _oracle_draw(rng, d, kind):
     """Couplings of one class: gapless, gapped, some zeroed, or exact boundary."""
     while True:

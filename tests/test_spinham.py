@@ -705,21 +705,35 @@ def test_couplings_length_checked():
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (1, 4)])
-def test_identity_checks_refuse_a_coupling_count_other_than_the_term_count(d, N):
-    """The identity checks take one coupling per term string, as H does: the
-    d + 1 label couplings and one coupling too many are refused, not read as
-    a model whose couplings are never indexed."""
+def test_model_refuses_a_coupling_count_other_than_the_term_count(d, N):
+    """The model takes one coupling per term string: the d + 1 label couplings
+    and one coupling too many are refused when the system is made, not read
+    as a model whose couplings are never indexed."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
     E = len(sys_.term_strings)
     for couplings in (np.ones(d + 1), np.ones(E + 1)):
-        system = dataclasses.replace(sys_, couplings=couplings)
         with pytest.raises(ValueError, match=f"expected {E} couplings"):
-            spinham.verify_operator_identities(system)
-        with pytest.raises(ValueError):
-            system.hamiltonian
+            dataclasses.replace(sys_, couplings=couplings)
     rep = spinham.verify_operator_identities(dataclasses.replace(sys_, couplings=np.ones(E)))
     assert rep["max_residual"] == 0.0
     assert rep["links_exact_pm_one"] and rep["parity_diagonal_pm_one"]
+
+
+def test_model_refuses_couplings_that_are_not_a_real_vector():
+    """Complex couplings, whose H would not be Hermitian while the identity
+    report passed, 2-d arrays, a Python list, and unsigned (which H's
+    -couplings would wrap) or bool arrays are refused when the system is
+    made; NaN and inf stay admitted, as the identity report saturates them."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+    E = len(sys_.term_strings)
+    complex_ = sys_.couplings.astype(complex)
+    complex_[0] = 0.5j
+    for couplings in (complex_, np.ones((E, 1)), np.ones((1, E)), [1.0] * E,
+                      np.ones(E, dtype=np.uint8), np.ones(E, dtype=bool)):
+        with pytest.raises(ValueError, match=f"expected {E} couplings"):
+            dataclasses.replace(sys_, couplings=couplings)
+    for couplings in (np.full(E, np.nan), np.full(E, np.inf), np.ones(E, dtype=np.int64)):
+        assert dataclasses.replace(sys_, couplings=couplings).couplings is couplings
 
 
 @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
@@ -758,3 +772,53 @@ def test_zero_coupling_deletes_the_edge(d, N):
             term_strings=sys_.term_strings[:e] + sys_.term_strings[e + 1:])
         want = without.hamiltonian.toarray()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), e
+
+
+# -- the spin spectrum against the Majorana route on the smallest tori ------
+
+def majorana_levels(torus, J):
+    """Sorted union over every gauge u in {+-1}^E of the levels
+    1/2 sum_k s_k sigma_k, s in {+-1}^(N^d), where sigma are the singular
+    values of the N^d x N^d block C(u) that adds 2 J_l u_e at (s = 1 end,
+    s = 0 end) of every edge e; parallel edges at N = 1 accumulate."""
+    cells, E = torus.N**torus.d, torus.label.size
+    gauges = 1.0 - 2.0 * (np.arange(2**E)[:, None] >> np.arange(E) & 1)
+    C = np.zeros((2**E, cells, cells))
+    np.add.at(C, (slice(None), torus.frm - cells, torus.to), 2.0 * J[torus.label - 1] * gauges)
+    sigma = np.linalg.svd(C, compute_uv=False)
+    signs = 1.0 - 2.0 * (np.arange(2**cells)[:, None] >> np.arange(cells) & 1)
+    return np.sort((0.5 * sigma @ signs.T).ravel())
+
+
+def spectral_deviation(system, J):
+    """max |Majorana union - spin spectrum with each level repeated q times|,
+    q = 2^(N^d) for odd d and 1 for even d, in units of sum |J|."""
+    d, N = system.torus.d, system.torus.N
+    q = 2 ** N**d if d % 2 else 1
+    spin = np.repeat(np.linalg.eigvalsh(system.hamiltonian.toarray()), q)
+    return np.abs(majorana_levels(system.torus, J) - spin).max() / np.abs(J).sum()
+
+
+def swapped_term_system(sys_):
+    """sys_ with term 0, on an edge of label l, replaced by sigma^l on its
+    s = 1 end times sigma^((l mod (d+1)) + 1) on its s = 0 end."""
+    torus = sys_.torus
+    frm, to, label = edges(torus)[0]
+    sigma, n = clifford.spin_ops(torus.d), 2 * torus.n_cells
+    broken = on_site(sigma[label - 1], frm, n) * on_site(sigma[label % (torus.d + 1)], to, n)
+    return dataclasses.replace(sys_, term_strings=(broken, *sys_.term_strings[1:]))
+
+
+@pytest.mark.parametrize("d,N", [(1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1), (5, 1),
+                                 (6, 1), (7, 1)])
+def test_spin_spectrum_is_the_union_of_the_majorana_spectra_over_gauges(d, N):
+    """The spin Hamiltonian's spectrum, each level repeated q times, is the
+    union over all Z_2 gauges of the free-Majorana levels; a model with one
+    term's second spin component swapped is told apart."""
+    torus = build_torus(d, N)
+    rng = np.random.default_rng(100 * d + N)
+    for _ in range(2):
+        J = rng.uniform(-2.0, 2.0, d + 1)
+        sys_ = spinham.build_spin_hamiltonian(torus, J)
+        assert spectral_deviation(sys_, J) <= 1e-12, J
+        assert spectral_deviation(swapped_term_system(sys_), J) > 1e-3, J
