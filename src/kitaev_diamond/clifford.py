@@ -92,14 +92,14 @@ class PauliString:
 
 
 def _mask_matrix(strings: Sequence[PauliString], coefficients, what: str) -> MaskMatrix:
-    """sum_k coefficients[k] strings[k] over real coefficients, one per string, and strings
-    of one width n, refused as `what` before any allocation when its 2^n rows times
-    len(strings) pass ENTRY_BUDGET; other counts raise ValueError, never dropping a term.
+    """sum_k coefficients[k] strings[k], one real coefficient per string and strings of one
+    width n (ValueError otherwise), refused as `what` before any allocation when its 2^n rows
+    times len(strings) pass ENTRY_BUDGET, never dropping a term.
     A string reaches column r ^ x in every row r, so one running sum per distinct x mask
     adds the strings in order from +0.0: it never holds -0.0 (x + y is -0.0 only for
     x = y = -0.0), and as every addend is finite it never meets inf - inf, so an entry
     past the float range is +-inf, never NaN."""
-    n = strings[0].n
+    n = _width(strings)
     check_budget(grid_count(2, n) * len(strings), what)
     slot = {x: k for k, x in enumerate(dict.fromkeys(s.x for s in strings))}
     values = np.zeros((1 << n, len(slot)), dtype=complex)  # row, x mask -> running sum
@@ -114,6 +114,14 @@ def _mask_matrix(strings: Sequence[PauliString], coefficients, what: str) -> Mas
             even_odd = _I_POWERS[[p % 4, (p + 2) % 4]] * c
             values[:, slot[s.x]] += even_odd[odd.view(np.uint8)]
     return MaskMatrix(np.array(list(slot), dtype=np.int64), values)
+
+
+def _width(strings: Sequence[PauliString]) -> int:
+    """The qubit count n of the strings, refused unless every string has it."""
+    n = strings[0].n
+    if any(s.n != n for s in strings):
+        raise ValueError(f"qubit counts differ: {sorted({s.n for s in strings})}")
+    return n
 
 
 def _product_phase(phase: int, z: int, other_x: int, other_phase: int) -> int:
@@ -139,9 +147,7 @@ def joint_plus_dimension(strings: Sequence[PauliString]) -> int:
     """
     if not strings:
         raise ValueError("joint_plus_dimension needs at least one string")
-    n = strings[0].n
-    if any(s.n != n for s in strings):
-        raise ValueError(f"qubit counts differ: {sorted({s.n for s in strings})}")
+    n = _width(strings)
     for i, a in enumerate(strings):
         if not a.is_hermitian() or _anticommuting(strings[i + 1 :], a):
             return 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .lattice import MEMO_SIZE, check_budget, check_size, grid_count, place_values, simplex_count
 from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
-from .spectrum import _as_real, _csv_block
+from .spectrum import _as_real
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.
@@ -532,3 +532,15 @@ def _gapmap_block(ks: np.ndarray, resolution: int, cells: np.ndarray, start: int
     cols = [cells[k].tolist() for k in ks.T]
     cols.append(np.where(gapped, "1", "0").tolist())
     return _csv_block(cols)
+
+
+def _csv_block(cols: list[list[str]]) -> str:
+    """The rows of the equal-length string columns cols as newline-joined CSV lines:
+    cells and separators go into one flat list by slice assignment, then one join."""
+    m, n = len(cols), len(cols[0])
+    cells = [","] * (2 * m * n)
+    for j, col in enumerate(cols):
+        cells[2 * j :: 2 * m] = col
+    cells[2 * m - 1 :: 2 * m] = ["\n"] * n
+    cells.pop()
+    return "".join(cells)

@@ -6,7 +6,8 @@ reciprocal-lattice embedding ever enters the numerics.  Two independent
 routes to the spectrum are kept side by side: the closed-form dispersion
 +-|f(phi)| evaluated on the discrete phase grid, and the eigenvalues of the
 antisymmetric hopping form assembled edge by edge on the torus.  Their
-multiset agreement is the main correctness gate for both.
+multiset agreement is the main correctness gate for both.  The band CSV prints
+each energy as '{:.17g}' does, from an exact integer kernel over whole blocks.
 """
 
 from __future__ import annotations
@@ -231,6 +232,55 @@ def csv_floats(values: np.ndarray) -> list[str]:
     return list(map("{:.17g}".format, values.tolist()))
 
 
+def _layout(k: int, last: int) -> list[int]:
+    """Columns of [17 digits, '.', '0', NUL] that print the digits up to `last`
+    at decimal exponent k in fixed notation, NUL-padded to 22."""
+    head = [18, 17] + [18] * (-1 - k) if k < 0 else [*range(k + 1)] + [17] * (last > k)
+    return (head + [*range(max(k + 1, 0), last + 1)] + [19] * 22)[:22]
+
+
+# the layout of each exponent k = -4..14 and last digit the fast path prints
+_LAYOUTS = np.array([[_layout(k, last) for last in range(17)] for k in range(-4, 15)])
+
+
+def _scaled_digits(m: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """m 5^p / 2^s rounded half to even, exactly, for uint64 m < 2^53, p <= 21 and
+    1 <= s < 64 with a 64-bit quotient: the product is formed in two words."""
+    a, s, low32 = np.uint64(5) ** p.astype(np.uint64), s.astype(np.uint64), np.uint64(2**32 - 1)
+    mid = (m >> 32) * (a & low32) + (m & low32) * (a >> 32)
+    lo = (m & low32) * (a & low32) + (mid << 32)
+    hi = (m >> 32) * (a >> 32) + (mid >> 32) + (lo < mid << 32)
+    q = (hi << (64 - s)) | (lo >> s)
+    rem = lo & ((1 << s) - 1)
+    return q + (rem + (q & 1) > 1 << (s - 1))
+
+
+def _float_field(x: np.ndarray) -> np.ndarray:
+    """'{:.17g}'.format(v) for each v of the float array x, as uint8 rows NUL-padded
+    to 22 bytes, or to the longest text.  Finite v in [1e-4, 1e15) are printed here:
+    D = round(v 10^(16-k)) at k = floor(log10 v) is m 5^(16-k) / 2^(37-e+k) for v's
+    mantissa m = v 2^(53-e), exactly; a D outside [10^16, 10^17), one rounded up to
+    10^17 included, moves k by one and is made again.  Its digits are laid out by
+    `_LAYOUTS`, trailing fraction zeros dropped.  `csv_floats` prints the rest."""
+    fast = (x >= 1e-4) & (x < 1e15)
+    slow = np.array(csv_floats(x[~fast]), dtype=bytes)
+    out = np.zeros((x.size, max(22, slow.itemsize)), np.uint8)
+    out[~fast, : slow.itemsize] = slow.view(np.uint8).reshape(slow.size, slow.itemsize)
+    frac, e = np.frexp(x[fast])
+    m = (frac * 2.0**53).astype(np.uint64)
+    k = np.floor(np.log10(x[fast])).astype(np.int64)
+    for _ in range(2):
+        D = _scaled_digits(m, 16 - k, 37 - e + k)
+        k += (D >= 10**17).astype(np.int64) - (D < 10**16)
+    digits = D // 10 ** np.arange(16, -1, -1, dtype=np.uint64)[:, None]  # j + 1 leading digits
+    digits[1:] -= 10 * digits[:-1]
+    digits = digits.T.astype(np.uint8) + ord("0")
+    last = np.maximum(16 - (digits[:, ::-1] != ord("0")).argmax(axis=1), k)
+    text = np.hstack([digits, np.broadcast_to(np.frombuffer(b".0\0", np.uint8), (k.size, 3))])
+    out[fast, :22] = text.ravel()[_LAYOUTS[k + 4, last] + 20 * np.arange(k.size)[:, None]]
+    return out
+
+
 def _band_columns(J, hoppings) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
     """Checked couplings and hoppings, the hoppings' length included, and the
     band table's columns: the d phases, xi_plus = |f| and xi_minus = -|f|,
@@ -263,14 +313,13 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
 def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):
     """The band table over the full phase grid, as CSV text.
 
-    Yields the header, then each block of up to ROW_BLOCK rows as one
-    newline-joined string: the rows of `band_table`, 17 significant digits.
-    Before the header |f|, and |r| with `hoppings`, is computed over the
-    whole grid from `_grid_factors`, in `band_table`'s bits, which a product
-    per block would not keep: the BLAS groups a short block's rows otherwise.
-    The blocks, formatted from those columns and one axis's phase strings,
-    are `mapper(block, starts)` over their first rows, in order: the builtin
-    map by default; the CLI passes one that formats them in forked processes.
+    Yields the header, then each block of up to ROW_BLOCK rows as one newline-joined string:
+    the rows of `band_table`, each value as '{:.17g}' prints it (`_float_field`).  Before the
+    header |f|, and |r| with `hoppings`, is computed over the whole grid from `_grid_factors`,
+    in `band_table`'s bits, which a product per block would not keep: the BLAS groups a short
+    block's rows otherwise.  The blocks, printed from those columns and one axis's phase text,
+    are `mapper(block, starts)` over their first rows, in order: the builtin map by default;
+    the CLI passes one that prints them in forked processes.
     """
     J, hoppings, cols = _band_columns(J, hoppings)
     d = J.size - 1
@@ -279,34 +328,25 @@ def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):
     if hoppings is not None:
         energies.append(np.abs(_bloch_sum(hoppings, z)))
     del z
-    axis = np.array(csv_floats(TWO_PI * np.arange(grid_n) / grid_n), dtype=object)
+    axis = _float_field(TWO_PI * np.arange(grid_n) / grid_n)
     yield ",".join(cols)
     block = functools.partial(_band_block, energies, axis, d)
     yield from mapper(block, range(0, energies[0].size, ROW_BLOCK))
 
 
 def _band_block(energies: list[np.ndarray], axis: np.ndarray, d: int, start: int) -> str:
-    """CSV text of rows start..start+ROW_BLOCK-1 of the band table.
-
-    Each phase is looked up in axis, the formatted phases of one axis, and
-    each energy, |f| and maybe |r|, is formatted once and its negative printed
-    as "-" and that string (the same text for every value >= 0, zero and inf)."""
+    """CSV text of rows start..start+ROW_BLOCK-1 of the band table, built as NUL-padded
+    bytes, one row per table row, and decoded once with the NULs deleted.  Each phase is
+    looked up in axis, the `_float_field` rows of one axis's phases, and each energy,
+    |f| and maybe |r|, is printed once by `_float_field`, its negative as "-" and that
+    text (the same text for every value >= 0, zero and inf)."""
     rows = np.arange(start, min(start + ROW_BLOCK, energies[0].size))
-    cols = [axis[rows // w % axis.size].tolist() for w in place_values(axis.size, d)]
+    comma, dash = (np.full((rows.size, 1), ord(c), np.uint8) for c in ",-")
+    parts = [p for w in place_values(len(axis), d)
+             for p in (axis.take(rows // w % len(axis), 0), comma)]
     for e in energies:
-        plus = csv_floats(e[start : start + ROW_BLOCK])
-        cols += [plus, list(map("-".__add__, plus))]
-    return _csv_block(cols)
-
-
-def _csv_block(cols: list[list[str]]) -> str:
-    """The rows of the equal-length string columns cols as newline-joined
-    CSV lines: cells and separators go into one flat list by slice
-    assignment, then one join."""
-    m, n = len(cols), len(cols[0])
-    cells = [","] * (2 * m * n)
-    for j, col in enumerate(cols):
-        cells[2 * j :: 2 * m] = col
-    cells[2 * m - 1 :: 2 * m] = ["\n"] * n
-    cells.pop()
-    return "".join(cells)
+        plus = _float_field(e[start : start + ROW_BLOCK])
+        parts += [plus, comma, dash, plus, comma]
+    text = np.hstack(parts)
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode()[:-1]

@@ -28,6 +28,7 @@ from .clifford import (
     PauliString,
     _anticommuting,
     _mask_matrix,
+    _width,
     d_operator,
     joint_plus_dimension,
     majorana_rep,
@@ -43,8 +44,8 @@ class SpinSystem:
 
     link_ops[k] is the involution attached to edge k of the torus (the entries k of its frm,
     to and label arrays); parity is the site-wise tensor power of the single-site parity
-    operator.  term_strings[k] is the spin product on edge k, couplings[k] its coupling, so
-    H = -sum_k couplings[k] term_strings[k]; couplings must be a 1-d float or signed int array.
+    operator.  H = -sum_k couplings[k] term_strings[k]: term_strings[k] is the spin product on
+    edge k, on the parity's qubits, and couplings is a 1-d float or signed int array.
     """
 
     torus: DiamondTorus
@@ -57,6 +58,7 @@ class SpinSystem:
         if not (isinstance(self.couplings, np.ndarray) and self.couplings.dtype.kind in "if"
                 and self.couplings.shape == (len(self.term_strings),)):
             raise ValueError(f"expected {len(self.term_strings)} couplings in a 1-d real array")
+        _width((self.parity, *self.term_strings))
 
     @property
     def total_dim(self) -> int:

@@ -358,6 +358,15 @@ def test_joint_plus_dimension_refuses_mixed_widths(strings):
         clifford.joint_plus_dimension(strings)
 
 
+@pytest.mark.parametrize("strings", [
+    [clifford.PauliString(2, 1, 1), clifford.PauliString(3, 1, 1)],
+    [clifford.PauliString(3, 5), clifford.PauliString(3, 2), clifford.PauliString(2, 1)],
+])
+def test_mask_matrix_refuses_mixed_widths(strings):
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        clifford._mask_matrix(strings, [1.0] * len(strings), "mixed widths")
+
+
 def qubitwise(a, b):
     """(phase power of a * b, whether a and b commute), multiplied out one
     qubit at a time from 2x2 matrices; any width."""

@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -204,6 +205,111 @@ def test_band_csv_lines_with_hoppings():
     for row in lines[1:]:
         cols = [float(x) for x in row.split(",")]
         assert cols[2] == cols[4] and cols[3] == cols[5]
+
+
+def exact_ties(rng, per_q):
+    """Doubles whose exact decimal has 18 significant digits, the last a 5, so
+    17 digits round half to even: odd * 2^(-1-q) for q = 2..20, the odd
+    mantissa chosen where the value has 17 - q digits before the point."""
+    out = []
+    for q in range(2, 21):
+        lo = -(-(2 ** (1 + q)) * 10**16 // 10**q)  # ceil(10^(16-q) 2^(1+q))
+        hi = 2 ** (1 + q) * 10**17 // 10**q
+        odd = rng.integers(lo // 2, (hi - 1) // 2, per_q) * 2 + 1
+        out.append(odd * 2.0 ** (-1 - q))
+    return np.concatenate(out)
+
+
+def decade_neighbours():
+    """Every 10^k, k = -5..16, and the doubles next to it on either side."""
+    p = 10.0 ** np.arange(-5, 17)
+    return np.concatenate([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)])
+
+
+FIELD_SETS = {
+    "uniform": lambda rng: rng.uniform(0.0, 8.0, 40_000),
+    "log-uniform": lambda rng: 10.0 ** rng.uniform(-4.0, 15.0, 40_000),
+    "ties": lambda rng: exact_ties(rng, 2_000),
+    "decades": lambda rng: decade_neighbours(),
+    "fallback": lambda rng: np.array([0.0, 5e-324, 9.9e-5, 1e15, 1e300, np.inf, np.nan]),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_SETS)
+def test_float_field_prints_what_csv_floats_prints(monkeypatch, name):
+    """The exact kernel gives '{:.17g}' text on seeded sets: uniform on [0, 8),
+    log-uniform over its domain [1e-4, 1e15), exact ties, the neighbours of
+    every power of ten, and the values it leaves to `csv_floats`.  After the
+    correction pass every shift lies in [1, 46], and no shift reaches 64."""
+    x = FIELD_SETS[name](np.random.default_rng(38))
+    if name == "ties":
+        assert {str(Decimal(v)).replace(".", "").strip("0")[-1] for v in x.tolist()} == {"5"}
+        assert {len(str(Decimal(v)).replace(".", "").strip("0")) for v in x.tolist()} == {18}
+    shifts = []
+
+    def scaled_digits(m, p, s):
+        shifts.append(s)
+        return scaled(m, p, s)
+
+    scaled = spectrum._scaled_digits
+    monkeypatch.setattr(spectrum, "_scaled_digits", scaled_digits)
+    rows, want = spectrum._float_field(x), spectrum.csv_floats(x)
+    assert [r.tobytes().rstrip(b"\0").decode() for r in rows] == want
+    assert rows.dtype == np.uint8 and rows.shape == (x.size, max(22, *map(len, want)))
+    first, corrected = shifts
+    assert np.all((1 <= first) & (first < 64))
+    assert np.all((1 <= corrected) & (corrected <= 46))
+
+
+def test_float_field_moves_a_decade_estimate_one_low_up(monkeypatch):
+    """A log10 one ulp low, as a less accurate log10 may give at a power of
+    ten, puts k a decade low there: the correction pass moves it up."""
+    log10 = np.log10
+    monkeypatch.setattr(spectrum.np, "log10", lambda v: np.nextafter(log10(v), -np.inf))
+    assert np.floor(np.log10(np.array([1.0, 1e14]))).tolist() == [-1.0, 13.0]
+    x = decade_neighbours()
+    rows = spectrum._float_field(x)
+    assert [r.tobytes().rstrip(b"\0").decode() for r in rows] == spectrum.csv_floats(x)
+
+
+def test_float_field_widens_for_longer_fallback_text():
+    rows = spectrum._float_field(np.array([1.5, 1.7976931348623157e308]))
+    assert rows.shape == (2, 23)
+    assert rows[1].tobytes() == b"1.7976931348623157e+308"
+
+
+def ref_band_block(energies, axis, d, start):
+    """The string route the bytes route replaced: each cell a string from
+    `csv_floats`, each negative "-" and that string, one join per block."""
+    rows = np.arange(start, min(start + spectrum.ROW_BLOCK, energies[0].size))
+    axis = np.array(axis, dtype=object)
+    cols = [axis[rows // w % axis.size].tolist() for w in lattice.place_values(axis.size, d)]
+    for e in energies:
+        plus = spectrum.csv_floats(e[start : start + spectrum.ROW_BLOCK])
+        cols += [plus, ["-" + p for p in plus]]
+    return "\n".join(",".join(row) for row in zip(*cols))
+
+
+@pytest.mark.parametrize("J,t,grid", [
+    ([0.3, -1.2, 0.7], [1.1, 0.4, -0.9], 5),
+    ([0.3, -1.2, 0.7], None, 5),
+    # |f| and |r| of about 1e-15 at two of the 36 points: fallback rows in fast blocks
+    ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 6),
+    # infinite and 1e308-scale energies
+    ([1e308, 1e308], [1e308, -1e308], 9),
+    ([1e308, 1e308, 1e308, 1e308], None, 3),
+])
+def test_band_block_matches_the_string_route(monkeypatch, J, t, grid):
+    monkeypatch.setattr(spectrum, "ROW_BLOCK", 7)
+    lines = spectrum.band_csv_lines(J, grid, hoppings=t, mapper=lambda fn, starts: [(fn, starts)])
+    next(lines)
+    (block, starts), = lines
+    energies, _, d = block.args
+    axis = spectrum.csv_floats(spectrum.TWO_PI * np.arange(grid) / grid)
+    assert len(starts) > 1
+    for start in starts:
+        assert block(start) == ref_band_block(energies, axis, d, start)
+    assert np.isinf(energies[0]).any() == (J[0] == 1e308)
 
 
 @pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (2, 12), (3, 1), (5, 1)])

@@ -736,6 +736,20 @@ def test_model_refuses_couplings_that_are_not_a_real_vector():
         assert dataclasses.replace(sys_, couplings=couplings).couplings is couplings
 
 
+@pytest.mark.parametrize("width", [2, 6])
+def test_model_refuses_term_strings_of_another_width(width):
+    """A term string on other qubits than the parity's is refused when the
+    system is made: the same masks on 6 qubits once gave the 4-qubit (2, 1)
+    system a 64 x 64 H and an all-pass identity report."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), J2)
+    t = sys_.term_strings[0]
+    other = clifford.PauliString(width, t.x & (1 << width) - 1, t.z & (1 << width) - 1, t.phase)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        dataclasses.replace(sys_, term_strings=(other, *sys_.term_strings[1:]))
+    assert sys_.parity.n == 4
+    dataclasses.replace(sys_, term_strings=sys_.term_strings)  # 4 qubits are admitted
+
+
 @pytest.mark.parametrize("d,N", [(1, 3), (2, 2), (3, 2)])
 def test_couplings_stored_one_per_term_string(d, N):
     """The system holds J_l once per edge, beside that edge's term string."""
