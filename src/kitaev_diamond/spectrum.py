@@ -6,8 +6,10 @@ reciprocal-lattice embedding ever enters the numerics.  Two independent
 routes to the spectrum are kept side by side: the closed-form dispersion
 +-|f(phi)| evaluated on the discrete phase grid, and the eigenvalues of the
 antisymmetric hopping form assembled edge by edge on the torus.  Their
-multiset agreement is the main correctness gate for both.  The band CSV prints
-each energy as '{:.17g}' does, from an exact integer kernel over whole blocks.
+multiset agreement is the main correctness gate for both.  Couplings meet edges
+in `_edge_couplings` only; both band tables take |f| and |r| from one axis's
+phase factors (`_band_energies`), and the CSV prints each energy as '{:.17g}'
+does, from an exact integer kernel over whole blocks.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ def as_hoppings(t, d: int | None = None) -> np.ndarray:
     if t.dtype.kind not in "iufc":
         raise ValueError("hoppings must be real or complex")
     return _edge_vector(t.astype(complex), d, "hoppings")
+
+
+def _edge_couplings(torus: DiamondTorus, J) -> np.ndarray:
+    """J_l of each edge's label l, in edge order, for J checked as the d + 1 couplings."""
+    return as_couplings(J, d=torus.d)[torus.label - 1]
 
 
 def as_phases(phi, d: int | None = None) -> np.ndarray:
@@ -125,11 +132,9 @@ class DispersionResult(NamedTuple):
 
 
 def dispersion(J, phi) -> DispersionResult:
-    """Two-band energies xi = +-|f(phi)|."""
-    J = as_couplings(J)
-    phi = as_phases(phi, d=J.size - 1)
-    xi = np.abs(_bloch_sum(J, np.exp(1j * phi), 2.0))
-    return DispersionResult(phi=phi, xi_plus=xi, xi_minus=-xi)
+    """Two-band energies xi = +-|f(phi)| at the wrapped phases phi."""
+    xi = np.abs(f_of_q(J, phi))
+    return DispersionResult(phi=as_phases(phi), xi_plus=xi, xi_minus=-xi)
 
 
 def bloch_hamiltonian(J, phi) -> np.ndarray:
@@ -188,9 +193,8 @@ def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
     N=1 torus accumulate onto the same entry.  One `np.add.at` adds +w at
     (frm, to), then -w at (to, frm), edge by edge: each entry sums in edge order.
     """
-    J = as_couplings(J, d=torus.d)
     n = 2 * torus.n_cells
-    w = 2.0 * J[torus.label - 1]
+    w = 2.0 * _edge_couplings(torus, J)
     A = np.zeros((n, n))
     frm, to = torus.frm, torus.to
     np.add.at(A, (np.ravel([frm, to], "F"), np.ravel([to, frm], "F")), np.ravel([w, -w], "F"))
@@ -281,32 +285,31 @@ def _float_field(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_columns(J, hoppings) -> tuple[np.ndarray, np.ndarray | None, list[str]]:
-    """Checked couplings and hoppings, the hoppings' length included, and the
-    band table's columns: the d phases, xi_plus = |f| and xi_minus = -|f|,
-    then with hoppings E_plus = |r| and E_minus = -|r|."""
+def _band_energies(J, grid_n: int, hoppings) -> tuple[int, list[str], list[np.ndarray]]:
+    """d, the band table's columns (the d phases, xi_plus = |f|, xi_minus = -|f|, then with
+    hoppings E_plus = |r|, E_minus = -|r|) and its energies |f|, and |r| with hoppings, over
+    the grid_n^d grid from one `_grid_factors` array.  J and the hoppings, their length
+    included, are checked before the grid's budget."""
     J = as_couplings(J)
     d = J.size - 1
     cols = [f"phi_{i + 1}" for i in range(d)] + ["xi_plus", "xi_minus"]
+    amplitudes = [(J, 2.0)]
     if hoppings is not None:
-        hoppings = as_hoppings(hoppings, d=d)
+        amplitudes.append((as_hoppings(hoppings, d=d), None))
         cols += ["E_plus", "E_minus"]
-    return J, hoppings, cols
+    z = _grid_factors(d, grid_n)
+    return d, cols, [np.abs(_bloch_sum(c, z, prefactor)) for c, prefactor in amplitudes]
 
 
 def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
     """Column names and values of the band table over the grid_n^d phase grid.
 
-    Rows are the grid points, row-major as `bz_grid`.  Every input is checked
-    by `_band_columns` and the grid against the budget before any work."""
-    J, hoppings, cols = _band_columns(J, hoppings)
-    phi = bz_grid(J.size - 1, grid_n)
-    xi = np.abs(_bloch_sum(J, _grid_factors(J.size - 1, grid_n), 2.0))
-    values = [phi, xi[:, None], -xi[:, None]]
-    if hoppings is not None:
-        from .tightbinding import tb_energy
-
-        values += [e[:, None] for e in tb_energy(hoppings, phi)]
+    Rows are the grid points, row-major as `bz_grid`.  The energies come from
+    `_band_energies`, which checks every input and the grid's budget first."""
+    d, cols, energies = _band_energies(J, grid_n, hoppings)
+    values = [bz_grid(d, grid_n)]
+    for e in energies:
+        values += [e[:, None], -e[:, None]]
     return cols, np.concatenate(values, axis=1)
 
 
@@ -315,19 +318,13 @@ def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):
 
     Yields the header, then each block of up to ROW_BLOCK rows as one newline-joined string:
     the rows of `band_table`, each value as '{:.17g}' prints it (`_float_field`).  Before the
-    header |f|, and |r| with `hoppings`, is computed over the whole grid from `_grid_factors`,
-    in `band_table`'s bits, which a product per block would not keep: the BLAS groups a short
-    block's rows otherwise.  The blocks, printed from those columns and one axis's phase text,
-    are `mapper(block, starts)` over their first rows, in order: the builtin map by default;
-    the CLI passes one that prints them in forked processes.
+    header |f|, and |r| with `hoppings`, is computed over the whole grid by `_band_energies`,
+    as `band_table` computes it, which a product per block would not keep: the BLAS groups a
+    short block's rows otherwise.  The blocks, printed from those columns and one axis's phase
+    text, are `mapper(block, starts)` over their first rows, in order: the builtin map by
+    default; the CLI passes one that prints them in forked processes.
     """
-    J, hoppings, cols = _band_columns(J, hoppings)
-    d = J.size - 1
-    z = _grid_factors(d, grid_n)
-    energies = [np.abs(_bloch_sum(J, z, 2.0))]
-    if hoppings is not None:
-        energies.append(np.abs(_bloch_sum(hoppings, z)))
-    del z
+    d, cols, energies = _band_energies(J, grid_n, hoppings)
     axis = _float_field(TWO_PI * np.arange(grid_n) / grid_n)
     yield ",".join(cols)
     block = functools.partial(_band_block, energies, axis, d)

@@ -35,7 +35,7 @@ from .clifford import (
     spin_ops,
 )
 from .lattice import DiamondTorus, check_budget, grid_count
-from .spectrum import FLOAT_MAX, as_couplings
+from .spectrum import FLOAT_MAX, _edge_couplings
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ class SpinSystem:
 
     @property
     def hamiltonian(self):
-        """H as a `clifford.MaskMatrix`, expanded on each access within ENTRY_BUDGET."""
-        return _mask_matrix(self.term_strings, -self.couplings,
+        """H as a `clifford.MaskMatrix`, expanded on each access within ENTRY_BUDGET.
+        The couplings are negated in float: in int64, -(-2^63) wraps to -2^63."""
+        return _mask_matrix(self.term_strings, np.negative(self.couplings, dtype=float),
                             f"spin model on torus d={self.torus.d}, N={self.torus.N}")
 
 
@@ -117,16 +118,16 @@ def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
-    J holds the d + 1 label couplings, stored once per edge as J[torus.label - 1].
+    J holds the d + 1 label couplings, stored once per edge by `spectrum._edge_couplings`.
     Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET.
     """
-    J = as_couplings(J, d=torus.d)
+    couplings = _edge_couplings(torus, J)
     check_budget(torus.label.size * _qubits(torus),
                  f"spin model on torus d={torus.d}, N={torus.N}")
     n_sites = 2 * torus.n_cells
     terms = _edge_strings(spin_ops(torus.d), torus)
     parity = _on_sites(d_operator(torus.d), range(n_sites), n_sites)
-    return SpinSystem(torus=torus, couplings=J[torus.label - 1], link_ops=link_operators(torus),
+    return SpinSystem(torus=torus, couplings=couplings, link_ops=link_operators(torus),
                       parity=parity, term_strings=terms)
 
 

@@ -409,7 +409,7 @@ def test_grid_energies_have_the_bits_of_the_phase_route(d, N, scale):
 
 @pytest.mark.parametrize("d,N", [(2, 64), (3, 16)])
 def test_band_table_exponentiates_one_axis(monkeypatch, d, N):
-    """Without hoppings the table's |f| comes from one axis's N phase
+    """The table's |f|, and |r| with hoppings, come from one axis's N phase
     factors, not from exp over all d N^d grid phases."""
     sizes = []
     exp = np.exp
@@ -419,5 +419,24 @@ def test_band_table_exponentiates_one_axis(monkeypatch, d, N):
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting)
-    spectrum.band_table(np.arange(1.0, d + 2), N)
-    assert 0 < sum(sizes) <= N
+    for t in (None, np.arange(2.0, d + 3) * 1j):
+        sizes.clear()
+        cols, _ = spectrum.band_table(np.arange(1.0, d + 2), N, hoppings=t)
+        assert len(cols) == d + (2 if t is None else 4)
+        assert 0 < sum(sizes) <= N
+
+
+def test_band_table_needs_no_tight_binding_route(monkeypatch):
+    """|r| in the table comes from `spectrum` alone: `tb_energy` is never called."""
+    from kitaev_diamond import tightbinding
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tb_energy called")
+
+    monkeypatch.setattr(tightbinding, "tb_energy", refuse)
+    t = [1.1, 0.4 - 0.3j, -0.9]
+    cols, table = spectrum.band_table([0.3, -1.2, 0.7], 5, hoppings=t)
+    assert cols[-2:] == ["E_plus", "E_minus"]
+    r = np.abs(_bloch_sum_old(as_hoppings(t), spectrum.bz_grid(2, 5)))
+    assert np.array_equal(bits(table[:, 4]), bits(r))
+    assert np.array_equal(bits(table[:, 5]), bits(-r))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from kitaev_diamond import clifford, spinham
+from kitaev_diamond import clifford, lattice, spectrum, spinham
 from kitaev_diamond.lattice import build_torus
 
 J2 = [1.0, 0.8, -0.6]
@@ -758,6 +758,42 @@ def test_couplings_stored_one_per_term_string(d, N):
     sys_ = spinham.build_spin_hamiltonian(torus, J)
     assert len(sys_.couplings) == len(sys_.term_strings) == torus.label.size
     assert np.array_equal(sys_.couplings, J[torus.label - 1])
+
+
+def test_integer_couplings_keep_their_sign_in_h():
+    """H negates int64 couplings in float: in int64, -(-2^63) wraps to -2^63,
+    which once gave an H 1.8e19 away from the float model's, without a warning."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 1), [1, 1, 1])
+    ints = dataclasses.replace(sys_, couplings=np.array([-2**63, 1, 1])).hamiltonian
+    floats = dataclasses.replace(sys_, couplings=np.array([-2.0**63, 1.0, 1.0])).hamiltonian
+    assert np.array_equal(ints.toarray().view(np.uint64), floats.toarray().view(np.uint64))
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (3, 1), (2, 3), (1, 5)])
+def test_both_models_put_the_same_couplings_on_the_edges(monkeypatch, d, N):
+    """Per (frm, to) pair, the hopping form's entry is twice the sum of the
+    spin model's couplings over that pair's edges, summed in edge order, and
+    both builders refuse the same bad couplings with the same message, before
+    the spin model's budget is checked.  The N = 1 tori have parallel edges."""
+    torus = build_torus(d, N)
+    J = np.random.default_rng(d * 10 + N).uniform(-2.0, 2.0, d + 1)
+    A = spectrum.quadratic_form(torus, J)
+    couplings = spinham.build_spin_hamiltonian(torus, J).couplings
+    want = np.zeros_like(A)
+    pairs = {}
+    for frm, to, c in zip(torus.frm.tolist(), torus.to.tolist(), couplings.tolist()):
+        pairs[frm, to] = pairs.get((frm, to), 0.0) + c
+    for (frm, to), total in pairs.items():
+        want[frm, to], want[to, frm] = 2.0 * total, -2.0 * total
+    assert np.array_equal(A.view(np.uint64), want.view(np.uint64))
+    assert (len(pairs) < torus.label.size) == (N == 1)
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 0)
+    for bad, message in [(np.ones(d + 2), f"expected {d + 1} couplings for d={d}, got {d + 2}"),
+                         (np.ones(d + 1) * 1j, "couplings must be real"),
+                         (np.append(np.ones(d), np.nan), "couplings must be finite")]:
+        for build in (spectrum.quadratic_form, spinham.build_spin_hamiltonian):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(torus, bad)
 
 
 @pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 2)])
