@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True, help="lattice dimension")
         if need_J:
             p.add_argument("--J", type=str, required=True,
-                           help="comma-separated couplings J_1,...,J_{d+1}")
+                           help="comma-separated couplings J_1,...,J_{d+1}; a list that "
+                           "starts with a minus sign is written --J=-1,2")
         if N is not None:
             p.add_argument("--N", type=int, default=N, help="torus size per axis")
         if grid is not None:
@@ -331,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", help="band table over the phase grid (CSV)")
     common(p, need_J=True, grid=64)
     p.add_argument("--t", type=str, default=None,
-                   help="comma-separated hoppings t_1,...,t_{d+1} for extra tight-binding columns")
+                   help="comma-separated hoppings t_1,...,t_{d+1} for extra tight-binding "
+                   "columns; a list that starts with a minus sign is written --t=-1,2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_bands)
 
@@ -359,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-algebra", help="operator-identity residual report (JSON)")
     common(p, N=1)
     p.add_argument("--J", type=str, default=None,
-                   help="comma-separated couplings (default: one seeded random draw)")
+                   help="comma-separated couplings (default: one seeded random draw); a list "
+                   "that starts with a minus sign is written --J=-1,2")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.set_defaults(func=cmd_verify_algebra)
 

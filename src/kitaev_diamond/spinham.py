@@ -6,7 +6,13 @@ qubits sits there shifted left by (n - 1 - v) * width bits.  The model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from the memoised `clifford` site
-strings; the strings are the only stored form of the model.  H's matrix is
+strings; the strings are the only stored form of the model.  They depend on
+the torus alone, so `build_spin_hamiltonian` gates the couplings, checks the
+budget (E edge strings of `_qubits` qubits within ENTRY_BUDGET) and then reads
+one memo of the MEMO_SIZE tori last used, keyed by d, N and the dtype and
+bytes of the frm, to and label arrays: a hit skips the string build, and a
+refused torus never reaches it.  An entry's x and z masks take at most about
+2 MiB, a full memo about 32 MiB.  H's matrix is
 expanded on request by `clifford`, which holds the one string-to-matrix
 expansion and its budget, and `hamiltonian_fits` tells whether it is
 admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
@@ -18,6 +24,7 @@ unless a check fails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +41,7 @@ from .clifford import (
     majorana_rep,
     spin_ops,
 )
-from .lattice import DiamondTorus, check_budget, grid_count
+from .lattice import MEMO_SIZE, DiamondTorus, check_budget, grid_count
 from .spectrum import FLOAT_MAX, _edge_couplings
 
 
@@ -119,16 +126,32 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     """H = -sum_edges J_l sigma^l(s=1 end) sigma^l(s=0 end), densely exact.
 
     J holds the d + 1 label couplings, stored once per edge by `spectrum._edge_couplings`.
-    Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET.
+    Refuses tori whose E edge strings of 2 N^d (d//2 + 1) qubits pass ENTRY_BUDGET; the
+    strings of an admitted torus are read from the memo of tori last used.
     """
     couplings = _edge_couplings(torus, J)
     check_budget(torus.label.size * _qubits(torus),
                  f"spin model on torus d={torus.d}, N={torus.N}")
+    arrays = (torus.frm, torus.to, torus.label)
+    terms, links, parity = _torus_strings(torus.d, torus.N,
+                                          *((a.dtype.str, a.tobytes()) for a in arrays))
+    return SpinSystem(torus=torus, couplings=couplings, link_ops=links, parity=parity,
+                      term_strings=terms)
+
+
+# The memo behind build_spin_hamiltonian, keyed by a torus's content and bounded by
+# MEMO_SIZE entries; it sees only admitted tori, and its values are frozen strings,
+# safe to share.
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _torus_strings(d: int, N: int, *arrays: tuple[str, bytes]):
+    """The term strings, link operators and parity of the torus with that content."""
+    torus = DiamondTorus(d, N, *(np.frombuffer(data, dtype) for dtype, data in arrays))
     n_sites = 2 * torus.n_cells
-    terms = _edge_strings(spin_ops(torus.d), torus)
-    parity = _on_sites(d_operator(torus.d), range(n_sites), n_sites)
-    return SpinSystem(torus=torus, couplings=couplings, link_ops=link_operators(torus),
-                      parity=parity, term_strings=terms)
+    terms = _edge_strings(spin_ops(d), torus)
+    parity = _on_sites(d_operator(d), range(n_sites), n_sites)
+    return terms, link_operators(torus), parity
 
 
 def plus_sector_dimension(system: SpinSystem) -> int:

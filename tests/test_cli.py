@@ -74,6 +74,15 @@ def test_bands_with_hoppings_columns(capsys):
         assert cols[2] == cols[4] and cols[3] == cols[5]
 
 
+def test_lists_starting_with_a_minus_sign_are_given_with_equals(capsys):
+    """argparse reads `--J -1,2` as an option; `--J=-1,2` is the way to write it."""
+    code, out, err = run_cli(capsys, "bands", "--d", "1", "--J=-1,2", "--t=-1,2",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    cols, values = spectrum.band_table([-1.0, 2.0], 64, hoppings=[-1.0, 2.0])
+    assert json.loads(out) == {"columns": cols, "rows": values.tolist()}
+
+
 def test_gap_json_gapless(capsys):
     code, out, _ = run_cli(capsys, "gap", "--d", "2", "--J", "1,1,1")
     assert code == 0

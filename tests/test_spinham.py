@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -872,3 +873,87 @@ def test_spin_spectrum_is_the_union_of_the_majorana_spectra_over_gauges(d, N):
         sys_ = spinham.build_spin_hamiltonian(torus, J)
         assert spectral_deviation(sys_, J) <= 1e-12, J
         assert spectral_deviation(swapped_term_system(sys_), J) > 1e-3, J
+
+
+# -- the memo of a torus's strings ------------------------------------------
+
+MEMO_TORI = [(d, 1) for d in range(1, 16)] + [(1, 8), (2, 2), (3, 2)]
+
+
+def strings_of(sys_):
+    return sys_.term_strings, sys_.link_ops, sys_.parity
+
+
+def cold_build(torus, J):
+    """The model built with both string memos empty."""
+    spinham._torus_strings.cache_clear()
+    clifford._site_strings.cache_clear()
+    return spinham.build_spin_hamiltonian(torus, J)
+
+
+@pytest.mark.parametrize("d,N", MEMO_TORI)
+def test_warm_memo_gives_the_strings_of_a_cold_build(d, N):
+    """A second torus of the same content hits the memo and shares the cold
+    build's strings; only the couplings are its own."""
+    J = np.linspace(-1.0, 1.3, d + 1)
+    cold = cold_build(build_torus(d, N), J)
+    hits = spinham._torus_strings.cache_info().hits
+    warm = spinham.build_spin_hamiltonian(build_torus(d, N), 2 * J)
+    assert spinham._torus_strings.cache_info().hits == hits + 1
+    assert strings_of(warm) == strings_of(cold)
+    assert all(w is c for w, c in zip(strings_of(warm), strings_of(cold)))
+    assert np.array_equal(warm.couplings, 2 * cold.couplings)
+
+
+def test_a_replaced_torus_gets_its_own_strings():
+    """The key is the arrays' content with their dtype: a torus with one bond
+    reversed (verify's --corrupt-sign torus) and one with int32 copies of the
+    arrays each fill their own entry, with the strings of a cold build."""
+    torus = build_torus(2, 2)
+    frm, to = torus.frm.copy(), torus.to.copy()
+    frm[0], to[0] = to[0], frm[0]
+    narrow = {name: getattr(torus, name).astype(np.int32) for name in ("frm", "to", "label")}
+    base = spinham.build_spin_hamiltonian(torus, J2)
+    for other in (dataclasses.replace(torus, frm=frm, to=to),
+                  dataclasses.replace(torus, **narrow)):
+        misses = spinham._torus_strings.cache_info().misses
+        got = spinham.build_spin_hamiltonian(other, J2)
+        assert spinham._torus_strings.cache_info().misses == misses + 1
+        assert got.torus is other
+        assert strings_of(got) == strings_of(cold_build(other, J2))
+        # a bond's two ends carry the same site string, so its direction is not seen
+        assert strings_of(got) == strings_of(base)
+
+
+def test_builders_are_plain_functions_over_a_bounded_memo():
+    """The memo holds at most MEMO_SIZE tori, and a torus over the budget or
+    with bad couplings is refused before the memo is reached."""
+    assert all(inspect.isfunction(f) for f in (spinham.build_spin_hamiltonian,
+                                               spinham.link_operators))
+    memo = spinham._torus_strings
+    for N in range(1, lattice.MEMO_SIZE + 5):
+        spinham.build_spin_hamiltonian(build_torus(1, N), [1.0, -1.0])
+    assert memo.cache_info().currsize <= memo.cache_info().maxsize == lattice.MEMO_SIZE
+    info = memo.cache_info()
+    for d, N in [(2048, 1), (2, 25), (3, 9)]:
+        with pytest.raises(ValueError, match="over the budget"):
+            spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        spinham.build_spin_hamiltonian(build_torus(2, 1), [1.0, np.nan, 1.0])
+    assert memo.cache_info() == info
+
+
+def test_a_cold_memo_calls_the_clifford_builders(monkeypatch):
+    """A miss builds the strings from spin_ops, d_operator and majorana_rep,
+    once each; a hit calls none of them."""
+    calls = []
+    for name in ("spin_ops", "d_operator", "majorana_rep"):
+        def counted(*args, _f=getattr(spinham, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(spinham, name, counted)
+    torus = build_torus(3, 1)
+    cold_build(torus, np.ones(4))
+    assert sorted(calls) == ["d_operator", "majorana_rep", "spin_ops"]
+    spinham.build_spin_hamiltonian(torus, np.ones(4))
+    assert len(calls) == 3
