@@ -6,9 +6,9 @@ Pauli string i^p X^x Z^z, held as two integer bit masks and a phase power,
 so products, commutation signs and the chirality sign are integer
 arithmetic.  The builders `majorana_rep`, `spin_ops` and `d_operator`
 return strings, the only form kept, check their size against ENTRY_BUDGET
-and answer from one memo of the MEMO_SIZE sizes last used, which builds a
-size's generators, spin operators and parity D together, so a process
-builds a size in use once.  `_mask_matrix` alone expands a sum of strings,
+and read their part of `_site_strings`, which builds a size's generators,
+spin operators and parity D together; `spinham` keeps the strings it builds
+from them in its memo of tori.  `_mask_matrix` alone expands a sum of strings,
 one string included, to a `MaskMatrix`, refused first past ENTRY_BUDGET.
 A string's every entry is one of 0, +-1, +-i, so all algebraic identities
 below hold exactly in float arithmetic.  For odd k the last generator is
@@ -19,13 +19,12 @@ inequivalent irreducible representations.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MEMO_SIZE, check_budget, check_size, grid_count
+from .lattice import check_budget, check_size, grid_count
 
 # i^p for p = 0..3, every vanishing part +0.0 (the literal -1j has real part -0.0)
 _I_POWERS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
@@ -206,12 +205,6 @@ def spin_ops(d: int) -> tuple[PauliString, ...]:
     return _site_strings(_generator_count(check_size(d, 1, "dimension") + 2))[1]
 
 
-# The memo behind the public builders, keyed by the generator count k and
-# bounded by MEMO_SIZE entries; it sees only admitted counts, and its values
-# are frozen strings, safe to share.
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def _site_strings(k: int) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...], PauliString]:
     """The generators c_1..c_k, the spin operators i c_j c_k for j < k, and D."""
     m = k // 2

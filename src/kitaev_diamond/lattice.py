@@ -20,13 +20,9 @@ import numpy as np
 # would allocate with integer arithmetic and calls check_budget first, so an
 # oversized request is refused with ValueError instead of exhausting memory.
 ENTRY_BUDGET = 1 << 22
-# Entries each bounded memo keeps, least recently used first out: the 14 sizes
-# the one-cell spin tori d = 2..15 use fit, so a pass over them hits.  The spin
-# strings' memo (spinham._torus_strings) keys a torus by d, N and the dtype and
-# bytes of its edge arrays, and fills an entry only after the torus's E edge
-# strings times their qubits pass the ENTRY_BUDGET check, so an entry's x and z
-# masks take at most about 2 MiB and the full memo about 32 MiB; a hit skips the
-# string build.
+# Entries each bounded memo keeps, least recently used first out: spinham's
+# memo of spin strings and gap's memo of restart offsets.  The 14 one-cell spin
+# tori d = 2..15 fit, so a pass over them hits.
 MEMO_SIZE = 16
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.

@@ -5,14 +5,13 @@ factor v, the first most significant as in np.kron: a site string of width
 qubits sits there shifted left by (n - 1 - v) * width bits.  The model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
-on the joint register, built in one step from the memoised `clifford` site
-strings; the strings are the only stored form of the model.  They depend on
-the torus alone, so `build_spin_hamiltonian` gates the couplings, checks the
-budget (E edge strings of `_qubits` qubits within ENTRY_BUDGET) and then reads
-one memo of the MEMO_SIZE tori last used, keyed by d, N and the dtype and
-bytes of the frm, to and label arrays: a hit skips the string build, and a
-refused torus never reaches it.  An entry's x and z masks take at most about
-2 MiB, a full memo about 32 MiB.  H's matrix is
+on the joint register, built in one step from one build of the `clifford`
+site strings; the strings are the only stored form of the model.  They
+depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
+read them through one gate, `_strings`: it checks d and the budget (E edge
+strings of `_qubits` qubits within ENTRY_BUDGET) and then reads the one memo
+of the MEMO_SIZE tori last used, `_torus_strings`: a hit skips the string
+build, and a refused torus never reaches it.  H's matrix is
 expanded on request by `clifford`, which holds the one string-to-matrix
 expansion and its budget, and `hamiltonian_fits` tells whether it is
 admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
@@ -35,13 +34,11 @@ from .clifford import (
     PauliString,
     _anticommuting,
     _mask_matrix,
+    _site_strings,
     _width,
-    d_operator,
     joint_plus_dimension,
-    majorana_rep,
-    spin_ops,
 )
-from .lattice import MEMO_SIZE, DiamondTorus, check_budget, grid_count
+from .lattice import MEMO_SIZE, DiamondTorus, check_budget, check_size, grid_count
 from .spectrum import FLOAT_MAX, _edge_couplings
 
 
@@ -117,9 +114,10 @@ def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
     minus one here).  Each operator has eigenvalues +-1 of equal multiplicity
     and commutes with the Hamiltonian for any couplings: edges meeting at a
     vertex carry distinct labels, and distinct single-site generators always
-    appear an even number of shared slots apart.
+    appear an even number of shared slots apart.  Refused, and read from the
+    memo, as in `build_spin_hamiltonian`.
     """
-    return _edge_strings(majorana_rep(torus.d + 2), torus)
+    return _strings(torus)[1]
 
 
 def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
@@ -130,28 +128,36 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
     strings of an admitted torus are read from the memo of tori last used.
     """
     couplings = _edge_couplings(torus, J)
-    check_budget(torus.label.size * _qubits(torus),
-                 f"spin model on torus d={torus.d}, N={torus.N}")
-    arrays = (torus.frm, torus.to, torus.label)
-    terms, links, parity = _torus_strings(torus.d, torus.N,
-                                          *((a.dtype.str, a.tobytes()) for a in arrays))
+    terms, links, parity = _strings(torus)
     return SpinSystem(torus=torus, couplings=couplings, link_ops=links, parity=parity,
                       term_strings=terms)
 
 
-# The memo behind build_spin_hamiltonian, keyed by a torus's content and bounded by
-# MEMO_SIZE entries; it sees only admitted tori, and its values are frozen strings,
-# safe to share.
+def _strings(torus: DiamondTorus):
+    """The torus's term strings, link operators and parity, refused before the
+    memo is reached unless d is an integer >= 1 and its E edge strings times
+    `_qubits` fit ENTRY_BUDGET."""
+    d = check_size(torus.d, 1, "dimension")
+    check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={torus.N}")
+    arrays = (torus.frm, torus.to, torus.label)
+    return _torus_strings(d, torus.N, *((a.dtype.str, a.tobytes()) for a in arrays))
+
+
+# The one memo of spin strings, keyed by a torus's content: d, N and the dtype and bytes
+# of its frm, to and label arrays, and bounded by MEMO_SIZE entries.  It sees only tori
+# `_strings` admits, so an entry's x and z masks take at most about 2 MiB and the full
+# memo about 32 MiB; its values are frozen strings, safe to share.
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _torus_strings(d: int, N: int, *arrays: tuple[str, bytes]):
-    """The term strings, link operators and parity of the torus with that content."""
+    """The term strings, link operators and parity of the torus with that content,
+    from one build of the Cl_{d+2} site strings."""
     torus = DiamondTorus(d, N, *(np.frombuffer(data, dtype) for dtype, data in arrays))
     n_sites = 2 * torus.n_cells
-    terms = _edge_strings(spin_ops(d), torus)
-    parity = _on_sites(d_operator(d), range(n_sites), n_sites)
-    return terms, link_operators(torus), parity
+    generators, spins, D = _site_strings(d + 2)
+    return (_edge_strings(spins, torus), _edge_strings(generators, torus),
+            _on_sites(D, range(n_sites), n_sites))
 
 
 def plus_sector_dimension(system: SpinSystem) -> int:

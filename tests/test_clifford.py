@@ -81,13 +81,19 @@ def test_cap_rejects_oversized_k():
         clifford.majorana_rep(0)
 
 
-def test_builders_are_plain_functions_over_bounded_memos():
+def test_builders_are_plain_functions_over_bounded_memos(monkeypatch):
     """The public builders stay plain functions (tools that wrap functions
-    see every call); refused sizes raise before their memo is reached."""
+    see every call); refused sizes raise before `_site_strings` is called,
+    and every admitted call builds its size once."""
     builders = (clifford.majorana_rep, clifford.spin_ops, clifford.d_operator)
     assert all(inspect.isfunction(f) for f in builders)
-    memo = clifford._site_strings
-    size = memo.cache_info().currsize
+    calls = []
+
+    def counted(k, _f=clifford._site_strings):
+        calls.append(k)
+        return _f(k)
+
+    monkeypatch.setattr(clifford, "_site_strings", counted)
     # k = 2897 is the first count whose k strings of k//2 qubits pass 2^22
     for bad in (0, -1, 2.0, 2897, 10**30):
         with pytest.raises(ValueError):
@@ -96,20 +102,18 @@ def test_builders_are_plain_functions_over_bounded_memos():
         for f in builders[1:]:
             with pytest.raises(ValueError):
                 f(bad)
-    assert memo.cache_info().currsize == size
+    assert calls == []
     assert len(clifford.majorana_rep(2896)) == 2896
     assert len(clifford.spin_ops(2894)) == 2895
     assert clifford.d_operator(2894).n == 1448
-    # more distinct sizes than the memo holds: least recently used go first
-    bound = clifford.MEMO_SIZE
-    for k in range(1, 2 * bound + 3):
-        clifford.majorana_rep(k)
-    for d in range(1, 2 * bound + 1):
-        clifford.spin_ops(d)
-        clifford.d_operator(d)
-    assert memo.cache_info().currsize <= bound
-    assert memo.cache_info().maxsize == bound >= 14
-    assert clifford.spin_ops(np.int64(3)) is clifford.spin_ops(3)
+    assert calls == [2896, 2896, 2896]
+    # each call builds afresh, and equal sizes give equal strings
+    for k in range(1, 35):
+        assert clifford.majorana_rep(k) == clifford.majorana_rep(k)
+    for d in range(1, 33):
+        assert clifford.spin_ops(d) == clifford._site_strings(d + 2)[1]
+        assert clifford.d_operator(d) == clifford._site_strings(d + 2)[2]
+    assert clifford.spin_ops(np.int64(3)) == clifford.spin_ops(3)
 
 
 def test_ladder_relations():

@@ -19,7 +19,7 @@ import hashlib
 
 import pytest
 
-from kitaev_diamond import cli, clifford, spinham
+from kitaev_diamond import cli, spinham
 
 GOLDEN = {
     ("verify-algebra", "--d", "2", "--seed", "0"):
@@ -94,8 +94,8 @@ def test_stdout_digest(capsys, argv):
 
 
 def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
-    """verify-algebra prints the same bytes whether the memoised clifford
-    builders and spin strings start empty or already hold its size and torus."""
+    """verify-algebra prints the same bytes whether the memo of spin strings
+    starts empty or already holds its torus."""
 
     def stdout(argv):
         assert cli.main(list(argv)) == 0
@@ -103,7 +103,6 @@ def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
 
     for d in range(2, 16):
         argv = ("verify-algebra", "--d", str(d), "--seed", "0")
-        clifford._site_strings.cache_clear()
         spinham._torus_strings.cache_clear()
         cold = stdout(argv)
         assert stdout(argv) == cold

@@ -885,9 +885,8 @@ def strings_of(sys_):
 
 
 def cold_build(torus, J):
-    """The model built with both string memos empty."""
+    """The model built with the memo of spin strings empty."""
     spinham._torus_strings.cache_clear()
-    clifford._site_strings.cache_clear()
     return spinham.build_spin_hamiltonian(torus, J)
 
 
@@ -944,16 +943,43 @@ def test_builders_are_plain_functions_over_a_bounded_memo():
 
 
 def test_a_cold_memo_calls_the_clifford_builders(monkeypatch):
-    """A miss builds the strings from spin_ops, d_operator and majorana_rep,
-    once each; a hit calls none of them."""
+    """A miss builds the site strings of Cl_{d+2} once; a hit, and
+    link_operators on a warm memo, build none."""
     calls = []
-    for name in ("spin_ops", "d_operator", "majorana_rep"):
-        def counted(*args, _f=getattr(spinham, name), _name=name):
-            calls.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(spinham, name, counted)
+
+    def counted(k, _f=clifford._site_strings):
+        calls.append(k)
+        return _f(k)
+
+    monkeypatch.setattr(spinham, "_site_strings", counted)
     torus = build_torus(3, 1)
     cold_build(torus, np.ones(4))
-    assert sorted(calls) == ["d_operator", "majorana_rep", "spin_ops"]
+    assert calls == [5]
     spinham.build_spin_hamiltonian(torus, np.ones(4))
-    assert len(calls) == 3
+    spinham.link_operators(build_torus(3, 1))
+    assert calls == [5]
+
+
+def test_link_operators_pass_the_model_gate_and_memo():
+    """link_operators refuses the tori build_spin_hamiltonian refuses, and a
+    torus whose d is no integer >= 1, before the memo is reached; on an
+    admitted torus it returns the model's links."""
+    info = spinham._torus_strings.cache_info()
+    # (2, 32): 3,072 link strings of 4,096 qubits; (2890, 1): 2,891 of 2,892
+    for d, N in [(2, 32), (3, 9), (2890, 1)]:
+        with pytest.raises(ValueError, match="over the budget"):
+            spinham.link_operators(build_torus(d, N))
+    assert spinham._torus_strings.cache_info() == info
+    # d = 2.0 keys the memo like d = 2, whose strings it holds: still refused
+    warm = build_torus(2, 1)
+    spinham.build_spin_hamiltonian(warm, J2)
+    for bad, match in [(2.0, "must be an integer"), (0, "must be >= 1")]:
+        torus = dataclasses.replace(warm, d=bad)
+        with pytest.raises(ValueError, match=f"dimension {match}"):
+            spinham.link_operators(torus)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        spinham.build_spin_hamiltonian(dataclasses.replace(warm, d=2.0), J2)
+    torus = build_torus(2, 2)
+    links = spinham.link_operators(torus)
+    assert links is spinham.build_spin_hamiltonian(torus, J2).link_ops
+    assert spinham.link_operators(build_torus(2, 2)) is links
