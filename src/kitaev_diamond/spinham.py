@@ -8,13 +8,13 @@ the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from one build of the `clifford`
 site strings; the strings are the only stored form of the model.  They
 depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
-read them through one gate, `_strings`: it checks d and the budget (E edge
-strings of `_qubits` qubits within ENTRY_BUDGET) and then reads the one memo
-of the MEMO_SIZE tori last used, `_torus_strings`: a hit skips the string
-build, and a refused torus never reaches it.  H's matrix is
-expanded on request by `clifford`, which holds the one string-to-matrix
-expansion and its budget, and `hamiltonian_fits` tells whether it is
-admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
+read them through one gate, `_strings`: it checks d and the budgets (E edge
+strings of `_qubits` qubits, and the d + 2 site generators, each within
+ENTRY_BUDGET) and then reads the one memo of the MEMO_SIZE tori last used,
+`_torus_strings`: a hit skips the string build, and a refused torus never
+reaches it.  H's matrix is expanded on request by `clifford`, which holds the
+one string-to-matrix expansion and its budget, and `hamiltonian_fits` tells
+whether it is admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
 identity below holds exactly, not just to rounding.  The identities and the
 joint +1 sector of the links and the parity (a GF(2) rank) are read off the
 strings' masks and phases: no matrix is formed, and no string is built
@@ -33,6 +33,7 @@ from . import lattice
 from .clifford import (
     PauliString,
     _anticommuting,
+    _generator_count,
     _mask_matrix,
     _site_strings,
     _width,
@@ -135,10 +136,12 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
 
 def _strings(torus: DiamondTorus):
     """The torus's term strings, link operators and parity, refused before the
-    memo is reached unless d is an integer >= 1 and its E edge strings times
-    `_qubits` fit ENTRY_BUDGET."""
+    memo is reached unless d is an integer >= 1, its E edge strings times
+    `_qubits` fit ENTRY_BUDGET and so do the d + 2 site generators a miss builds
+    (E = (d + 1) N^d makes the first bound the second; a hand-made torus need not)."""
     d = check_size(torus.d, 1, "dimension")
     check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={torus.N}")
+    _generator_count(d + 2)
     arrays = (torus.frm, torus.to, torus.label)
     return _torus_strings(d, torus.N, *((a.dtype.str, a.tobytes()) for a in arrays))
 

@@ -962,13 +962,22 @@ def test_a_cold_memo_calls_the_clifford_builders(monkeypatch):
 
 def test_link_operators_pass_the_model_gate_and_memo():
     """link_operators refuses the tori build_spin_hamiltonian refuses, and a
-    torus whose d is no integer >= 1, before the memo is reached; on an
-    admitted torus it returns the model's links."""
+    torus whose d is no integer >= 1 or whose site generators pass the
+    budget, before the memo is reached; on an admitted torus it returns the
+    model's links."""
     info = spinham._torus_strings.cache_info()
     # (2, 32): 3,072 link strings of 4,096 qubits; (2890, 1): 2,891 of 2,892
     for d, N in [(2, 32), (3, 9), (2890, 1)]:
         with pytest.raises(ValueError, match="over the budget"):
             spinham.link_operators(build_torus(d, N))
+    # a hand-made torus of 3 edges fits the spin budget at any d, but the
+    # d + 2 site generators a miss would build pass it from d = 2895 on
+    for d in (2895, 10**6):
+        torus = dataclasses.replace(build_torus(2, 1), d=d)
+        with pytest.raises(ValueError, match=f"generator count k={d + 2} is over the budget"):
+            spinham.link_operators(torus)
+        with pytest.raises(ValueError, match=f"generator count k={d + 2} is over the budget"):
+            spinham.build_spin_hamiltonian(torus, np.ones(d + 1))
     assert spinham._torus_strings.cache_info() == info
     # d = 2.0 keys the memo like d = 2, whose strings it holds: still refused
     warm = build_torus(2, 1)
