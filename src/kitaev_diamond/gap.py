@@ -432,6 +432,9 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     that value exceeds the float range.
     Refused before anything is allocated: a scan tail of grid_n^(d-2) points (counted
     as at least grid_n) above _SCAN_CAP, or a scan of grid_n^(d-1) points above _SCAN_WORK.
+    Past that gate trailing zero couplings, on which no phase depends, are dropped (down
+    to two entries; all-zero couplings stay whole): a zero last coupling voids the
+    closed-form last phase, and the scan and every restart could end on a saddle.
     """
     J = as_couplings(J)
     grid_n = check_size(grid_n, 2, "grid_n")
@@ -440,10 +443,12 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
         raise ValueError(
             f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
         )
+    nonzero = np.flatnonzero(J)
+    J = J[: max(nonzero[-1] + 1, 2)] if nonzero.size else J
     e = 1 - np.frexp(np.abs(J).max())[1]
     J = np.ldexp(J, e)
     phi0 = _grid_start(J, grid_n)
-    jitter, spread = _restart_offsets(d, grid_n)
+    jitter, spread = _restart_offsets(J.size - 1, grid_n)
     starts = np.concatenate([phi0[None, :], phi0 + jitter, spread])
     with np.errstate(over="ignore"):
         return float(np.ldexp(2.0 * _newton_polish(J, starts).min(), -e))

@@ -20,9 +20,9 @@ import numpy as np
 # would allocate with integer arithmetic and calls check_budget first, so an
 # oversized request is refused with ValueError instead of exhausting memory.
 ENTRY_BUDGET = 1 << 22
-# Entries each bounded memo keeps, least recently used first out: spinham's
-# memo of spin strings and gap's memo of restart offsets.  The 14 one-cell spin
-# tori d = 2..15 fit, so a pass over them hits.
+# Entries each bounded memo keeps, least recently used first out: spinham's memos
+# of spin strings and of identity-check facts, and gap's of restart offsets.  The
+# 14 one-cell spin tori d = 2..15 fit, so a pass over them hits.
 MEMO_SIZE = 16
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.

@@ -18,7 +18,8 @@ whether it is admitted.  The strings' entries are 0, +-1, +-i, so every conserve
 identity below holds exactly, not just to rounding.  The identities and the
 joint +1 sector of the links and the parity (a GF(2) rank) are read off the
 strings' masks and phases: no matrix is formed, and no string is built
-unless a check fails.
+unless a check fails.  The checks' coupling-free half is kept in a second memo,
+`_frame_facts`, keyed by the strings' content and bounded by MEMO_SIZE.
 """
 
 from __future__ import annotations
@@ -186,15 +187,19 @@ def _saturate(norm: float, dim: int) -> float:
     return x if x <= FLOAT_MAX else FLOAT_MAX
 
 
-def _commutator_norm(terms, J, S: PauliString, dim: int) -> float:
-    """||[H, S]||_F for H = -sum_k J[k] terms[k].
+def _commutator_norm(terms, J, S: PauliString, anticommuting: int, dim: int) -> float:
+    """||[H, S]||_F for H = -sum_k J[k] terms[k], given the bit mask of the k
+    whose terms anticommute with S.
 
-    [H, S] = -sum 2 J_k t_k S over the terms t_k whose masks anticommute with
-    S; distinct Pauli strings are trace-orthogonal, so the norm is
-    sqrt(dim sum |coefficient|^2) once equal (x, z) products are combined.
+    [H, S] = -sum 2 J_k t_k S over those terms; distinct Pauli strings are
+    trace-orthogonal, so the norm is sqrt(dim sum |coefficient|^2) once
+    equal (x, z) products are combined, in increasing k.
     """
     coef: dict[tuple[int, int], complex] = {}
-    for k in _anticommuting(terms, S):
+    while anticommuting:
+        low = anticommuting & -anticommuting
+        anticommuting ^= low
+        k = low.bit_length() - 1
         p = terms[k] * S
         coef[p.x, p.z] = coef.get((p.x, p.z), 0) - 2 * float(J[k]) * 1j**p.phase
     return _saturate(math.hypot(*map(abs, coef.values())), dim) if coef else 0.0
@@ -206,6 +211,25 @@ def _involution_norm(S: PauliString, dim: int) -> float:
     return _saturate(0.0 if S.is_hermitian() else 2.0, dim)
 
 
+# The identity checks' coupling-free half for the MEMO_SIZE string sets last checked,
+# keyed by content: the facts depend on the strings' widths, masks and phases alone, which
+# the key compares, so a hit is sound and a model with one string changed is checked afresh.
+# A built model's key holds the strings `_torus_strings` holds, and an entry adds E + 1
+# masks of E bits, under 1 MiB at E = 2,048, the most an admitted torus has.
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _frame_facts(terms, links, P: PauliString):
+    """Bit masks of the terms anticommuting with P and with each link, then the
+    involution residuals and exactness flags, as in the report."""
+    dim = 1 << P.n
+    masks = tuple(sum(1 << k for k in _anticommuting(terms, S)) for S in (P, *links))
+    return masks, (
+        _involution_norm(P, dim),
+        max((_involution_norm(u, dim) for u in links), default=0.0),
+        all(u.n == P.n and u.is_hermitian() and (u.x or u.z) for u in links),
+        P.x == 0 and P.is_hermitian(),
+    )
+
+
 def verify_operator_identities(system: SpinSystem) -> dict:
     """Residuals of the conserved-quantity identities, plus exactness flags.
 
@@ -215,25 +239,27 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     together these force eigenvalues exactly +-1 with equal multiplicity --
     and that the parity is diagonal with entries +-1.
 
-    Everything is read off the strings' masks and phases.  A commutator
-    that does not vanish is that of the exact sum, which the expanded H
-    rounds.  Values beyond the float range saturate at its maximum, so the
-    report never holds inf or NaN.
+    Everything is read off the strings' masks and phases, all but the
+    coupling sums from `_frame_facts` (strings held in lists skip that memo),
+    and only anticommuting terms, none on a correct model, are multiplied
+    out.  A commutator that does not vanish is that of the exact sum, which
+    the expanded H rounds.  Values beyond the float range saturate at its
+    maximum, so the report never holds inf or NaN.
     """
     dim = system.total_dim
     terms, J = system.term_strings, system.couplings
     links, P = system.link_ops, system.parity
+    memo = isinstance(terms, tuple) and isinstance(links, tuple)
+    masks, (parity_involution, link_involution, links_exact, parity_diagonal) = (
+        _frame_facts if memo else _frame_facts.__wrapped__)(terms, links, P)
     residuals = {
-        "commutator_parity": _commutator_norm(terms, J, P, dim),
-        "commutator_links_max": max(
-            (_commutator_norm(terms, J, u, dim) for u in links), default=0.0
-        ),
-        "parity_involution": _involution_norm(P, dim),
-        "link_involution_max": max((_involution_norm(u, dim) for u in links), default=0.0),
+        "commutator_parity": _commutator_norm(terms, J, P, masks[0], dim),
+        "commutator_links_max": max((_commutator_norm(terms, J, u, m, dim)
+                                     for u, m in zip(links, masks[1:]) if m), default=0.0),
+        "parity_involution": parity_involution,
+        "link_involution_max": link_involution,
     }
     residuals["max_residual"] = max(residuals.values())
-    residuals["links_exact_pm_one"] = all(
-        u.n == P.n and u.is_hermitian() and (u.x or u.z) for u in links
-    )
-    residuals["parity_diagonal_pm_one"] = P.x == 0 and P.is_hermitian()
+    residuals["links_exact_pm_one"] = links_exact
+    residuals["parity_diagonal_pm_one"] = parity_diagonal
     return residuals

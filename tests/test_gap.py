@@ -290,6 +290,44 @@ def test_min_gap_polishes_all_zero_couplings(monkeypatch, d):
         assert len(calls) == 1, J
 
 
+# gapless, with a zero last coupling: the scan once ended on the all-{0, pi}
+# saddle at |s| = 0.008, and every restart polished onto it
+TRAILING_ZERO_J = [1.2314509084370528, -1.774818000842365, 1.1481882164747095,
+                   1.6835382088114335, 0.0]
+
+
+def test_min_gap_drops_trailing_zero_couplings():
+    """Trailing zeros are dropped, down to two entries, so the result has
+    the bits of the shorter vector; its minimum is then within rounding of 0."""
+    J = np.array(TRAILING_ZERO_J)
+    assert gap.has_zero(J) and gap.gap_report(J).margin > 2.28
+    got = gap.min_gap_numeric(J)
+    assert got <= 32 * np.finfo(float).eps * np.abs(J).sum()
+    want = np.float64(gap.min_gap_numeric(J[:4])).tobytes()
+    for padded in (J, np.append(J, [0.0, -0.0])):
+        assert np.float64(gap.min_gap_numeric(padded)).tobytes() == want
+    for short in ([2.0, 0.0, 0.0], [-0.5, 0.0]):
+        assert gap.min_gap_numeric(short) == 2 * abs(short[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_min_gap_finds_the_zero_of_gapless_couplings_with_trailing_zeros(d):
+    """Gapless couplings of k + 1 <= d entries padded with zeros to d + 1:
+    has_zero holds and the oracle's minimum is within rounding of 0."""
+    rng = np.random.default_rng(4200 + d)
+    eps = np.finfo(float).eps
+    for k in range(1, d):
+        for _ in range(12):
+            if k == 1:
+                a = rng.uniform(0.1, 2.0)
+                head = np.array([a, a * rng.choice([-1.0, 1.0])])
+            else:
+                head = _oracle_draw(rng, k, "gapless")
+            J = np.concatenate([head, np.zeros(d - k)])
+            assert gap.has_zero(J), J
+            assert gap.min_gap_numeric(J) <= 32 * eps * np.abs(J).sum(), J
+
+
 def _oracle_draw(rng, d, kind):
     """Couplings of one class: gapless, gapped, some zeroed, or exact boundary."""
     while True:
@@ -609,6 +647,9 @@ def _min_gap_numeric_fresh_rng(J, grid_n):
     per call and the per-slice scan: the reference the memoised
     `gap.min_gap_numeric` must match bit for bit."""
     J = np.asarray(J, dtype=float)
+    nonzero = np.flatnonzero(J)
+    if nonzero.size:  # trailing zero couplings dropped, down to two entries
+        J = J[: max(nonzero[-1] + 1, 2)]
     d = J.size - 1
     top = float(np.abs(J).max())
     if top == 0.0:

@@ -94,8 +94,8 @@ def test_stdout_digest(capsys, argv):
 
 
 def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
-    """verify-algebra prints the same bytes whether the memo of spin strings
-    starts empty or already holds its torus."""
+    """verify-algebra prints the same bytes whether the memos of spin strings
+    and of their identity-check facts start empty or already hold its torus."""
 
     def stdout(argv):
         assert cli.main(list(argv)) == 0
@@ -104,6 +104,7 @@ def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):
     for d in range(2, 16):
         argv = ("verify-algebra", "--d", str(d), "--seed", "0")
         spinham._torus_strings.cache_clear()
+        spinham._frame_facts.cache_clear()
         cold = stdout(argv)
         assert stdout(argv) == cold
         assert hashlib.sha256(cold.encode()).hexdigest() == GOLDEN[argv]

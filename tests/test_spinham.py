@@ -434,8 +434,12 @@ def test_residuals_at_dimensions_past_the_float_range(log2_dim):
     c1 = on_site(clifford.majorana_rep(4)[0], 0, 2)  # anticommutes with the parity
     top = np.finfo(float).max
     finite = dim < 2**1024
-    assert spinham._commutator_norm(sys_.term_strings, J, P, dim) == 0.0
-    odd = spinham._commutator_norm((c1,), [0.75], P, dim)
+    masks = spinham._frame_facts(sys_.term_strings, sys_.link_ops, P)[0]
+    assert masks[0] == 0
+    assert spinham._commutator_norm(sys_.term_strings, J, P, masks[0], dim) == 0.0
+    odd_masks = spinham._frame_facts((c1,), (), P)[0]
+    assert odd_masks == (1,)
+    odd = spinham._commutator_norm((c1,), [0.75], P, odd_masks[0], dim)
     assert odd == (1.5 * math.sqrt(dim) if finite else top)
     assert spinham._involution_norm(u, dim) == 0.0
     minus_id = dataclasses.replace(u, phase=(u.phase + 1) % 4)  # squares to -Id
@@ -992,3 +996,105 @@ def test_link_operators_pass_the_model_gate_and_memo():
     links = spinham.link_operators(torus)
     assert links is spinham.build_spin_hamiltonian(torus, J2).link_ops
     assert spinham.link_operators(build_torus(2, 2)) is links
+
+
+# -- the memo of the identity checks' coupling-free half -----------------------
+
+FACT_TORI = [(d, 1) for d in range(1, 17)] + [(2, 2), (3, 2), (1, 8)]
+# the last torus each d admits within the string budget, as in acceptance criterion 7
+LARGEST_TORI = [(2047, 1), (1, 1024), (2, 24), (3, 8)]
+TRIP_TORI = [(1, 2), (2, 1), (3, 1), (5, 1), (2, 2)]
+
+
+def report_bits(rep):
+    """The report with each value's type and each float's exact bits."""
+    return {key: (type(v), v.hex() if isinstance(v, float) else v) for key, v in rep.items()}
+
+
+def cold_report(system):
+    """The identity report with the memo of the checks' string facts empty."""
+    spinham._frame_facts.cache_clear()
+    return spinham.verify_operator_identities(system)
+
+
+def broken_systems(sys_):
+    """Every broken model of this module built from sys_, by name."""
+    c1 = on_site(clifford.majorana_rep(sys_.torus.d + 2)[0], 0, 2 * sys_.torus.n_cells)
+    return {**corrupted_systems(sys_), "swapped term": swapped_term_system(sys_),
+            "doubled generator": dataclasses.replace(
+                sys_, term_strings=(c1, c1, *sys_.term_strings[2:]))}
+
+
+@pytest.mark.parametrize("d,N", FACT_TORI + LARGEST_TORI)
+def test_warm_identity_checks_report_the_bits_of_a_cold_check(d, N):
+    """A second check of one model hits the memo and reports every bit a
+    check with the memo cleared reports, on the largest admitted tori too."""
+    J = np.random.default_rng(4200 + d + N).uniform(-2.0, 2.0, d + 1)
+    system = spinham.build_spin_hamiltonian(build_torus(d, N), J)
+    cold = cold_report(system)
+    hits = spinham._frame_facts.cache_info().hits
+    warm = spinham.verify_operator_identities(system)
+    assert spinham._frame_facts.cache_info().hits == hits + 1
+    assert report_bits(warm) == report_bits(cold)
+    assert not trips(cold)
+
+
+@pytest.mark.parametrize("d,N", TRIP_TORI)
+def test_a_broken_model_checked_after_its_parent_reports_its_own_residuals(d, N):
+    """A model with one string broken misses the memo its healthy parent just
+    filled, and reports the bits a cold check gives, residuals and all; its
+    parent still reports clean afterwards."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.linspace(-1.0, 1.3, d + 1))
+    for name, bad in broken_systems(sys_).items():
+        cold = cold_report(bad)
+        assert not trips(cold_report(sys_))
+        misses = spinham._frame_facts.cache_info().misses
+        warm = spinham.verify_operator_identities(bad)
+        assert spinham._frame_facts.cache_info().misses == misses + 1, name
+        assert report_bits(warm) == report_bits(cold), name
+        assert report_bits(spinham.verify_operator_identities(bad)) == report_bits(cold), name
+        assert not trips(spinham.verify_operator_identities(sys_)), name
+        assert trips(cold), name
+
+
+def test_the_memo_misses_once_per_string_set():
+    """One miss per distinct string set, healthy or broken, then a hit for a
+    second coupling draw on the same torus, whose report is that of a cold
+    check with those couplings; the memo keeps at most MEMO_SIZE sets."""
+    rng = np.random.default_rng(4201)
+    systems = []
+    for d, N in TRIP_TORI:
+        sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), rng.uniform(-2.0, 2.0, d + 1))
+        systems += [sys_, odd_term_system(sys_)]
+    spinham._frame_facts.cache_clear()
+    for misses, system in enumerate(systems, 1):
+        spinham.verify_operator_identities(system)
+        assert spinham._frame_facts.cache_info()[:2] == (0, misses)
+    redrawn = [spinham.build_spin_hamiltonian(build_torus(d, N), rng.uniform(-2.0, 2.0, d + 1))
+               for d, N in TRIP_TORI]
+    redrawn += [dataclasses.replace(s, couplings=rng.uniform(-2.0, 2.0, s.couplings.size))
+                for s in systems[1::2]]
+    warm = []
+    for hits, system in enumerate(redrawn, 1):
+        warm.append(spinham.verify_operator_identities(system))
+        assert spinham._frame_facts.cache_info()[:2] == (hits, len(systems))
+    for system, rep in zip(redrawn, warm):
+        assert report_bits(rep) == report_bits(cold_report(system))
+    assert spinham._frame_facts.cache_info().maxsize == lattice.MEMO_SIZE
+    for N in range(1, lattice.MEMO_SIZE + 5):
+        spinham.verify_operator_identities(
+            spinham.build_spin_hamiltonian(build_torus(1, N), [1.0, -1.0]))
+    assert spinham._frame_facts.cache_info().currsize == lattice.MEMO_SIZE
+
+
+def test_strings_held_in_lists_are_checked_afresh():
+    """A model whose strings are lists, which no memo key can hold, is
+    checked without the memo and reports what its tuple twin does."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 2), J2)
+    models = [sys_, odd_term_system(sys_), corrupted_systems(sys_)["link sign"]]
+    info = spinham._frame_facts.cache_info()
+    listed = [spinham.verify_operator_identities(dataclasses.replace(
+        m, term_strings=list(m.term_strings), link_ops=list(m.link_ops))) for m in models]
+    assert spinham._frame_facts.cache_info() == info
+    for m, rep in zip(models, listed):
+        assert report_bits(rep) == report_bits(cold_report(m))
