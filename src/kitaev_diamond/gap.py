@@ -55,6 +55,12 @@ _NEWTON_MAX_ITER = 100
 _NEWTON_XTOL = 1e-12
 _NEWTON_MU0 = 1e-3
 _NEWTON_MU_MIN = 1e-12
+# Most saddles the oracle escapes after its polish, the phase step it takes
+# off each one along the direction of negative curvature, and the slack above
+# the reverse-triangle bound, per unit of sum |J|, within which it stays put.
+_ESCAPE_ROUNDS = 4
+_ESCAPE_KICK = 0.5
+_ESCAPE_SLACK = float(np.sqrt(np.finfo(float).eps))
 
 
 def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
@@ -345,8 +351,8 @@ def _amplitude(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return J[0] + r.sum(axis=1), r
 
 
-def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Damped Newton on |s|^2 / 2 from every row of phi at once; |s| per row.
+def _newton_polish(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on |s|^2 / 2 from every row of phi at once; |s| and phases per row.
 
     With r_k = J_k e^{i phi_k}, the gradient is -Im(conj(s) r_k) and the
     Hessian Re(conj(r_j) r_k) - delta_jk Re(conj(s) r_k).  Each row takes the
@@ -389,6 +395,38 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
         r = np.where(better[:, None], r_t, r)
         a = np.where(better, a_t, a)
         mu = np.maximum(mu * np.where(better, 0.25, 4.0), _NEWTON_MU_MIN)
+    return a, phi
+
+
+def _escape_saddles(J: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|s| per row after polishing again off the best row while it sits on a saddle.
+
+    Newton is drawn to every critical point, and every phase vector in {0, pi}^d
+    is one, so the scan and all restarts can end on one saddle.  While the best
+    |s| lies more than _ESCAPE_SLACK sum |J| above the reverse-triangle bound and the
+    Hessian there has a negative eigenvalue, two rows start _ESCAPE_KICK either
+    side of the best along its eigenvector, and their polish is kept if it ends
+    lower.  A best row within that slack of the bound is returned as it is, so
+    every result the polish alone brings that close keeps its bits.
+    """
+    mags = np.abs(J).tolist()  # a few entries: Python's sum and max cost less
+    total = sum(mags)
+    stop = max(0.0, 2.0 * max(mags) - total) + _ESCAPE_SLACK * total
+    for _ in range(_ESCAPE_ROUNDS):
+        low = min(a.tolist())
+        if low <= stop:
+            break
+        best = phi[a.argmin()]
+        s, r = _amplitude(J, best[None, :])
+        hess = np.real(np.conj(r).T * r) - np.diag(np.real(np.conj(s) * r[0]))
+        curv, vec = np.linalg.eigh(hess)
+        if curv[0] >= 0.0:
+            break
+        kick = np.outer([_ESCAPE_KICK, -_ESCAPE_KICK], vec[:, 0])
+        kicked, phi_k = _newton_polish(J, best + kick)
+        if kicked.min() >= low:
+            break
+        a, phi = kicked, phi_k
     return a
 
 
@@ -418,13 +456,14 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     Descent from the best grid point alone is not enough: every phase
     vector with all components in {0, pi} is a critical point of the
     amplitude, and for small classifier margins one of those saddles can
-    undercut every grid point near the true zero set.  The restarts escape
-    them (for a positive margin all nonzero critical points are strict
-    saddles, so a descent started off the razor edge falls through to the
-    zero set).  Nonzero couplings are first scaled by a power of two so the
-    largest magnitude lies in [1, 2), and the result is scaled back, so
-    inputs that differ by a power of two give results that differ by the
-    same power.  The polish stops within rounding of the reverse-triangle
+    undercut every grid point near the true zero set.  Newton is drawn to
+    saddles too, so the restarts alone can all end on one; `_escape_saddles`
+    then steps off it along negative curvature (for a positive margin all
+    nonzero critical points are strict saddles, so a descent started off the
+    razor edge falls through to the zero set).  Nonzero couplings are first
+    scaled by a power of two so the largest magnitude lies in [1, 2), and
+    the result is scaled back, so inputs that differ by a power of two give
+    results that differ by the same power.  The polish stops within rounding of the reverse-triangle
     bound (see `_newton_polish`).  The result is 2|s| evaluated at an
     explicit phase vector, never the bound, so up to rounding it cannot
     undercut the true minimum, and a wrong bound could only stop the polish
@@ -432,9 +471,6 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     that value exceeds the float range.
     Refused before anything is allocated: a scan tail of grid_n^(d-2) points (counted
     as at least grid_n) above _SCAN_CAP, or a scan of grid_n^(d-1) points above _SCAN_WORK.
-    Past that gate trailing zero couplings, on which no phase depends, are dropped (down
-    to two entries; all-zero couplings stay whole): a zero last coupling voids the
-    closed-form last phase, and the scan and every restart could end on a saddle.
     """
     J = as_couplings(J)
     grid_n = check_size(grid_n, 2, "grid_n")
@@ -443,15 +479,13 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
         raise ValueError(
             f"phase grid of {grid_n}^{d - 1} points is too large; reduce grid_n or d"
         )
-    nonzero = np.flatnonzero(J)
-    J = J[: max(nonzero[-1] + 1, 2)] if nonzero.size else J
     e = 1 - np.frexp(np.abs(J).max())[1]
     J = np.ldexp(J, e)
     phi0 = _grid_start(J, grid_n)
-    jitter, spread = _restart_offsets(J.size - 1, grid_n)
+    jitter, spread = _restart_offsets(d, grid_n)
     starts = np.concatenate([phi0[None, :], phi0 + jitter, spread])
     with np.errstate(over="ignore"):
-        return float(np.ldexp(2.0 * _newton_polish(J, starts).min(), -e))
+        return float(np.ldexp(2.0 * _escape_saddles(J, *_newton_polish(J, starts)).min(), -e))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,11 @@ whether it is admitted.  The strings' entries are 0, +-1, +-i, so every conserve
 identity below holds exactly, not just to rounding.  The identities and the
 joint +1 sector of the links and the parity (a GF(2) rank) are read off the
 strings' masks and phases: no matrix is formed, and no string is built
-unless a check fails.  The checks' coupling-free half is kept in a second memo,
-`_frame_facts`, keyed by the strings' content and bounded by MEMO_SIZE.
+unless a check fails.  The checks' coupling-free half (which terms anticommute
+with the parity and each link, the involution residuals and the exactness
+flags) depends on the strings alone, so it is kept in a second memo,
+`_frame_facts`, keyed by the strings' content and bounded by MEMO_SIZE: a hit
+is sound, and a model with one string changed misses.
 """
 
 from __future__ import annotations
@@ -213,7 +216,8 @@ def _involution_norm(S: PauliString, dim: int) -> float:
 
 # The identity checks' coupling-free half for the MEMO_SIZE string sets last checked,
 # keyed by content: the facts depend on the strings' widths, masks and phases alone, which
-# the key compares, so a hit is sound and a model with one string changed is checked afresh.
+# the key compares, so a hit is sound and a model with one string changed is checked afresh;
+# strings held in lists are keyed as tuples of the same frozen strings.
 # A built model's key holds the strings `_torus_strings` holds, and an entry adds E + 1
 # masks of E bits, under 1 MiB at E = 2,048, the most an admitted torus has.
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -240,18 +244,17 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     and that the parity is diagonal with entries +-1.
 
     Everything is read off the strings' masks and phases, all but the
-    coupling sums from `_frame_facts` (strings held in lists skip that memo),
-    and only anticommuting terms, none on a correct model, are multiplied
-    out.  A commutator that does not vanish is that of the exact sum, which
+    coupling sums from `_frame_facts`, keyed by the strings as tuples, and
+    only anticommuting terms, none on a correct model, are multiplied out.
+    A commutator that does not vanish is that of the exact sum, which
     the expanded H rounds.  Values beyond the float range saturate at its
     maximum, so the report never holds inf or NaN.
     """
     dim = system.total_dim
     terms, J = system.term_strings, system.couplings
     links, P = system.link_ops, system.parity
-    memo = isinstance(terms, tuple) and isinstance(links, tuple)
     masks, (parity_involution, link_involution, links_exact, parity_diagonal) = (
-        _frame_facts if memo else _frame_facts.__wrapped__)(terms, links, P)
+        _frame_facts(tuple(terms), tuple(links), P))
     residuals = {
         "commutator_parity": _commutator_norm(terms, J, P, masks[0], dim),
         "commutator_links_max": max((_commutator_norm(terms, J, u, m, dim)

@@ -290,42 +290,48 @@ def test_min_gap_polishes_all_zero_couplings(monkeypatch, d):
         assert len(calls) == 1, J
 
 
-# gapless, with a zero last coupling: the scan once ended on the all-{0, pi}
-# saddle at |s| = 0.008, and every restart polished onto it
-TRAILING_ZERO_J = [1.2314509084370528, -1.774818000842365, 1.1481882164747095,
-                   1.6835382088114335, 0.0]
+# gapless, with a zero last coupling: the scan ends on the all-{0, pi} saddle
+# at |s| = 0.008, and the polish from every restart converges onto it
+SADDLE_J = [1.2314509084370528, -1.774818000842365, 1.1481882164747095,
+            1.6835382088114335, 0.0]
 
 
-def test_min_gap_drops_trailing_zero_couplings():
-    """Trailing zeros are dropped, down to two entries, so the result has
-    the bits of the shorter vector; its minimum is then within rounding of 0."""
-    J = np.array(TRAILING_ZERO_J)
-    assert gap.has_zero(J) and gap.gap_report(J).margin > 2.28
-    got = gap.min_gap_numeric(J)
-    assert got <= 32 * np.finfo(float).eps * np.abs(J).sum()
-    want = np.float64(gap.min_gap_numeric(J[:4])).tobytes()
-    for padded in (J, np.append(J, [0.0, -0.0])):
-        assert np.float64(gap.min_gap_numeric(padded)).tobytes() == want
+def test_min_gap_escapes_the_saddle_every_restart_ends_on(monkeypatch):
+    """With the last coupling 0, below rounding or well above it, the oracle
+    steps off the saddle and ends within rounding of 0; without the escape
+    it stops at 2.7e-3 sum|J|."""
+    eps = np.finfo(float).eps
+    total = np.abs(SADDLE_J).sum()
+    for last in (0.0, -0.0, 5e-324, 1e-300, 1e-18 * total, -1e-18 * total, 1e-12, 1e-5):
+        J = np.array(SADDLE_J[:4] + [last])
+        assert gap.has_zero(J) and gap.gap_report(J).margin > 2.28
+        assert gap.min_gap_numeric(J) <= 32 * eps * total, last
+    monkeypatch.setattr(gap, "_ESCAPE_ROUNDS", 0)
+    for last in (0.0, 1e-300, 1e-5):
+        stuck = gap.min_gap_numeric(np.array(SADDLE_J[:4] + [last]))
+        assert 2.7e-3 * total < stuck < 2.8e-3 * total, last
     for short in ([2.0, 0.0, 0.0], [-0.5, 0.0]):
         assert gap.min_gap_numeric(short) == 2 * abs(short[0])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_min_gap_finds_the_zero_of_gapless_couplings_with_trailing_zeros(d):
-    """Gapless couplings of k + 1 <= d entries padded with zeros to d + 1:
-    has_zero holds and the oracle's minimum is within rounding of 0."""
+    """Gapless couplings of k + 1 <= d entries padded to d + 1 with zeros or
+    with couplings below one ulp of the sum: has_zero holds and the oracle's
+    minimum is within rounding of 0."""
     rng = np.random.default_rng(4200 + d)
     eps = np.finfo(float).eps
     for k in range(1, d):
-        for _ in range(12):
-            if k == 1:
-                a = rng.uniform(0.1, 2.0)
-                head = np.array([a, a * rng.choice([-1.0, 1.0])])
-            else:
-                head = _oracle_draw(rng, k, "gapless")
-            J = np.concatenate([head, np.zeros(d - k)])
-            assert gap.has_zero(J), J
-            assert gap.min_gap_numeric(J) <= 32 * eps * np.abs(J).sum(), J
+        for tiny in (0.0, 1e-300, 1e-18):
+            for _ in range(12):
+                if k == 1:
+                    a = rng.uniform(0.1, 2.0)
+                    head = np.array([a, a * rng.choice([-1.0, 1.0])])
+                else:
+                    head = _oracle_draw(rng, k, "gapless")
+                J = np.concatenate([head, tiny * rng.choice([-1.0, 1.0], size=d - k)])
+                assert gap.has_zero(J), J
+                assert gap.min_gap_numeric(J) <= 32 * eps * np.abs(J).sum(), J
 
 
 def _oracle_draw(rng, d, kind):
@@ -643,13 +649,10 @@ def test_grid_start_holds_nothing_per_tail_point_beyond_its_tail(d, grid_n):
 
 
 def _min_gap_numeric_fresh_rng(J, grid_n):
-    """The oracle as first written, a fresh generator for the restart offsets
-    per call and the per-slice scan: the reference the memoised
+    """The oracle with a fresh generator for the restart offsets per call
+    and the per-slice scan: the reference the memoised
     `gap.min_gap_numeric` must match bit for bit."""
     J = np.asarray(J, dtype=float)
-    nonzero = np.flatnonzero(J)
-    if nonzero.size:  # trailing zero couplings dropped, down to two entries
-        J = J[: max(nonzero[-1] + 1, 2)]
     d = J.size - 1
     top = float(np.abs(J).max())
     if top == 0.0:
@@ -665,7 +668,8 @@ def _min_gap_numeric_fresh_rng(J, grid_n):
         rng.uniform(0.0, gap.TWO_PI, size=(2, d)),
     ])
     with np.errstate(over="ignore"):
-        return float(np.ldexp(2.0 * gap._newton_polish(J, starts).min(), -e))
+        a = gap._escape_saddles(J, *gap._newton_polish(J, starts))
+        return float(np.ldexp(2.0 * a.min(), -e))
 
 
 def test_restart_offsets_are_the_seeded_draws():
@@ -753,7 +757,7 @@ def test_polish_stops_once_every_step_is_below_its_tolerance(monkeypatch):
     monkeypatch.setattr(gap, "_amplitude", counted)
     # on a critical point (phases in {0, pi}) the step is exactly zero: one
     # evaluation, where the damping alone would run up to the iteration cap
-    assert gap._newton_polish(np.ones(3), np.zeros((1, 2))).tolist() == [3.0]
+    assert gap._newton_polish(np.ones(3), np.zeros((1, 2)))[0].tolist() == [3.0]
     assert len(calls) == 1
     # a gapped d = 5 draw: the step test ends the polish at the closed form,
     # and without it the polish runs on to its iteration cap

@@ -1087,14 +1087,13 @@ def test_the_memo_misses_once_per_string_set():
     assert spinham._frame_facts.cache_info().currsize == lattice.MEMO_SIZE
 
 
-def test_strings_held_in_lists_are_checked_afresh():
-    """A model whose strings are lists, which no memo key can hold, is
-    checked without the memo and reports what its tuple twin does."""
+def test_strings_held_in_lists_report_what_their_tuple_twin_does():
+    """A model whose strings are lists reports the bits its tuple twin does,
+    healthy or broken, whether the memo is cold or already holds the twin."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(2, 2), J2)
-    models = [sys_, odd_term_system(sys_), corrupted_systems(sys_)["link sign"]]
-    info = spinham._frame_facts.cache_info()
-    listed = [spinham.verify_operator_identities(dataclasses.replace(
-        m, term_strings=list(m.term_strings), link_ops=list(m.link_ops))) for m in models]
-    assert spinham._frame_facts.cache_info() == info
-    for m, rep in zip(models, listed):
-        assert report_bits(rep) == report_bits(cold_report(m))
+    for m in (sys_, odd_term_system(sys_), corrupted_systems(sys_)["link sign"]):
+        listed = dataclasses.replace(
+            m, term_strings=list(m.term_strings), link_ops=list(m.link_ops))
+        twin = report_bits(cold_report(m))
+        assert report_bits(spinham.verify_operator_identities(listed)) == twin
+        assert report_bits(cold_report(listed)) == twin
