@@ -9,11 +9,11 @@ alongside as an independent oracle: a grid scan with the last phase in
 closed form by the two-term triangle inequality, which also rules out whole
 columns of the grid, one piece of the tail at a time, and so skips them
 with the full scan's bits, then one vectorised damped Newton polish from
-several starts, in plain numpy.  The polish stops once its best row
-reaches the reverse-triangle bound |s| >= 2 max |J| - sum |J|, up to
-rounding.  That bound only decides when to stop: the result is still
-evaluated at a phase vector, so a wrong bound could only stop the polish
-early, at a value the closed-form gate of the tests then rejects.
+several starts, in plain numpy, which also steps off a saddle every start
+ends on.  Its one reverse-triangle bound |s| >= 2 max |J| - sum |J| only
+decides when to stop: the result is still evaluated at a phase vector, so
+a wrong bound could only stop the polish early, at a value the
+closed-form gate of the tests then rejects.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _NEWTON_MAX_ITER = 100
 _NEWTON_XTOL = 1e-12
 _NEWTON_MU0 = 1e-3
 _NEWTON_MU_MIN = 1e-12
-# Most saddles the oracle escapes after its polish, the phase step it takes
+# Most saddles the polish escapes after its descent, the phase step it takes
 # off each one along the direction of negative curvature, and the slack above
 # the reverse-triangle bound, per unit of sum |J|, within which it stays put.
 _ESCAPE_ROUNDS = 4
@@ -351,8 +351,8 @@ def _amplitude(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return J[0] + r.sum(axis=1), r
 
 
-def _newton_polish(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on |s|^2 / 2 from every row of phi at once; |s| and phases per row.
+def _descend(J: np.ndarray, phi: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on |s|^2 / 2 from every row of phi, down to floor; |s| and phases per row.
 
     With r_k = J_k e^{i phi_k}, the gradient is -Im(conj(s) r_k) and the
     Hessian Re(conj(r_j) r_k) - delta_jk Re(conj(s) r_k).  Each row takes the
@@ -363,19 +363,13 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     invertible on the zero set, where H has rank 2, and lies far enough
     below one that near a thin polygon, where the Jacobian of s has a small
     second singular value, the damping does not swamp that direction and
-    stall the descent along it.  The polish stops when
-    some row reaches max(0, 2 max |J| - sum |J|) + eps sum |J|, or when every
-    step is below _NEWTON_XTOL.  By the reverse triangle inequality no phase
-    vector has |s| below that bound (0 for gapless couplings), so no row can
-    do better by more than rounding; every returned |s| is still evaluated
-    at a phase vector.  J is expected at order one (the caller scales it).
+    stall the descent along it.  The descent stops when some row reaches
+    floor, or when every step is below _NEWTON_XTOL.
     """
     n, d = phi.shape
     s, r = _amplitude(J, phi)
     a = np.abs(s)
     mu = np.full(n, _NEWTON_MU0)
-    total, margin = _abs_sum_and_margin(J)
-    floor = max(0.0, -margin) + np.finfo(float).eps * total
     for _ in range(_NEWTON_MAX_ITER):
         if a.min() <= floor:
             break
@@ -398,23 +392,28 @@ def _newton_polish(J: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a, phi
 
 
-def _escape_saddles(J: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """|s| per row after polishing again off the best row while it sits on a saddle.
+def _newton_polish(J: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|s| per row of phi: a damped Newton descent (`_descend`) from every row,
+    then an escape from the saddle the best row may end on.
 
-    Newton is drawn to every critical point, and every phase vector in {0, pi}^d
-    is one, so the scan and all restarts can end on one saddle.  While the best
-    |s| lies more than _ESCAPE_SLACK sum |J| above the reverse-triangle bound and the
-    Hessian there has a negative eigenvalue, two rows start _ESCAPE_KICK either
-    side of the best along its eigenvector, and their polish is kept if it ends
-    lower.  A best row within that slack of the bound is returned as it is, so
-    every result the polish alone brings that close keeps its bits.
+    One reverse-triangle bound, max(0, 2 max |J| - sum |J|) from
+    `_abs_sum_and_margin`, sets both stops.  No phase vector has |s| below
+    it (0 for gapless couplings), so every descent stops once a row reaches
+    it plus eps sum |J|.  Newton is drawn to every critical point, and every
+    phase vector in {0, pi}^d is one, so all rows can end on one saddle.
+    While the best |s| lies more than _ESCAPE_SLACK sum |J| above the bound
+    and the Hessian there has a negative eigenvalue, two rows _ESCAPE_KICK
+    either side of the best along its eigenvector descend to the same floor
+    and are kept if they end lower; a best row within that slack keeps its
+    bits.  J is expected at order one (the caller scales it).
     """
-    mags = np.abs(J).tolist()  # a few entries: Python's sum and max cost less
-    total = sum(mags)
-    stop = max(0.0, 2.0 * max(mags) - total) + _ESCAPE_SLACK * total
+    total, margin = _abs_sum_and_margin(J)
+    bound = max(0.0, -margin)
+    floor = bound + np.finfo(float).eps * total
+    a, phi = _descend(J, phi, floor)
     for _ in range(_ESCAPE_ROUNDS):
-        low = min(a.tolist())
-        if low <= stop:
+        low = a.min()
+        if low <= bound + _ESCAPE_SLACK * total:
             break
         best = phi[a.argmin()]
         s, r = _amplitude(J, best[None, :])
@@ -423,7 +422,7 @@ def _escape_saddles(J: np.ndarray, a: np.ndarray, phi: np.ndarray) -> np.ndarray
         if curv[0] >= 0.0:
             break
         kick = np.outer([_ESCAPE_KICK, -_ESCAPE_KICK], vec[:, 0])
-        kicked, phi_k = _newton_polish(J, best + kick)
+        kicked, phi_k = _descend(J, best + kick, floor)
         if kicked.min() >= low:
             break
         a, phi = kicked, phi_k
@@ -457,18 +456,18 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     vector with all components in {0, pi} is a critical point of the
     amplitude, and for small classifier margins one of those saddles can
     undercut every grid point near the true zero set.  Newton is drawn to
-    saddles too, so the restarts alone can all end on one; `_escape_saddles`
-    then steps off it along negative curvature (for a positive margin all
+    saddles too, so the restarts alone can all end on one; the polish then
+    steps off it along negative curvature (for a positive margin all
     nonzero critical points are strict saddles, so a descent started off the
     razor edge falls through to the zero set).  Nonzero couplings are first
     scaled by a power of two so the largest magnitude lies in [1, 2), and
     the result is scaled back, so inputs that differ by a power of two give
-    results that differ by the same power.  The polish stops within rounding of the reverse-triangle
-    bound (see `_newton_polish`).  The result is 2|s| evaluated at an
-    explicit phase vector, never the bound, so up to rounding it cannot
-    undercut the true minimum, and a wrong bound could only stop the polish
-    early, at a value the closed-form gate rejects; it is inf only where
-    that value exceeds the float range.
+    results that differ by the same power.  The polish stops within rounding
+    of the reverse-triangle bound, which it reads once (see `_newton_polish`).
+    The result is 2|s| evaluated at an explicit phase vector, never the
+    bound, so up to rounding it cannot undercut the true minimum, and a
+    wrong bound could only stop the polish early, at a value the closed-form
+    gate rejects; it is inf only where that value exceeds the float range.
     Refused before anything is allocated: a scan tail of grid_n^(d-2) points (counted
     as at least grid_n) above _SCAN_CAP, or a scan of grid_n^(d-1) points above _SCAN_WORK.
     """
@@ -485,7 +484,7 @@ def min_gap_numeric(J, grid_n: int = 48) -> float:
     jitter, spread = _restart_offsets(d, grid_n)
     starts = np.concatenate([phi0[None, :], phi0 + jitter, spread])
     with np.errstate(over="ignore"):
-        return float(np.ldexp(2.0 * _escape_saddles(J, *_newton_polish(J, starts)).min(), -e))
+        return float(np.ldexp(2.0 * _newton_polish(J, starts).min(), -e))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,25 @@ class DiamondTorus:
         return self.N**self.d
 
 
+def _check_edges(torus: DiamondTorus) -> None:
+    """Refuse a torus whose edges leave it: frm, to and label must be 1-d integer
+    arrays of one length, every label in 1..d+1 and every endpoint in
+    0..2N^d-1.  The bounds are compared as Python ints, which no dtype wraps, at
+    the ends of sorted lists: on the few edges of a one-cell torus, sorting (with
+    its specialised int comparison) timed under min and max and under numpy's
+    reductions.  `build_torus` makes only tori that pass."""
+    frm, to, label = torus.frm, torus.to, torus.label
+    if not (frm.shape == to.shape == label.shape == (label.size,)
+            and frm.dtype.kind in "iu" and to.dtype.kind in "iu" and label.dtype.kind in "iu"):
+        raise ValueError("a torus's frm, to and label must be 1-d integer arrays of one length")
+    labels, ends = sorted(label.tolist()), sorted(frm.tolist() + to.tolist())
+    if labels and not 1 <= labels[0] <= labels[-1] <= torus.d + 1:
+        raise ValueError(f"edge labels of torus d={torus.d}, N={torus.N} must lie in 1..{torus.d + 1}")
+    if ends and not 0 <= ends[0] <= ends[-1] < 2 * torus.n_cells:
+        raise ValueError(f"edge endpoints of torus d={torus.d}, N={torus.N} must lie in "
+                         f"0..{2 * torus.n_cells - 1}")
+
+
 def build_torus(d: int, N: int) -> DiamondTorus:
     """Build the torus with 2*N^d vertices and (d+1)*N^d directed edges.
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
+from .lattice import DiamondTorus, _check_edges, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
 # Rows of a CSV table formatted per vectorised block.
@@ -62,8 +62,12 @@ def as_hoppings(t, d: int | None = None) -> np.ndarray:
 
 
 def _edge_couplings(torus: DiamondTorus, J) -> np.ndarray:
-    """J_l of each edge's label l, in edge order, for J checked as the d + 1 couplings."""
-    return as_couplings(J, d=torus.d)[torus.label - 1]
+    """J_l of each edge's label l, in edge order, for J checked as the d + 1 couplings
+    and edges checked by `lattice._check_edges`: a label outside 1..d+1, an endpoint
+    outside 0..2N^d-1 or arrays of unequal length raise ValueError."""
+    J = as_couplings(J, d=torus.d)
+    _check_edges(torus)
+    return J[torus.label - 1]
 
 
 def as_phases(phi, d: int | None = None) -> np.ndarray:

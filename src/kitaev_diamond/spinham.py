@@ -11,11 +11,12 @@ depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
 read them through one gate, `_strings`: it checks d and the budgets (E edge
 strings of `_qubits` qubits, and the d + 2 site generators, each within
 ENTRY_BUDGET) and then reads the one memo of the MEMO_SIZE tori last used,
-`_torus_strings`: a hit skips the string build, and a refused torus never
-reaches it.  H's matrix is expanded on request by `clifford`, which holds the
-one string-to-matrix expansion and its budget, and `hamiltonian_fits` tells
-whether it is admitted.  The strings' entries are 0, +-1, +-i, so every conserved-quantity
-identity below holds exactly, not just to rounding.  The identities and the
+`_torus_strings`: a hit skips the string build, a refused torus never
+reaches it, and a miss refuses edges that leave the torus.  H's matrix is
+expanded on request by `clifford`, which holds the one string-to-matrix
+expansion and its budget, and `hamiltonian_fits` tells whether it is admitted.
+The strings' entries are 0, +-1, +-i, so every conserved-quantity identity
+below holds exactly, not just to rounding.  The identities and the
 joint +1 sector of the links and the parity (a GF(2) rank) are read off the
 strings' masks and phases: no matrix is formed, and no string is built
 unless a check fails.  The checks' coupling-free half (which terms anticommute
@@ -43,7 +44,7 @@ from .clifford import (
     _width,
     joint_plus_dimension,
 )
-from .lattice import MEMO_SIZE, DiamondTorus, check_budget, check_size, grid_count
+from .lattice import MEMO_SIZE, DiamondTorus, _check_edges, check_budget, check_size, grid_count
 from .spectrum import FLOAT_MAX, _edge_couplings
 
 
@@ -55,6 +56,9 @@ class SpinSystem:
     to and label arrays); parity is the site-wise tensor power of the single-site parity
     operator.  H = -sum_k couplings[k] term_strings[k]: term_strings[k] is the spin product on
     edge k, on the parity's qubits, and couplings is a 1-d float or signed int array.
+    Refused when made: couplings of another count or kind, no term strings, a link
+    operator count other than the term count, or a term or link on other qubits
+    than the parity's.
     """
 
     torus: DiamondTorus
@@ -67,7 +71,10 @@ class SpinSystem:
         if not (isinstance(self.couplings, np.ndarray) and self.couplings.dtype.kind in "if"
                 and self.couplings.shape == (len(self.term_strings),)):
             raise ValueError(f"expected {len(self.term_strings)} couplings in a 1-d real array")
-        _width((self.parity, *self.term_strings))
+        if not 0 < len(self.link_ops) == len(self.term_strings):
+            raise ValueError(f"expected one link operator per term string, got "
+                             f"{len(self.link_ops)} for {len(self.term_strings)}")
+        _width((self.parity, *self.term_strings, *self.link_ops))
 
     @property
     def total_dim(self) -> int:
@@ -159,8 +166,10 @@ def _strings(torus: DiamondTorus):
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _torus_strings(d: int, N: int, *arrays: tuple[str, bytes]):
     """The term strings, link operators and parity of the torus with that content,
-    from one build of the Cl_{d+2} site strings."""
+    from one build of the Cl_{d+2} site strings, refused unless its edges stay on
+    it (`lattice._check_edges`); a refusal is not kept, so every hit was checked."""
     torus = DiamondTorus(d, N, *(np.frombuffer(data, dtype) for dtype, data in arrays))
+    _check_edges(torus)
     n_sites = 2 * torus.n_cells
     generators, spins, D = _site_strings(d + 2)
     return (_edge_strings(spins, torus), _edge_strings(generators, torus),
@@ -229,8 +238,8 @@ def _frame_facts(terms, links, P: PauliString):
     return masks, (
         _involution_norm(P, dim),
         max((_involution_norm(u, dim) for u in links), default=0.0),
-        all(u.n == P.n and u.is_hermitian() and (u.x or u.z) for u in links),
-        P.x == 0 and P.is_hermitian(),
+        all(u.is_hermitian() and (u.x or u.z) for u in links),
+        P.x == 0 and P.z != 0 and P.is_hermitian(),
     )
 
 
@@ -241,7 +250,9 @@ def verify_operator_identities(system: SpinSystem) -> dict:
     and every link operator, involution residuals, and exact checks that each
     link operator is Hermitian, traceless and squares to the identity --
     together these force eigenvalues exactly +-1 with equal multiplicity --
-    and that the parity is diagonal with entries +-1.
+    and that the parity is diagonal, traceless (z != 0, so +-Id fails) and
+    Hermitian, so its entries are +-1 in equal number.  `SpinSystem` has
+    already put every link on the parity's qubits.
 
     Everything is read off the strings' masks and phases, all but the
     coupling sums from `_frame_facts`, keyed by the strings as tuples, and

@@ -270,19 +270,26 @@ def test_min_gap_at_extreme_scales():
             assert got == np.ldexp(want, k), (J, k)
 
 
+def _counted(monkeypatch, name):
+    """The length of the last argument of every call of gap.<name>, in order:
+    the rows of `_amplitude` and `_newton_polish`, the couplings of
+    `_abs_sum_and_margin`.  Each call still runs."""
+    calls, f = [], getattr(gap, name)
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return f(*args)
+
+    monkeypatch.setattr(gap, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_min_gap_polishes_all_zero_couplings(monkeypatch, d):
     """All-zero couplings, signed zeros among them, take the scan and the
     polish like every other vector: one polish, which stops at once on its
     floor of 0, and a result of +0.0 evaluated at a phase vector."""
-    calls = []
-    polish = gap._newton_polish
-
-    def counted(J, phi):
-        calls.append(len(phi))
-        return polish(J, phi)
-
-    monkeypatch.setattr(gap, "_newton_polish", counted)
+    calls = _counted(monkeypatch, "_newton_polish")
     for J in (np.zeros(d + 1), np.full(d + 1, -0.0), np.where(np.arange(d + 1) % 2, -0.0, 0.0)):
         calls.clear()
         got = gap.min_gap_numeric(J)
@@ -312,6 +319,44 @@ def test_min_gap_escapes_the_saddle_every_restart_ends_on(monkeypatch):
         assert 2.7e-3 * total < stuck < 2.8e-3 * total, last
     for short in ([2.0, 0.0, 0.0], [-0.5, 0.0]):
         assert gap.min_gap_numeric(short) == 2 * abs(short[0])
+
+
+def test_escape_returns_a_best_row_on_a_convex_hessian(monkeypatch):
+    """With no descent step, the best start of these gapped couplings lies
+    above the escape's slack on a convex Hessian: the polish evaluates that
+    Hessian once and returns the row as it is, above the closed form 2.5."""
+    monkeypatch.setattr(gap, "_NEWTON_MAX_ITER", 0)
+    J = np.array([3.0, 1.0, 0.5, 0.25])
+    calls = _counted(monkeypatch, "_amplitude")
+    got = gap.min_gap_numeric(J, grid_n=7)
+    assert got == 2.730271998791606 and got > 2 * (2 * 3.0 - 4.75)
+    # one evaluation at the starts, one at the best row's Hessian
+    assert calls == [6, 1]
+    monkeypatch.setattr(gap, "_ESCAPE_ROUNDS", 0)
+    assert np.float64(gap.min_gap_numeric(J, grid_n=7)).tobytes() == np.float64(got).tobytes()
+
+
+def test_escape_keeps_the_rows_when_the_kick_ends_no_lower(monkeypatch):
+    """With a kick of zero, the two kicked rows restart on the saddle and
+    end no lower, so one round ends the escape and the stuck value stays."""
+    monkeypatch.setattr(gap, "_ESCAPE_KICK", 0.0)
+    J = np.array(SADDLE_J)
+    calls = _counted(monkeypatch, "_amplitude")
+    got = gap.min_gap_numeric(J)
+    assert got == 0.01603420013717649
+    # one Hessian evaluation, then the descent of the two kicked rows
+    assert calls.count(1) == 1 and calls[calls.index(1) + 1:].count(2) > 0
+    monkeypatch.setattr(gap, "_ESCAPE_ROUNDS", 0)
+    assert np.float64(gap.min_gap_numeric(J)).tobytes() == np.float64(got).tobytes()
+
+
+def test_polish_reads_the_reverse_triangle_bound_once(monkeypatch):
+    """One `_abs_sum_and_margin` call per oracle call, escape included."""
+    calls = _counted(monkeypatch, "_abs_sum_and_margin")
+    for J in (SADDLE_J, SADDLE_J[:4] + [1e-5], [3.0, 1.0, 0.5, 0.25], [0.0] * 5):
+        calls.clear()
+        gap.min_gap_numeric(np.array(J))
+        assert calls == [len(J)], J
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -668,8 +713,7 @@ def _min_gap_numeric_fresh_rng(J, grid_n):
         rng.uniform(0.0, gap.TWO_PI, size=(2, d)),
     ])
     with np.errstate(over="ignore"):
-        a = gap._escape_saddles(J, *gap._newton_polish(J, starts))
-        return float(np.ldexp(2.0 * a.min(), -e))
+        return float(np.ldexp(2.0 * gap._newton_polish(J, starts).min(), -e))
 
 
 def test_restart_offsets_are_the_seeded_draws():
@@ -729,14 +773,7 @@ def _gapped_cases():
 def test_polish_stops_at_the_reverse_triangle_bound(monkeypatch):
     # gapped couplings: the scan lands on the minimum 2 max|J| - sum|J|,
     # where the polish stops instead of running up to its iteration cap
-    calls = []
-    amplitude = gap._amplitude
-
-    def counted(J, phi):
-        calls.append(len(phi))
-        return amplitude(J, phi)
-
-    monkeypatch.setattr(gap, "_amplitude", counted)
+    calls = _counted(monkeypatch, "_amplitude")
     eps = np.finfo(float).eps
     for J in _gapped_cases():
         calls.clear()
@@ -747,17 +784,11 @@ def test_polish_stops_at_the_reverse_triangle_bound(monkeypatch):
 
 
 def test_polish_stops_once_every_step_is_below_its_tolerance(monkeypatch):
-    calls = []
-    amplitude = gap._amplitude
-
-    def counted(J, phi):
-        calls.append(len(phi))
-        return amplitude(J, phi)
-
-    monkeypatch.setattr(gap, "_amplitude", counted)
+    calls = _counted(monkeypatch, "_amplitude")
     # on a critical point (phases in {0, pi}) the step is exactly zero: one
-    # evaluation, where the damping alone would run up to the iteration cap
-    assert gap._newton_polish(np.ones(3), np.zeros((1, 2)))[0].tolist() == [3.0]
+    # evaluation, where the damping alone would run up to the iteration cap.
+    # The descent is called alone: the polish would kick off this maximum.
+    assert gap._descend(np.ones(3), np.zeros((1, 2)), 0.0)[0].tolist() == [3.0]
     assert len(calls) == 1
     # a gapped d = 5 draw: the step test ends the polish at the closed form,
     # and without it the polish runs on to its iteration cap
@@ -788,14 +819,7 @@ def test_polish_converges_just_inside_the_gap_boundary(monkeypatch, d):
     # the others, delta = 1e-12..1e-3: a thin polygon, on which a damping
     # floor that swamps the Jacobian's small singular value ran the polish
     # up to its iteration cap
-    calls = []
-    amplitude = gap._amplitude
-
-    def counted(J, phi):
-        calls.append(len(phi))
-        return amplitude(J, phi)
-
-    monkeypatch.setattr(gap, "_amplitude", counted)
+    calls = _counted(monkeypatch, "_amplitude")
     eps = np.finfo(float).eps
     rng = np.random.default_rng(1100 + d)
     for _ in range(25):

@@ -7,10 +7,12 @@ through: a float size, a complex array cast to its real part, and a vertex
 with non-integer coordinates.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kitaev_diamond import clifford, gap, lattice, spectrum
+from kitaev_diamond import clifford, gap, lattice, spectrum, spinham
 from kitaev_diamond.lattice import Vertex
 from kitaev_diamond.tightbinding import compare_models, r_of_q
 
@@ -145,3 +147,45 @@ def test_vertices_need_integer_coordinates_and_bit():
     assert t.index(v) == 9 + 5
     assert np.array_equal(lattice.vertex_position(basis, v, 3),
                           lattice.vertex_position(basis, Vertex((1, 2), 1), 3))
+
+
+def _off_torus(d, N, **arrays):
+    """build_torus(d, N) with its edge arrays replaced by edited copies."""
+    torus = lattice.build_torus(d, N)
+    edited = {}
+    for name, edit in arrays.items():
+        a = getattr(torus, name).copy()
+        edit(a)
+        edited[name] = a
+    return dataclasses.replace(torus, **edited)
+
+
+def _set(i, value):
+    def edit(a):
+        a[i] = value
+    return edit
+
+
+@pytest.mark.parametrize("torus,message", [
+    # label 0 took J_3 in the form and passed the spin suite; label 4 raised IndexError
+    (_off_torus(2, 1, label=_set(0, 0)), "edge labels .* must lie in 1..3"),
+    (_off_torus(2, 1, label=_set(2, 4)), "edge labels .* must lie in 1..3"),
+    # frm -1 wrapped to the last vertex and gave the strings bits past their
+    # 16 qubits; frm 8 raised IndexError, and a shift count went negative
+    (_off_torus(2, 2, frm=_set(0, -1)), "edge endpoints .* must lie in 0..7"),
+    (_off_torus(2, 2, frm=_set(0, 8)), "edge endpoints .* must lie in 0..7"),
+    (_off_torus(2, 2, to=_set(3, 8)), "edge endpoints .* must lie in 0..7"),
+    (dataclasses.replace(lattice.build_torus(2, 2), to=lattice.build_torus(2, 2).to[:-1]),
+     "arrays of one length"),
+    (dataclasses.replace(lattice.build_torus(2, 1),
+                         label=lattice.build_torus(2, 1).label.astype(float)),
+     "integer arrays"),
+], ids=["label-0", "label-4", "frm-minus-1", "frm-8", "to-8", "short-to", "float-label"])
+def test_a_hand_made_torus_with_edges_off_the_torus_is_refused(torus, message):
+    """The quadratic form, the spin model and the link operators refuse edge
+    arrays that leave the torus, before they return any model or string."""
+    for call in (lambda: spectrum.quadratic_form(torus, J2),
+                 lambda: spinham.build_spin_hamiltonian(torus, J2),
+                 lambda: spinham.link_operators(torus)):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from kitaev_diamond import clifford, lattice, spectrum, spinham
+from kitaev_diamond import cli, clifford, lattice, spectrum, spinham
 from kitaev_diamond.lattice import build_torus
 
 J2 = [1.0, 0.8, -0.6]
@@ -493,8 +493,23 @@ def ref_verify_operator_identities(system):
     residuals["links_exact_pm_one"] = exact_links
     residuals["parity_diagonal_pm_one"] = bool(
         np.all(np.abs(P.diagonal()) == 1.0) and parity_diff.nnz == 0
+        and P.diagonal().sum() == 0
     )
     return residuals
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (3, 1), (2, 2), (1, 4)])
+def test_a_parity_of_plus_or_minus_identity_fails_the_diagonal_check(d, N):
+    """+Id and -Id are diagonal Hermitian involutions that commute with
+    every term, but not traceless: the check fails them, as the matrices do."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), J2[:1] * (d + 1))
+    n = sys_.parity.n
+    for phase in (0, 2):
+        bad = dataclasses.replace(sys_, parity=clifford.PauliString(n, 0, 0, phase))
+        rep = spinham.verify_operator_identities(bad)
+        assert rep["max_residual"] == 0.0 and not rep["parity_diagonal_pm_one"], phase
+        assert rep == ref_verify_operator_identities(bad)
+        assert cli.verify_ops_payload(bad)["pass"] is False
 
 
 ORACLE_TORI = [(d, 1) for d in range(1, 12)] + [(1, N) for N in range(2, 6)] + [(2, 2)]
@@ -741,6 +756,22 @@ def test_model_refuses_couplings_that_are_not_a_real_vector():
         assert dataclasses.replace(sys_, couplings=couplings).couplings is couplings
 
 
+def test_model_refuses_link_operators_that_do_not_pair_with_its_terms():
+    """A model holds one link per term string, at least one, each on the
+    parity's qubits: no links, fewer links than terms, or no terms at all
+    once passed the identity checks with "pass": true."""
+    sys_ = spinham.build_spin_hamiltonian(build_torus(2, 2), [1.0, 0.7, -0.4])
+    for change in ({"link_ops": ()}, {"link_ops": sys_.link_ops[:1]},
+                   {"term_strings": (), "couplings": np.zeros(0)}):
+        with pytest.raises(ValueError, match="one link operator per term string"):
+            dataclasses.replace(sys_, **change)
+    u = sys_.link_ops[0]
+    wide = clifford.PauliString(u.n + 1, u.x, u.z, u.phase)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        dataclasses.replace(sys_, link_ops=(wide, *sys_.link_ops[1:]))
+    assert dataclasses.replace(sys_, link_ops=sys_.link_ops[::-1]).link_ops[0] is sys_.link_ops[-1]
+
+
 @pytest.mark.parametrize("width", [2, 6])
 def test_model_refuses_term_strings_of_another_width(width):
     """A term string on other qubits than the parity's is refused when the
@@ -816,7 +847,8 @@ def test_links_commute_with_per_edge_couplings(d, N):
 
 @pytest.mark.parametrize("d,N", [(2, 1), (1, 4)])
 def test_zero_coupling_deletes_the_edge(d, N):
-    """A zero coupling on edge e gives the bits of H without term e."""
+    """A zero coupling on edge e gives the bits of H without edge e: its term
+    and its link, since a model holds one link per term."""
     sys_ = spinham.build_spin_hamiltonian(build_torus(d, N), np.linspace(-1.0, 1.3, d + 1))
     for e in range(len(sys_.term_strings)):
         zeroed = sys_.couplings.copy()
@@ -824,7 +856,8 @@ def test_zero_coupling_deletes_the_edge(d, N):
         got = dataclasses.replace(sys_, couplings=zeroed).hamiltonian.toarray()
         without = dataclasses.replace(
             sys_, couplings=np.delete(sys_.couplings, e),
-            term_strings=sys_.term_strings[:e] + sys_.term_strings[e + 1:])
+            term_strings=sys_.term_strings[:e] + sys_.term_strings[e + 1:],
+            link_ops=sys_.link_ops[:e] + sys_.link_ops[e + 1:])
         want = without.hamiltonian.toarray()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), e
 
