@@ -153,7 +153,7 @@ def base_graph(d: int) -> BaseGraph:
     return BaseGraph(d=d, vertices=(0, 1), labels=tuple(i + 1 for i in range(d + 1)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DiamondTorus:
     """Finite quotient of the diamond lattice by N times the translation lattice.
 
@@ -161,8 +161,10 @@ class DiamondTorus:
     (`place_values`): lexicographic in (s, mu).  Edge k, with coupling index
     label[k] = direction + 1, runs from frm[k] (s=1) to to[k] (s=0), per s=1
     vertex in rank order, direction 0..d.  Both orders fix the JSON export and
-    the row/column order of quadratic forms.  `build_torus` makes the three
-    arrays read-only int64 views of one buffer.
+    the row/column order of quadratic forms.  A torus checks itself when made (and on
+    `dataclasses.replace`): d and N pass `check_size` (>= 1); frm, to and label, lists
+    taken as arrays, are 1-d integer arrays of one length, labels in 1..d+1, endpoints
+    in 0..2N^d-1.  A writable array is copied, so every array is kept read-only.
     """
 
     d: int
@@ -170,6 +172,28 @@ class DiamondTorus:
     frm: np.ndarray
     to: np.ndarray
     label: np.ndarray
+
+    # the check is __init__, which sets each field once: a frozen dataclass's own
+    # __init__ and a __post_init__ would set them twice, at about 2 us a build
+    def __init__(self, d: int, N: int, frm, to, label):
+        d, N = check_size(d, 1, "dimension"), check_size(N, 1, "torus size")
+        frm, to, label = arrays = [np.asarray(a) for a in (frm, to, label)]
+        if not (frm.shape == to.shape == label.shape == (label.size,)
+                and frm.dtype.kind in "iu" and to.dtype.kind in "iu" and label.dtype.kind in "iu"):
+            raise ValueError("a torus's frm, to and label must be 1-d integer arrays of one length")
+        # the ends as Python ints, which no dtype wraps; sorted lists beat numpy on few edges
+        if label.size <= 128:
+            labels, ends = sorted(label.tolist()), sorted(frm.tolist() + to.tolist())
+        else:
+            labels = [int(label.min()), int(label.max())]
+            ends = [min(int(frm.min()), int(to.min())), max(int(frm.max()), int(to.max()))]
+        if labels and not 1 <= labels[0] <= labels[-1] <= d + 1:
+            raise ValueError(f"edge labels of torus d={d}, N={N} must lie in 1..{d + 1}")
+        if ends and not 0 <= ends[0] <= ends[-1] < 2 * grid_count(N, d):
+            raise ValueError(f"edge endpoints of torus d={d}, N={N} must lie in 0..{2 * N**d - 1}")
+        frm, to, label = [np.frombuffer(a.tobytes(), a.dtype) if a.flags.writeable else a
+                          for a in arrays]  # bytes are immutable, so the copy is read-only
+        vars(self).update(d=d, N=N, frm=frm, to=to, label=label)
 
     def index(self, v: Vertex) -> int:
         """Index of a vertex in the stable ordering."""
@@ -181,25 +205,6 @@ class DiamondTorus:
     @property
     def n_cells(self) -> int:
         return self.N**self.d
-
-
-def _check_edges(torus: DiamondTorus) -> None:
-    """Refuse a torus whose edges leave it: frm, to and label must be 1-d integer
-    arrays of one length, every label in 1..d+1 and every endpoint in
-    0..2N^d-1.  The bounds are compared as Python ints, which no dtype wraps, at
-    the ends of sorted lists: on the few edges of a one-cell torus, sorting (with
-    its specialised int comparison) timed under min and max and under numpy's
-    reductions.  `build_torus` makes only tori that pass."""
-    frm, to, label = torus.frm, torus.to, torus.label
-    if not (frm.shape == to.shape == label.shape == (label.size,)
-            and frm.dtype.kind in "iu" and to.dtype.kind in "iu" and label.dtype.kind in "iu"):
-        raise ValueError("a torus's frm, to and label must be 1-d integer arrays of one length")
-    labels, ends = sorted(label.tolist()), sorted(frm.tolist() + to.tolist())
-    if labels and not 1 <= labels[0] <= labels[-1] <= torus.d + 1:
-        raise ValueError(f"edge labels of torus d={torus.d}, N={torus.N} must lie in 1..{torus.d + 1}")
-    if ends and not 0 <= ends[0] <= ends[-1] < 2 * torus.n_cells:
-        raise ValueError(f"edge endpoints of torus d={torus.d}, N={torus.N} must lie in "
-                         f"0..{2 * torus.n_cells - 1}")
 
 
 def build_torus(d: int, N: int) -> DiamondTorus:
@@ -230,17 +235,16 @@ def build_torus(d: int, N: int) -> DiamondTorus:
 
 
 def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
-    """Project a torus vertex to its base vertex (the s bit) or a torus edge
-    to its base edge (the direction)."""
+    """Project a torus vertex to its base vertex (the s bit), or a torus edge, found by
+    its frm, to and label, to its base edge (the direction, label - 1)."""
     if isinstance(item, Vertex):
         torus.index(item)  # raises on foreign vertices
         return item.s
     if isinstance(item, Edge):
         if all(map(_is_int, item)):
             frm, to, direction, label = map(int, item)
-            k = (frm - torus.n_cells) * (torus.d + 1) + direction
-            if (0 <= direction <= torus.d and 0 <= k < torus.to.size
-                    and torus.to[k] == to and torus.label[k] == label):
+            if direction == label - 1 and np.any(
+                    (torus.frm == frm) & (torus.to == to) & (torus.label == label)):
                 return direction
         raise KeyError(f"not an edge of this torus: {item}")
     raise TypeError(f"expected Vertex or Edge, got {type(item).__name__}")

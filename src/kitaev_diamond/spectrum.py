@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DiamondTorus, _check_edges, check_budget, check_size, grid_count, place_values
+from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
 # Rows of a CSV table formatted per vectorised block.
@@ -62,12 +62,8 @@ def as_hoppings(t, d: int | None = None) -> np.ndarray:
 
 
 def _edge_couplings(torus: DiamondTorus, J) -> np.ndarray:
-    """J_l of each edge's label l, in edge order, for J checked as the d + 1 couplings
-    and edges checked by `lattice._check_edges`: a label outside 1..d+1, an endpoint
-    outside 0..2N^d-1 or arrays of unequal length raise ValueError."""
-    J = as_couplings(J, d=torus.d)
-    _check_edges(torus)
-    return J[torus.label - 1]
+    """J checked as the d + 1 couplings, then J_l of each edge's label l (1..d+1), in order."""
+    return as_couplings(J, d=torus.d)[torus.label - 1]
 
 
 def as_phases(phi, d: int | None = None) -> np.ndarray:
@@ -196,9 +192,11 @@ def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
     l contributes +2*J_l in the (s=1, s=0) orientation; parallel edges of an
     N=1 torus accumulate onto the same entry.  One `np.add.at` adds +w at
     (frm, to), then -w at (to, frm), edge by edge: each entry sums in edge order.
+    Its (2N^d)^2 entries, however few the edges, are refused above ENTRY_BUDGET.
     """
-    n = 2 * torus.n_cells
     w = 2.0 * _edge_couplings(torus, J)
+    n = 2 * grid_count(torus.N, torus.d)
+    check_budget(n * n, f"hopping form of torus d={torus.d}, N={torus.N}")
     A = np.zeros((n, n))
     frm, to = torus.frm, torus.to
     np.add.at(A, (np.ravel([frm, to], "F"), np.ravel([to, frm], "F")), np.ravel([w, -w], "F"))

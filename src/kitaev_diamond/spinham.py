@@ -8,11 +8,11 @@ the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from one build of the `clifford`
 site strings; the strings are the only stored form of the model.  They
 depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
-read them through one gate, `_strings`: it checks d and the budgets (E edge
+read them through one gate, `_strings`: it checks the budgets (E edge
 strings of `_qubits` qubits, and the d + 2 site generators, each within
 ENTRY_BUDGET) and then reads the one memo of the MEMO_SIZE tori last used,
-`_torus_strings`: a hit skips the string build, a refused torus never
-reaches it, and a miss refuses edges that leave the torus.  H's matrix is
+`_torus_strings`: a hit skips the string build, and a refused torus never
+reaches it; a torus checked its own d, N and edges when made.  H's matrix is
 expanded on request by `clifford`, which holds the one string-to-matrix
 expansion and its budget, and `hamiltonian_fits` tells whether it is admitted.
 The strings' entries are 0, +-1, +-i, so every conserved-quantity identity
@@ -44,7 +44,7 @@ from .clifford import (
     _width,
     joint_plus_dimension,
 )
-from .lattice import MEMO_SIZE, DiamondTorus, _check_edges, check_budget, check_size, grid_count
+from .lattice import MEMO_SIZE, DiamondTorus, check_budget, grid_count
 from .spectrum import FLOAT_MAX, _edge_couplings
 
 
@@ -147,14 +147,13 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
 
 def _strings(torus: DiamondTorus):
     """The torus's term strings, link operators and parity, refused before the
-    memo is reached unless d is an integer >= 1, its E edge strings times
-    `_qubits` fit ENTRY_BUDGET and so do the d + 2 site generators a miss builds
-    (E = (d + 1) N^d makes the first bound the second; a hand-made torus need not)."""
-    d = check_size(torus.d, 1, "dimension")
-    check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={torus.N}")
+    memo is reached unless its E edge strings times `_qubits` fit ENTRY_BUDGET
+    and so do the d + 2 site generators a miss builds (E = (d + 1) N^d makes the
+    first bound the second; a hand-made torus need not)."""
+    d, N, arrays = torus.d, torus.N, (torus.frm, torus.to, torus.label)
+    check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={N}")
     _generator_count(d + 2)
-    arrays = (torus.frm, torus.to, torus.label)
-    return _torus_strings(d, torus.N, *((a.dtype.str, a.tobytes()) for a in arrays))
+    return _torus_strings(d, N, *((a.dtype.str, a.tobytes()) for a in arrays))
 
 
 # The one memo of spin strings, keyed by a torus's content: d, N and the dtype and bytes
@@ -166,10 +165,8 @@ def _strings(torus: DiamondTorus):
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _torus_strings(d: int, N: int, *arrays: tuple[str, bytes]):
     """The term strings, link operators and parity of the torus with that content,
-    from one build of the Cl_{d+2} site strings, refused unless its edges stay on
-    it (`lattice._check_edges`); a refusal is not kept, so every hit was checked."""
+    checked when that torus was made, from one build of the Cl_{d+2} site strings."""
     torus = DiamondTorus(d, N, *(np.frombuffer(data, dtype) for dtype, data in arrays))
-    _check_edges(torus)
     n_sites = 2 * torus.n_cells
     generators, spins, D = _site_strings(d + 2)
     return (_edge_strings(spins, torus), _edge_strings(generators, torus),

@@ -166,26 +166,98 @@ def _set(i, value):
     return edit
 
 
-@pytest.mark.parametrize("torus,message", [
+@pytest.mark.parametrize("make,message", [
     # label 0 took J_3 in the form and passed the spin suite; label 4 raised IndexError
-    (_off_torus(2, 1, label=_set(0, 0)), "edge labels .* must lie in 1..3"),
-    (_off_torus(2, 1, label=_set(2, 4)), "edge labels .* must lie in 1..3"),
+    (lambda: _off_torus(2, 1, label=_set(0, 0)), "edge labels .* must lie in 1..3"),
+    (lambda: _off_torus(2, 1, label=_set(2, 4)), "edge labels .* must lie in 1..3"),
     # frm -1 wrapped to the last vertex and gave the strings bits past their
     # 16 qubits; frm 8 raised IndexError, and a shift count went negative
-    (_off_torus(2, 2, frm=_set(0, -1)), "edge endpoints .* must lie in 0..7"),
-    (_off_torus(2, 2, frm=_set(0, 8)), "edge endpoints .* must lie in 0..7"),
-    (_off_torus(2, 2, to=_set(3, 8)), "edge endpoints .* must lie in 0..7"),
-    (dataclasses.replace(lattice.build_torus(2, 2), to=lattice.build_torus(2, 2).to[:-1]),
+    (lambda: _off_torus(2, 2, frm=_set(0, -1)), "edge endpoints .* must lie in 0..7"),
+    (lambda: _off_torus(2, 2, frm=_set(0, 8)), "edge endpoints .* must lie in 0..7"),
+    (lambda: _off_torus(2, 2, to=_set(3, 8)), "edge endpoints .* must lie in 0..7"),
+    (lambda: dataclasses.replace(lattice.build_torus(2, 2), to=lattice.build_torus(2, 2).to[:-1]),
      "arrays of one length"),
-    (dataclasses.replace(lattice.build_torus(2, 1),
-                         label=lattice.build_torus(2, 1).label.astype(float)),
+    (lambda: dataclasses.replace(lattice.build_torus(2, 1),
+                                 label=lattice.build_torus(2, 1).label.astype(float)),
      "integer arrays"),
-], ids=["label-0", "label-4", "frm-minus-1", "frm-8", "to-8", "short-to", "float-label"])
-def test_a_hand_made_torus_with_edges_off_the_torus_is_refused(torus, message):
-    """The quadratic form, the spin model and the link operators refuse edge
-    arrays that leave the torus, before they return any model or string."""
-    for call in (lambda: spectrum.quadratic_form(torus, J2),
-                 lambda: spinham.build_spin_hamiltonian(torus, J2),
-                 lambda: spinham.link_operators(torus)):
-        with pytest.raises(ValueError, match=message):
-            call()
+    # past 128 edges the ends are read by numpy's min and max
+    (lambda: _off_torus(3, 6, label=_set(500, 0)), "edge labels .* must lie in 1..4"),
+    (lambda: _off_torus(3, 6, label=_set(863, 5)), "edge labels .* must lie in 1..4"),
+    (lambda: _off_torus(2, 12, frm=_set(300, -1)), "edge endpoints .* must lie in 0..287"),
+    (lambda: _off_torus(2, 12, to=_set(431, 288)), "edge endpoints .* must lie in 0..287"),
+], ids=["label-0", "label-4", "frm-minus-1", "frm-8", "to-8", "short-to", "float-label",
+        "large-label-0", "large-label-5", "large-frm-minus-1", "large-to-288"])
+def test_a_hand_made_torus_with_edges_off_the_torus_is_refused(make, message):
+    """Edge arrays that leave the torus are refused when the torus is made, so
+    no quadratic form, spin model or link operator is ever built on them."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+_T21 = lattice.build_torus(2, 1)
+
+
+@pytest.mark.parametrize("make,message", [
+    # link_operators returned 3 strings for a label array of shape (1, 3)
+    (lambda: dataclasses.replace(_T21, label=_T21.label.reshape(1, 3)), "1-d integer arrays"),
+    # quadratic_form and verify_bloch_equivalence raised TypeError
+    (lambda: dataclasses.replace(_T21, d=2.0), r"dimension must be an integer, got 2\.0$"),
+    # so they did at N = 1.0, and build_spin_hamiltonian accepted it
+    (lambda: dataclasses.replace(_T21, N=1.0), r"torus size must be an integer, got 1\.0$"),
+    (lambda: dataclasses.replace(_T21, d=0), "dimension must be >= 1, got 0$"),
+    # torus_to_dict returned a dict at N = 0, one with direction -1 at label 0,
+    # and one of float endpoints
+    (lambda: dataclasses.replace(_T21, N=0), "torus size must be >= 1, got 0$"),
+    (lambda: lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 0], [0, 2, 3]),
+     "edge labels of torus d=2, N=1 must lie in 1..3$"),
+    (lambda: lattice.DiamondTorus(2, 1, [1.0, 1.0, 1.0], [0, 0, 0], [1, 2, 3]), "integer arrays"),
+    (lambda: lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 0], [True, True, True]), "integer arrays"),
+    (lambda: lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 0], [1, 2]), "one length"),
+], ids=["2-d-label", "float-d", "float-N", "d-0", "N-0", "label-0", "float-frm", "bool-label",
+        "short-list"])
+def test_a_malformed_torus_is_refused_when_it_is_made(make, message):
+    """d and N pass `check_size`, and the edge arrays the rest of the torus
+    check, in `DiamondTorus` itself: no reader ever sees such a torus."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_a_torus_takes_lists_and_keeps_its_arrays_read_only():
+    """Lists of ints are taken as arrays; an array the caller can write is
+    copied, so changing it later leaves the torus as it was; `build_torus`'s
+    three read-only views of one buffer are kept, uncopied, through
+    `dataclasses.replace` too."""
+    built = lattice.build_torus(2, 1)
+    listed = lattice.DiamondTorus(np.int64(2), np.int64(1), [1, 1, 1], [0, 0, 0], [1, 2, 3])
+    assert type(listed.d) is int and type(listed.N) is int
+    for name in ("frm", "to", "label"):
+        assert np.array_equal(getattr(listed, name), getattr(built, name))
+        assert not getattr(listed, name).flags.writeable
+    assert np.array_equal(spectrum.quadratic_form(listed, J2), spectrum.quadratic_form(built, J2))
+    frm, label = np.array([1, 1, 1]), np.array([1, 2, 3], dtype=np.uint8)
+    torus = lattice.DiamondTorus(2, 1, frm, [0, 0, 0], label)
+    frm[0], label[0] = 0, 3
+    assert torus.frm.tolist() == [1, 1, 1] and torus.label.tolist() == [1, 2, 3]
+    assert torus.label.dtype == np.uint8
+    for name in ("frm", "to", "label"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(torus, name)[0] = 1
+    big = lattice.build_torus(2, 3)
+    buffer = big.frm.base
+    assert not buffer.flags.writeable
+    for t in (big, dataclasses.replace(big), dataclasses.replace(big, d=2)):
+        assert t.frm.base is t.to.base is t.label.base is buffer
+
+
+def test_the_hopping_form_counts_its_own_entries(monkeypatch):
+    """A hand-made torus may claim N^d cells with a few edges: quadratic_form
+    refuses (2N^d)^2 entries over the budget before it allocates them, at the
+    edge of a budget patched down to 64, and so does the Bloch check on it."""
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 64)
+    fits = lattice.DiamondTorus(1, 4, np.array([4]), np.array([0]), np.array([1]))  # 8 x 8
+    A = spectrum.quadratic_form(fits, [1.0, 0.5])
+    assert A.shape == (8, 8) and A[4, 0] == 2.0 and A[0, 4] == -2.0
+    over = lattice.DiamondTorus(1, 5, np.array([5]), np.array([0]), np.array([1]))  # 10 x 10
+    for call in (spectrum.quadratic_form, spectrum.verify_bloch_equivalence):
+        with pytest.raises(ValueError, match="hopping form of torus d=1, N=5 is over the budget"):
+            call(over, [1.0, 0.5])

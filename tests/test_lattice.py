@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from collections import defaultdict
@@ -161,6 +162,23 @@ def test_covering_map():
             lattice.covering_map(t, e)
     with pytest.raises(TypeError):
         lattice.covering_map(t, "not a cell")
+
+
+def test_covering_map_finds_the_edges_of_any_torus():
+    """An edge is found by its frm, to and label, not by build_torus's layout:
+    on the (2, 2) torus with edge 0 cut, Edge(4, 2, 1, 2) is the first edge,
+    and on the torus with its edges reversed every edge is still found."""
+    t = lattice.build_torus(2, 2)
+    cut = dataclasses.replace(t, frm=t.frm[1:], to=t.to[1:], label=t.label[1:])
+    assert lattice.covering_map(cut, lattice.Edge(4, 2, 1, 2)) == 1
+    flipped = dataclasses.replace(t, frm=t.frm[::-1], to=t.to[::-1], label=t.label[::-1])
+    for torus in (cut, flipped):
+        for e in edges(torus):
+            assert lattice.covering_map(torus, e) == e.direction
+    # the cut edge is foreign to the cut torus, and a direction must be its label - 1
+    for e in (edges(t)[0], lattice.Edge(4, 2, 2, 2)):
+        with pytest.raises(KeyError):
+            lattice.covering_map(cut, e)
 
 
 def test_vertex_position():

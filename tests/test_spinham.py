@@ -999,9 +999,9 @@ def test_a_cold_memo_calls_the_clifford_builders(monkeypatch):
 
 def test_link_operators_pass_the_model_gate_and_memo():
     """link_operators refuses the tori build_spin_hamiltonian refuses, and a
-    torus whose d is no integer >= 1 or whose site generators pass the
-    budget, before the memo is reached; on an admitted torus it returns the
-    model's links."""
+    torus whose site generators pass the budget, before the memo is reached;
+    a torus whose d is no integer >= 1 is refused when it is made; on an
+    admitted torus it returns the model's links."""
     info = spinham._torus_strings.cache_info()
     # (2, 32): 3,072 link strings of 4,096 qubits; (2890, 1): 2,891 of 2,892
     for d, N in [(2, 32), (3, 9), (2890, 1)]:
@@ -1016,13 +1016,12 @@ def test_link_operators_pass_the_model_gate_and_memo():
         with pytest.raises(ValueError, match=f"generator count k={d + 2} is over the budget"):
             spinham.build_spin_hamiltonian(torus, np.ones(d + 1))
     assert spinham._torus_strings.cache_info() == info
-    # d = 2.0 keys the memo like d = 2, whose strings it holds: still refused
+    # d = 2.0 would key the memo like d = 2, whose strings it holds: no such torus is made
     warm = build_torus(2, 1)
     spinham.build_spin_hamiltonian(warm, J2)
     for bad, match in [(2.0, "must be an integer"), (0, "must be >= 1")]:
-        torus = dataclasses.replace(warm, d=bad)
         with pytest.raises(ValueError, match=f"dimension {match}"):
-            spinham.link_operators(torus)
+            spinham.link_operators(dataclasses.replace(warm, d=bad))
     with pytest.raises(ValueError, match="dimension must be an integer"):
         spinham.build_spin_hamiltonian(dataclasses.replace(warm, d=2.0), J2)
     torus = build_torus(2, 2)
