@@ -161,10 +161,13 @@ class DiamondTorus:
     (`place_values`): lexicographic in (s, mu).  Edge k, with coupling index
     label[k] = direction + 1, runs from frm[k] (s=1) to to[k] (s=0), per s=1
     vertex in rank order, direction 0..d.  Both orders fix the JSON export and
-    the row/column order of quadratic forms.  A torus checks itself when made (and on
-    `dataclasses.replace`): d and N pass `check_size` (>= 1); frm, to and label, lists
-    taken as arrays, are 1-d integer arrays of one length, labels in 1..d+1, endpoints
-    in 0..2N^d-1.  A writable array is copied, so every array is kept read-only.
+    the row/column order of quadratic forms.  A torus checks itself when made: d and N
+    pass `check_size` (>= 1); frm, to and label, lists taken as arrays, are 1-d integer
+    arrays of one length, labels in 1..d+1, endpoints in 0..2N^d-1, no edge from a vertex
+    to itself.  Each array is then read back from its own dtype and bytes, so it is
+    read-only and nothing the caller holds can change it.  That content, d, N and the
+    three (dtype, bytes) pairs, is the torus's identity: `==` and `hash` read it, and
+    `pickle`, `copy` and `dataclasses.replace` rebuild the torus through this check.
     """
 
     d: int
@@ -183,17 +186,36 @@ class DiamondTorus:
             raise ValueError("a torus's frm, to and label must be 1-d integer arrays of one length")
         # the ends as Python ints, which no dtype wraps; sorted lists beat numpy on few edges
         if label.size <= 128:
-            labels, ends = sorted(label.tolist()), sorted(frm.tolist() + to.tolist())
+            frms, tos = frm.tolist(), to.tolist()
+            labels, ends = sorted(label.tolist()), sorted(frms + tos)
+            loop = any(map(int.__eq__, frms, tos))
         else:
             labels = [int(label.min()), int(label.max())]
             ends = [min(int(frm.min()), int(to.min())), max(int(frm.max()), int(to.max()))]
+            loop = bool((frm == to).any())
         if labels and not 1 <= labels[0] <= labels[-1] <= d + 1:
             raise ValueError(f"edge labels of torus d={d}, N={N} must lie in 1..{d + 1}")
         if ends and not 0 <= ends[0] <= ends[-1] < 2 * grid_count(N, d):
-            raise ValueError(f"edge endpoints of torus d={d}, N={N} must lie in 0..{2 * N**d - 1}")
-        frm, to, label = [np.frombuffer(a.tobytes(), a.dtype) if a.flags.writeable else a
-                          for a in arrays]  # bytes are immutable, so the copy is read-only
-        vars(self).update(d=d, N=N, frm=frm, to=to, label=label)
+            # 2N^d - 1 is printed while it has at most 20 digits
+            top = 2 * N**d - 1 if d * N.bit_length() <= 64 else "2N^d-1"
+            raise ValueError(f"edge endpoints of torus d={d}, N={N} must lie in 0..{top}")
+        if loop:
+            raise ValueError(f"edges of torus d={d}, N={N} must join two distinct vertices")
+        content = [(a.dtype, a.tobytes()) for a in arrays]
+        # bytes are immutable, so each array read back from them is read-only
+        frm, to, label = [np.frombuffer(data, dtype) for dtype, data in content]
+        vars(self).update(d=d, N=N, frm=frm, to=to, label=label, _content=(d, N, *content))
+
+    def __eq__(self, other):
+        if not isinstance(other, DiamondTorus):
+            return NotImplemented
+        return self._content == other._content
+
+    def __hash__(self):
+        return hash(self._content)
+
+    def __reduce__(self):
+        return type(self), (self.d, self.N, self.frm, self.to, self.label)
 
     def index(self, v: Vertex) -> int:
         """Index of a vertex in the stable ordering."""
@@ -214,14 +236,15 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     (mu + e_i mod N, 0).  With N = 1 this leaves d+1 distinct parallel edges
     between the two remaining vertices.  With the `place_values` w_i, the step
     along e_i adds w_i to the cell's rank, or (1-N) w_i where mu_i wraps, so
-    the build costs O(N^d d).  The request counts as the larger of its dense
-    hopping form, (2N^d)^2 entries, and its 2N^d * d vertex coordinates, and
-    is refused above ENTRY_BUDGET before anything is built.
+    the build costs O(N^d d).  The request counts as the largest of its dense
+    hopping form, (2N^d)^2 entries, its 2N^d * d vertex coordinates and its
+    three edge arrays, 3(d+1)N^d entries, and is refused above ENTRY_BUDGET
+    before anything is built.
     """
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "torus size")
-    order = 2 * grid_count(N, d)
-    check_budget(order * max(order, d), f"torus d={d}, N={N}")
+    cells = grid_count(N, d)
+    check_budget(max(2 * cells * max(2 * cells, d), 3 * (d + 1) * cells), f"torus d={d}, N={N}")
     L = N**d
     rank = np.arange(L)[:, None]
     # frm, to and label, each as the (cell, direction) table
@@ -230,7 +253,6 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     if N > 1:  # with one cell, every step wraps back to it
         w = np.array(place_values(N, d))
         edges[1, :, 1:] += np.where(rank // w % N < N - 1, w, (1 - N) * w)
-    edges.flags.writeable = False
     return DiamondTorus(d, N, *edges.reshape(3, -1))
 
 

@@ -11,8 +11,9 @@ depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
 read them through one gate, `_strings`: it checks the budgets (E edge
 strings of `_qubits` qubits, and the d + 2 site generators, each within
 ENTRY_BUDGET) and then reads the one memo of the MEMO_SIZE tori last used,
-`_torus_strings`: a hit skips the string build, and a refused torus never
-reaches it; a torus checked its own d, N and edges when made.  H's matrix is
+`_torus_strings`, keyed by the torus itself: an equal torus hits and skips
+the string build, and a refused torus never reaches it; a torus checked its
+own d, N and edges when made.  H's matrix is
 expanded on request by `clifford`, which holds the one string-to-matrix
 expansion and its budget, and `hamiltonian_fits` tells whether it is admitted.
 The strings' entries are 0, +-1, +-i, so every conserved-quantity identity
@@ -150,25 +151,25 @@ def _strings(torus: DiamondTorus):
     memo is reached unless its E edge strings times `_qubits` fit ENTRY_BUDGET
     and so do the d + 2 site generators a miss builds (E = (d + 1) N^d makes the
     first bound the second; a hand-made torus need not)."""
-    d, N, arrays = torus.d, torus.N, (torus.frm, torus.to, torus.label)
+    d, N = torus.d, torus.N
     check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={N}")
     _generator_count(d + 2)
-    return _torus_strings(d, N, *((a.dtype.str, a.tobytes()) for a in arrays))
+    return _torus_strings(torus)
 
 
-# The one memo of spin strings, keyed by a torus's content: d, N and the dtype and bytes
-# of its frm, to and label arrays, and bounded by MEMO_SIZE entries.  It sees only tori
-# `_strings` admits, so an entry's x and z masks take at most about 2 MiB and the full
-# memo about 32 MiB; its values are frozen strings, safe to share.
+# The one memo of spin strings, keyed by the torus itself, which is equal to another
+# torus of the same d, N and dtype and bytes of frm, to and label, and bounded by
+# MEMO_SIZE entries.  It sees only tori `_strings` admits, so an entry's x and z masks
+# take at most about 2 MiB and the full memo about 32 MiB; its values are frozen
+# strings, safe to share.
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _torus_strings(d: int, N: int, *arrays: tuple[str, bytes]):
-    """The term strings, link operators and parity of the torus with that content,
-    checked when that torus was made, from one build of the Cl_{d+2} site strings."""
-    torus = DiamondTorus(d, N, *(np.frombuffer(data, dtype) for dtype, data in arrays))
+def _torus_strings(torus: DiamondTorus):
+    """The term strings, link operators and parity of every torus equal to this
+    one, from one build of the Cl_{d+2} site strings."""
     n_sites = 2 * torus.n_cells
-    generators, spins, D = _site_strings(d + 2)
+    generators, spins, D = _site_strings(torus.d + 2)
     return (_edge_strings(spins, torus), _edge_strings(generators, torus),
             _on_sites(D, range(n_sites), n_sites))
 

@@ -7,7 +7,9 @@ through: a float size, a complex array cast to its real part, and a vertex
 with non-integer coordinates.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -185,11 +187,18 @@ def _set(i, value):
     (lambda: _off_torus(3, 6, label=_set(863, 5)), "edge labels .* must lie in 1..4"),
     (lambda: _off_torus(2, 12, frm=_set(300, -1)), "edge endpoints .* must lie in 0..287"),
     (lambda: _off_torus(2, 12, to=_set(431, 288)), "edge endpoints .* must lie in 0..287"),
+    # sigma^3 sigma^3 on one site is the identity, which build_spin_hamiltonian
+    # gave edge 2 as its term, while quadratic_form, with no diagonal, gave it 0
+    (lambda: lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 1], [1, 2, 3]),
+     "edges of torus d=2, N=1 must join two distinct vertices$"),
+    (lambda: _off_torus(2, 12, to=_set(300, 244)), "d=2, N=12 must join two distinct vertices$"),
 ], ids=["label-0", "label-4", "frm-minus-1", "frm-8", "to-8", "short-to", "float-label",
-        "large-label-0", "large-label-5", "large-frm-minus-1", "large-to-288"])
+        "large-label-0", "large-label-5", "large-frm-minus-1", "large-to-288", "self-loop",
+        "large-self-loop"])
 def test_a_hand_made_torus_with_edges_off_the_torus_is_refused(make, message):
-    """Edge arrays that leave the torus are refused when the torus is made, so
-    no quadratic form, spin model or link operator is ever built on them."""
+    """Edge arrays that leave the torus, or join a vertex to itself, are refused
+    when the torus is made, so no quadratic form, spin model or link operator
+    is ever built on them; past 128 edges numpy reads the arrays."""
     with pytest.raises(ValueError, match=message):
         make()
 
@@ -223,10 +232,10 @@ def test_a_malformed_torus_is_refused_when_it_is_made(make, message):
 
 
 def test_a_torus_takes_lists_and_keeps_its_arrays_read_only():
-    """Lists of ints are taken as arrays; an array the caller can write is
-    copied, so changing it later leaves the torus as it was; `build_torus`'s
-    three read-only views of one buffer are kept, uncopied, through
-    `dataclasses.replace` too."""
+    """Lists of ints are taken as arrays; every array is read back from its
+    own bytes, so changing an input later leaves the torus as it was, and a
+    torus of `build_torus` or `dataclasses.replace` holds three read-only
+    arrays over three bytes objects and equals every torus of its content."""
     built = lattice.build_torus(2, 1)
     listed = lattice.DiamondTorus(np.int64(2), np.int64(1), [1, 1, 1], [0, 0, 0], [1, 2, 3])
     assert type(listed.d) is int and type(listed.N) is int
@@ -243,10 +252,57 @@ def test_a_torus_takes_lists_and_keeps_its_arrays_read_only():
         with pytest.raises(ValueError, match="read-only"):
             getattr(torus, name)[0] = 1
     big = lattice.build_torus(2, 3)
-    buffer = big.frm.base
-    assert not buffer.flags.writeable
     for t in (big, dataclasses.replace(big), dataclasses.replace(big, d=2)):
-        assert t.frm.base is t.to.base is t.label.base is buffer
+        assert t == big and hash(t) == hash(big)
+        arrays = (t.frm, t.to, t.label)
+        assert all(isinstance(a.base, bytes) and not a.flags.writeable for a in arrays)
+        assert len({id(a.base) for a in arrays}) == 3
+
+
+@pytest.mark.parametrize("rebuilt", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy,
+                                     copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_a_pickled_or_copied_torus_is_made_through_its_check(rebuilt):
+    """pickle and copy rebuild a torus through its constructor, so the copy
+    equals the original, keeps its dtypes, and its arrays are read-only: it
+    used to come back writable, and label 0 then took J_3 in the form."""
+    uint8 = lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 0], np.array([1, 2, 3], np.uint8))
+    for t in (lattice.build_torus(2, 1), lattice.build_torus(2, 12), uint8):
+        copied = rebuilt(t)
+        assert copied == t and hash(copied) == hash(t)
+        for name in ("frm", "to", "label"):
+            a = getattr(copied, name)
+            assert a.dtype == getattr(t, name).dtype and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        J = np.arange(1.0, t.d + 2)
+        assert np.array_equal(spectrum.quadratic_form(copied, J), spectrum.quadratic_form(t, J))
+
+
+def test_a_torus_keeps_its_edges_when_the_base_of_a_view_is_written():
+    """A read-only view of an array the caller can still write, and a
+    broadcast view, are read back into the torus's own bytes: writing the
+    base later changes neither the labels nor the hopping form."""
+    J = [1, 2, 3]
+    labels, one = np.array([1, 2, 3]), np.array([1])
+    view = labels[:]
+    view.flags.writeable = False
+    tori = [lattice.DiamondTorus(2, 1, [1, 1, 1], [0, 0, 0], view),
+            lattice.DiamondTorus(2, 1, np.broadcast_to(one, 3), [0, 0, 0], [1, 2, 3])]
+    forms = [spectrum.quadratic_form(t, J) for t in tori]
+    assert forms[0][1, 0] == 12.0
+    labels[0], one[0] = 0, 0
+    for t, form in zip(tori, forms):
+        assert t.frm.tolist() == [1, 1, 1] and t.label.tolist() == [1, 2, 3]
+        assert np.array_equal(spectrum.quadratic_form(t, J), form)
+
+
+def test_an_endpoint_bound_past_twenty_digits_is_named_not_printed():
+    """The endpoint refusal prints 2N^d - 1 while it is short, and names it
+    otherwise: at d = 20000 formatting it raised Python's digit-limit error."""
+    with pytest.raises(ValueError, match=r"torus d=32, N=2 must lie in 0\.\.8589934591$"):
+        lattice.DiamondTorus(32, 2, [-1], [0], [1])
+    with pytest.raises(ValueError, match=r"torus d=20000, N=2 must lie in 0\.\.2N\^d-1$"):
+        lattice.DiamondTorus(20000, 2, [-1], [0], [1])
 
 
 def test_the_hopping_form_counts_its_own_entries(monkeypatch):

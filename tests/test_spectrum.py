@@ -98,7 +98,8 @@ def reversed_edge_0(torus):
 @pytest.mark.parametrize("torus", [
     *(build_torus(d, N) for d, N in ((2, 12), (3, 6), (1, 1024))),
     # parallel edges share their entries, and the reversed one sums into them
-    *(reversed_edge_0(build_torus(d, 1)) for d in (1, 2, 3, 5, 8)),
+    *(reversed_edge_0(build_torus(d, N)) for d, N in ((1, 1), (2, 1), (3, 1), (5, 1), (8, 1),
+                                                      (2, 12))),
 ], ids=lambda t: f"d{t.d}-N{t.N}-{'reversed' if t.frm[0] < t.to[0] else 'built'}")
 def test_quadratic_form_sums_in_edge_order(torus):
     """The array form equals the edge loop bit for bit, signed zeros included."""

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -959,6 +961,31 @@ def test_a_replaced_torus_gets_its_own_strings():
         assert strings_of(got) == strings_of(cold_build(other, J2))
         # a bond's two ends carry the same site string, so its direction is not seen
         assert strings_of(got) == strings_of(base)
+
+
+def test_equal_tori_share_one_entry_of_the_memo(monkeypatch):
+    """The memo is keyed by the torus itself, which equals every torus of its
+    content: one built again, replaced, copied or unpickled hits the first
+    build's entry and shares its strings, and a miss makes no second torus."""
+    torus = build_torus(2, 2)
+    cold = cold_build(torus, J2)
+    info = spinham._torus_strings.cache_info()
+    twins = [build_torus(2, 2), dataclasses.replace(torus), copy.deepcopy(torus),
+             pickle.loads(pickle.dumps(torus)),
+             lattice.DiamondTorus(2, 2, torus.frm.tolist(), torus.to.tolist(), torus.label.tolist())]
+    for twin in twins:
+        assert spinham._torus_strings(twin) is spinham._torus_strings(torus)
+        got = spinham.build_spin_hamiltonian(twin, J2)
+        assert got.torus is twin
+        assert all(g is c for g, c in zip(strings_of(got), strings_of(cold)))
+    after = spinham._torus_strings.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 3 * len(twins), info.misses)
+
+    def no_torus(*args):
+        raise AssertionError("the memo made a torus")
+
+    monkeypatch.setattr(lattice.DiamondTorus, "__init__", no_torus)
+    assert strings_of(cold_build(torus, J2)) == strings_of(cold)
 
 
 def test_builders_are_plain_functions_over_a_bounded_memo():

@@ -243,7 +243,8 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: gap.barycentric_grid(2, 4), 15 * 3),
         (lambda: "\n".join(gap.gapmap_csv_lines(2, 4)).split("\n"), 15 * 3),
         (lambda: lattice.build_torus(2, 2), 8 * 8),
-        (lambda: lattice.build_torus(40, 1), 2 * 40),
+        # one cell: its three edge arrays of 41 entries pass the 2 x 40 coordinates
+        (lambda: lattice.build_torus(40, 1), 3 * 41),
         # alpha is 3 x 4 and beta 4 x 4
         (lambda: lattice.make_basis(3), 7 * 4),
         # 12 edge strings of 8 sites times 2 qubits
