@@ -171,9 +171,9 @@ def _verify_payload(args, torus) -> dict:
                 for k, dev in enumerate(deviations) if not dev < BLOCH_TOL]
     operator_suite = None
     # the sweep's torus where its spin model fits the entry budget, else its
-    # one cell where that fits, else no suite
+    # one cell where that fits, else no suite; a one-cell sweep is its own one cell
     fits = spinham.hamiltonian_fits
-    algebra_torus = torus if fits(torus) else build_torus(args.d, 1)
+    algebra_torus = torus if fits(torus) or torus.N == 1 else build_torus(args.d, 1)
     if args.draws and fits(algebra_torus):
         first_J = _draw(args.seed, args.d, 0)
         system = spinham.build_spin_hamiltonian(algebra_torus, first_J)

@@ -513,26 +513,26 @@ def _compositions(d: int, resolution: int) -> np.ndarray:
     lex order.
 
     Built one part per step, in lex order: a prefix that leaves `rest` takes
-    each of the values 0..rest in turn as its next part, and each value is
-    repeated once per composition of what it leaves into the parts still to
-    come.  The C(resolution + d, d) rows are checked against the budget first.
+    each of the values 0..rest in turn as its next part, repeated once per
+    composition of what it leaves into the m + 1 parts still to come, the
+    ways[m, rest] = C(rest + m, m) of one table whose rows are running sums
+    (Pascal's rule).  The C(resolution + d, d) rows are checked against the
+    budget first; the table's d (resolution + 1) entries are fewer than theirs.
     """
     d = check_size(d, 1, "dimension")
     resolution = check_size(resolution, 1, "resolution")
     n = simplex_count(d, resolution)
     check_budget(n * (d + 1), f"simplex grid d={d}, resolution={resolution}")
     ks = np.empty((n, d + 1), dtype=np.int64)
+    ways = np.ones((d, resolution + 1), dtype=np.int64)
+    for m in range(1, d):
+        np.cumsum(ways[m - 1], out=ways[m])
     rest = np.array([resolution], dtype=np.int64)
     for i in range(d):
         counts = rest + 1
         part = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         rest = np.repeat(rest, counts) - part
-        # C(rest + d-i-1, d-i-1), the compositions of rest into the d - i
-        # parts still to come
-        tails = np.ones_like(rest)
-        for k in range(1, d - i):
-            tails = tails * (rest + k) // k
-        ks[:, i] = np.repeat(part, tails)
+        ks[:, i] = np.repeat(part, ways[d - 1 - i, rest])
     ks[:, d] = rest
     return ks
 

@@ -236,15 +236,15 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     (mu + e_i mod N, 0).  With N = 1 this leaves d+1 distinct parallel edges
     between the two remaining vertices.  With the `place_values` w_i, the step
     along e_i adds w_i to the cell's rank, or (1-N) w_i where mu_i wraps, so
-    the build costs O(N^d d).  The request counts as the largest of its dense
-    hopping form, (2N^d)^2 entries, its 2N^d * d vertex coordinates and its
-    three edge arrays, 3(d+1)N^d entries, and is refused above ENTRY_BUDGET
-    before anything is built.
+    the build costs O(N^d d).  The request counts as the larger of its dense
+    hopping form, (2N^d)^2 entries, and its three edge arrays, 3(d+1)N^d
+    entries, and is refused above ENTRY_BUDGET before anything is built; its
+    2N^d (d+1) vertex coordinates, which `torus_to_dict` counts, are fewer.
     """
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "torus size")
     cells = grid_count(N, d)
-    check_budget(max(2 * cells * max(2 * cells, d), 3 * (d + 1) * cells), f"torus d={d}, N={N}")
+    check_budget(max((2 * cells) ** 2, 3 * (d + 1) * cells), f"torus d={d}, N={N}")
     L = N**d
     rank = np.arange(L)[:, None]
     # frm, to and label, each as the (cell, direction) table
@@ -318,17 +318,18 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
 
 
 def torus_to_dict(torus: DiamondTorus) -> dict:
-    """JSON-ready description of the torus with embedded vertex positions,
-    mu @ alpha + s*p for all vertices in one product, mu the digits of the
-    cell ranks.  The entries of alpha are 0 and +-1, so each sum is exact."""
-    basis = make_basis(torus.d)
+    """JSON-ready description of the torus, refused first when its 2N^d (d+1) vertex
+    coordinates are over ENTRY_BUDGET: mu @ alpha + s*p for all vertices in one product,
+    mu the digits of the cell ranks, exact as the entries of alpha are 0 and +-1."""
+    d, N = torus.d, torus.N
+    check_budget(2 * grid_count(N, d) * (d + 1), f"embedding of torus d={d}, N={N}")
+    basis = make_basis(d)
     L = torus.n_cells
-    mu = np.arange(2 * L)[:, None] % L // np.array(place_values(torus.N, torus.d)) % torus.N
+    mu = np.arange(2 * L)[:, None] % L // np.array(place_values(N, d)) % N
     s = np.repeat([0.0, 1.0], L)
     pos = (mu.astype(float) @ basis.alpha + s[:, None] * basis.p).tolist()
     return {
-        "d": torus.d,
-        "N": torus.N,
+        "d": d, "N": N,
         "vertices": [
             {"mu": m, "s": i // L, "pos": x} for i, (m, x) in enumerate(zip(mu.tolist(), pos))
         ],

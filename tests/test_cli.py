@@ -378,10 +378,13 @@ def test_bands_json_refuses_overflow(tmp_path, capsys):
     assert code == 0 and "inf" in out
 
 
-@pytest.mark.parametrize("N,calls", [(2, 1), (12, 2)])
-def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
-    """The sweep's torus carries the operator suite where it fits the spin cap."""
-    argv = ["verify", "--d", "2", "--N", str(N), "--draws", "2", "--seed", "3"]
+@pytest.mark.parametrize("d,N,calls", [
+    pytest.param(2, 2, 1, id="2-1"), pytest.param(2, 12, 2, id="12-2"), (16, 1, 1),
+])
+def test_verify_builds_each_torus_once(monkeypatch, capsys, d, N, calls):
+    """The sweep's torus carries the operator suite where it fits the spin cap;
+    one cell where it does not is not built again, and carries no suite."""
+    argv = ["verify", "--d", str(d), "--N", str(N), "--draws", "2", "--seed", "3"]
     _, want, _ = run_cli(capsys, *argv)
     built = []
 
@@ -393,7 +396,8 @@ def test_verify_builds_each_torus_once(monkeypatch, capsys, N, calls):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
     assert len(built) == calls
-    assert json.loads(out)["operator_suite"]["pass"] is True
+    suite = json.loads(out)["operator_suite"]
+    assert suite is None if d == 16 else suite["pass"] is True
 
 
 # the spin model's matrix fits at (1, 8), 2^16 rows by 16 edges, and at

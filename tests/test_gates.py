@@ -317,3 +317,17 @@ def test_the_hopping_form_counts_its_own_entries(monkeypatch):
     for call in (spectrum.quadratic_form, spectrum.verify_bloch_equivalence):
         with pytest.raises(ValueError, match="hopping form of torus d=1, N=5 is over the budget"):
             call(over, [1.0, 0.5])
+
+
+def test_the_embedding_counts_its_own_coordinates(monkeypatch):
+    """A hand-made torus may claim N^d cells with one edge: torus_to_dict refuses
+    its 2N^d (d+1) vertex coordinates over the budget before it makes the basis
+    or any array, where it would have built 16,000,000 vertex dicts."""
+    over = lattice.DiamondTorus(3, 200, [1], [0], [1])
+
+    def built(d):
+        raise AssertionError(f"torus_to_dict made the basis of d={d} before it counted")
+
+    monkeypatch.setattr(lattice, "make_basis", built)
+    with pytest.raises(ValueError, match="embedding of torus d=3, N=200 is over the budget"):
+        lattice.torus_to_dict(over)

@@ -8,6 +8,7 @@ budget and the `--t` check must refuse before anything is printed.
 """
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,32 @@ def test_barycentric_grid_matches_recursive_reference():
         rows = [ln.split(",")[:-1] for ln in list(ref_gapmap_csv_lines(d, r))[1:]]
         want = np.array(rows, dtype=float)
         assert np.array_equal(gap.barycentric_grid(d, r), want)
+
+
+def test_simplex_rows_repeat_by_binomial_counts():
+    """Each prefix k_0..k_i of a simplex row that leaves v of the resolution is
+    repeated once per composition of v into the m + 1 = d - i parts still to
+    come, C(v + m, m): every count the map reads, m = 0..d-1, v = 0..r."""
+    for d in range(1, 7):
+        for r in range(1, 7):
+            ks = gap._compositions(d, r)
+            for i in range(d):
+                prefixes, counts = np.unique(ks[:, : i + 1], axis=0, return_counts=True)
+                m = d - 1 - i
+                assert counts.tolist() == [math.comb(r - sum(p) + m, m) for p in prefixes.tolist()]
+
+
+def test_gapmap_at_its_budget_edge(capsys):
+    """d = 2047 at resolution 1 is 2048 rows of 2048 parts, ENTRY_BUDGET
+    exactly: data row j holds its 1 in column x_{2047-j}, and every point, a
+    vertex of the simplex, is gapped.  d = 2048 is refused with empty stdout."""
+    d = 2047
+    header = ",".join([f"x_{i}" for i in range(d + 1)] + ["gapped"])
+    rows = [",".join(["0"] * (d - j) + ["1"] + ["0"] * j + ["1"]) for j in range(d + 1)]
+    assert "\n".join(gap.gapmap_csv_lines(d, 1)) == "\n".join([header, *rows])
+    assert cli.main(["gapmap", "--d", "2048", "--resolution", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "over the budget" in captured.err
 
 
 BAND_GRIDS = {1: (1, 2, 7, 64), 2: (1, 3, 40), 3: (2, 5, 16), 4: (3, 8)}
@@ -243,8 +270,10 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: gap.barycentric_grid(2, 4), 15 * 3),
         (lambda: "\n".join(gap.gapmap_csv_lines(2, 4)).split("\n"), 15 * 3),
         (lambda: lattice.build_torus(2, 2), 8 * 8),
-        # one cell: its three edge arrays of 41 entries pass the 2 x 40 coordinates
+        # one cell: its three edge arrays of 41 entries pass its 2 x 2 hopping form
         (lambda: lattice.build_torus(40, 1), 3 * 41),
+        # a hand-made torus of 2^3 cells and one edge: 16 vertices of 4 coordinates
+        (lambda: lattice.torus_to_dict(lattice.DiamondTorus(3, 2, [8], [0], [1])), 16 * 4),
         # alpha is 3 x 4 and beta 4 x 4
         (lambda: lattice.make_basis(3), 7 * 4),
         # 12 edge strings of 8 sites times 2 qubits
