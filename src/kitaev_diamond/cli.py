@@ -8,7 +8,10 @@ Every command writes through `_emit_lines`, which makes the first block
 before it opens the output, so a refused request leaves no partial output
 and no file.  `verify` alone opens its output itself, after its argument
 checks and before its sweep.  A JSON report is one block, and a non-finite
-value in it is refused by the name of its top-level field.
+value in it is refused by the name of its top-level field.  The JSON tables of
+`bands` and `lattice` stream: their frames are json's own text, and their rows
+and records are printed from the table's columns, in the bytes `_json` gives
+the whole table.
 """
 
 from __future__ import annotations
@@ -114,10 +117,9 @@ def cmd_bands(args) -> int:
     J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     t = _parse_floats(args.t, "--t") if args.t is not None else None
     if args.format == "json":
-        cols, values = spectrum.band_table(J, args.grid, hoppings=t)
-        # json prints each float's repr, which parses back to the same bits
-        # as the CSV's 17 significant digits
-        _emit_lines([_json({"columns": cols, "rows": values})], args.out)
+        # each float's repr parses back to the same bits as the CSV's 17
+        # significant digits
+        _emit_lines(spectrum.band_json_lines(J, args.grid, hoppings=t), args.out)
     else:
         _emit_lines(spectrum.band_csv_lines(J, args.grid, hoppings=t, mapper=_ordered), args.out)
     return 0
@@ -136,8 +138,28 @@ def cmd_gapmap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    _emit_lines([_json(torus_to_dict(build_torus(args.d, args.N)))], args.out)
+    _emit_lines(_torus_lines(torus_to_dict(build_torus(args.d, args.N))), args.out)
     return 0
+
+
+def _torus_lines(payload: dict):
+    """_json(payload)'s text for `torus_to_dict`'s payload, in five chunks: the frame from
+    _json with both lists empty, and each list's records from one template, the record's
+    kind as _json lays it out two levels deep with each int and float a %r slot (json
+    prints either as its repr; every position is finite)."""
+    head, middle, tail = _json({**payload, "vertices": [], "edges": []}).split("[]")
+    vertices, edges = payload["vertices"], payload["edges"]
+    vertex, edge = map(_record_template, (vertices[0], edges[0]))
+    yield head + "["
+    yield ",\n".join([vertex % (*v["mu"], v["s"], *v["pos"]) for v in vertices])
+    yield "  ]" + middle + "["
+    yield ",\n".join(map(edge.__mod__, map(tuple, map(dict.values, edges))))
+    yield "  ]" + tail
+
+
+def _record_template(record: dict) -> str:
+    slots = {k: ["%r"] * len(v) if isinstance(v, list) else "%r" for k, v in record.items()}
+    return "    " + _json(slots).replace('"%r"', "%r").replace("\n", "\n    ")
 
 
 def cmd_verify(args) -> int:

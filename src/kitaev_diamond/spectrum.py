@@ -7,14 +7,15 @@ routes to the spectrum are kept side by side: the closed-form dispersion
 +-|f(phi)| evaluated on the discrete phase grid, and the eigenvalues of the
 antisymmetric hopping form assembled edge by edge on the torus.  Their
 multiset agreement is the main correctness gate for both.  Couplings meet edges
-in `_edge_couplings` only; both band tables take |f| and |r| from one axis's
-phase factors (`_band_energies`), and the CSV prints each energy as '{:.17g}'
-does, from an exact integer kernel over whole blocks.
+in `_edge_couplings` only; the band tables take |f| and |r| from one axis's
+phase factors (`_band_energies`), the CSV prints each energy as '{:.17g}'
+does, from an exact integer kernel over whole blocks, and the JSON as json does.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
-# Rows of a CSV table formatted per vectorised block.
+# Rows of a table formatted per block.
 ROW_BLOCK = 1 << 14
 FLOAT_MAX = float(np.finfo(float).max)
 
@@ -307,12 +308,43 @@ def band_table(J, grid_n: int, hoppings=None) -> tuple[list[str], np.ndarray]:
     """Column names and values of the band table over the grid_n^d phase grid.
 
     Rows are the grid points, row-major as `bz_grid`.  The energies come from
-    `_band_energies`, which checks every input and the grid's budget first."""
+    `_band_energies`, which checks every input and the grid's budget first.  The CLI
+    prints its tables from the same energies without it (`band_csv_lines`,
+    `band_json_lines`); this whole table serves library callers and the tests."""
     d, cols, energies = _band_energies(J, grid_n, hoppings)
     values = [bz_grid(d, grid_n)]
     for e in energies:
         values += [e[:, None], -e[:, None]]
     return cols, np.concatenate(values, axis=1)
+
+
+def band_json_lines(J, grid_n: int, hoppings=None):
+    """The band table over the full phase grid, as json.dumps(indent=2) prints
+    {"columns": cols, "rows": values} of `band_table`.
+
+    Yields json's head through '"rows": [', then each block of up to ROW_BLOCK rows as one
+    string, then the tail.  A row is laid out as json lays it out, from the text of one axis's
+    N phases and of the energies of `_band_energies`, each printed once by float.__repr__, as
+    json prints a float, its negative as "-" and that text (exact for every value >= 0, zero
+    included).  A non-finite energy is refused before the head.
+    """
+    d, cols, energies = _band_energies(J, grid_n, hoppings)
+    if not all(np.isfinite(e).all() for e in energies):
+        raise ValueError("non-finite value in rows; JSON has no Infinity or NaN")
+    head, tail = json.dumps({"columns": cols, "rows": []}, indent=2).rsplit("[]", 1)
+    axis = np.array(list(map(float.__repr__, (TWO_PI * np.arange(grid_n) / grid_n).tolist())))
+    # one row two levels deep, as json.dumps(indent=2) lays it out
+    row = "    [\n      " + ",\n      ".join(["%s"] * d + ["%s", "-%s"] * len(energies)) + "\n    ]"
+    yield head + "["
+    n = energies[0].size
+    for start in range(0, n, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, n))
+        fields = [axis[rows // w % grid_n].tolist() for w in place_values(grid_n, d)]
+        for e in energies:
+            text = list(map(float.__repr__, e[start : start + ROW_BLOCK].tolist()))
+            fields += [text, text]
+        yield ",\n".join(map(row.__mod__, zip(*fields))) + ("," if start + ROW_BLOCK < n else "")
+    yield "  ]" + tail
 
 
 def band_csv_lines(J, grid_n: int, hoppings=None, *, mapper=map):

@@ -463,6 +463,13 @@ def test_a_refused_request_leaves_no_out_file(tmp_path, capsys, argv):
     (["gap", "--d", "2", "--J", "1.79e308,1e300,1e300"], "min_numeric"),
     (["bands", "--d", "3", "--J=1e308,1e308,-1e308,-1e308", "--grid", "2",
       "--format", "json"], "rows"),
+    # only the hopping column overflows
+    (["bands", "--d", "2", "--J", "1,1,1", "--t=1e308,1e308,1e308", "--grid", "4",
+      "--format", "json"], "rows"),
+    # |f| overflows only in the second of three blocks (the test below), so a
+    # check block by block would have printed the first
+    (["bands", "--d", "2", "--J=3.05e307,-3.05e307,3.05e307", "--grid", "200",
+      "--format", "json"], "rows"),
 ])
 def test_a_json_refusal_names_the_field(tmp_path, capsys, argv, field):
     target = tmp_path / "out"
@@ -471,3 +478,9 @@ def test_a_json_refusal_names_the_field(tmp_path, capsys, argv, field):
         assert code == 2 and out == ""
         assert err == f"error: non-finite value in {field}; JSON has no Infinity or NaN\n"
     assert not target.exists()
+
+
+def test_the_late_overflow_lies_past_the_first_block():
+    _, _, (absf,) = spectrum._band_energies([3.05e307, -3.05e307, 3.05e307], 200, None)
+    late = np.flatnonzero(~np.isfinite(absf))
+    assert late.size and late.min() >= spectrum.ROW_BLOCK and late.max() < 2 * spectrum.ROW_BLOCK

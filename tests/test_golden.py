@@ -80,6 +80,10 @@ GOLDEN = {
         "ee7cf5589577739c4df9037c968f90c7862e95b4a0b869c470babfa12db0a9c2",
     ("lattice", "--d", "1", "--N", "5"):
         "0e30a10c1288481dcd461b6cddf200896b3e7e1bb3ca0b46fee9465dcc21545f",
+    # the benchmark's lattice command, recorded before the records were
+    # printed from templates
+    ("lattice", "--d", "3", "--N", "6"):
+        "f2241cbb9bdad13ac9869598c9e764aa645e8e16fb5433b7d34b804046af0ecd",
 }
 
 

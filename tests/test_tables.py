@@ -4,7 +4,9 @@ The references are the per-row formatters the package used before its
 tables became array-native: one f-string per value for the band table, the
 CSV text parsed back to floats for its JSON form, and one `gapped_region`
 call per simplex point.  Output must match them byte for byte, and the size
-budget and the `--t` check must refuse before anything is printed.
+budget and the `--t` check must refuse before anything is printed.  The JSON
+tables of `bands` and `lattice` are also compared with the route they
+replaced, one `json.dumps(indent=2)` of the whole payload.
 """
 
 import json
@@ -142,6 +144,80 @@ def test_bands_match_per_row_reference(capsys, tmp_path, d, fmt, with_t):
             assert got == list(ref_band_csv_lines(J, grid, t))
 
 
+def old_json(payload):
+    """The route the JSON tables replaced: one json.dumps of the whole payload."""
+    return json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
+
+
+def old_bands_json(J, grid_n, hoppings=None):
+    cols, values = spectrum.band_table(J, grid_n, hoppings=hoppings)
+    return old_json({"columns": cols, "rows": values})
+
+
+def bands_json_stdout(capsys, J, grid_n, hoppings=None):
+    argv = ["bands", "--d", str(len(J) - 1), floats("--J", J), "--grid", str(grid_n),
+            "--format", "json"]
+    if hoppings is not None:
+        argv.append(floats("--t", hoppings))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 0
+    return captured.out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_t", [False, True])
+def test_bands_json_prints_the_old_routes_bytes(capsys, d, with_t):
+    rng = np.random.default_rng(480 + d)
+    for grid in (1, 2, 7, 64):
+        J = rng.uniform(-2.0, 2.0, d + 1)
+        t = rng.uniform(-2.0, 2.0, d + 1) if with_t else None
+        if lattice.grid_count(grid, d) * d > lattice.ENTRY_BUDGET:
+            # 64^4 phases: both routes refuse the grid with one message
+            with pytest.raises(ValueError, match="over the budget") as refused:
+                spectrum.band_table(J, grid, hoppings=t)
+            with pytest.raises(ValueError, match="over the budget") as streamed:
+                next(spectrum.band_json_lines(J, grid, hoppings=t))
+            assert str(streamed.value) == str(refused.value)
+            continue
+        assert bands_json_stdout(capsys, J, grid, t) == old_bands_json(J, grid, t)
+
+
+@pytest.mark.parametrize("J, t, grid", [
+    # 40,000 rows: two full blocks and a partial one
+    ([0.3, -1.2, 0.7], [1.1, 0.4, -0.9], 200),
+    # every minus column is -0.0
+    ([0.0, 0.0, 0.0], None, 7),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 7),
+    # energies whose reprs take the exponent form, and negative couplings
+    ([1e-300, 1e-300, -1e-300], [-1e-300, 2e-300, 1e-300], 7),
+    ([-1.0, -0.5, -2.0], [-1.0, -1.0, -1.0], 7),
+])
+def test_bands_json_prints_the_old_routes_bytes_at_special_values(capsys, J, t, grid):
+    out = bands_json_stdout(capsys, J, grid, t)
+    assert out == old_bands_json(J, grid, t)
+    if not any(J):
+        minus = [v for row in json.loads(out)["rows"] for v in row[len(J) :: 2]]
+        assert minus and all(v == 0.0 and math.copysign(1.0, v) < 0 for v in minus)
+
+
+def test_bands_json_streams_in_row_blocks():
+    # the head, one string per block of ROW_BLOCK rows, and the tail
+    for d, grid in ((1, 1), (2, 128), (2, 129), (2, 200), (3, 40)):
+        rows = grid**d
+        chunks = list(spectrum.band_json_lines(np.ones(d + 1), grid, hoppings=np.ones(d + 1)))
+        assert len(chunks) == -(-rows // spectrum.ROW_BLOCK) + 2
+        assert chunks[0].endswith('"rows": [') and chunks[-1] == "  ]\n}"
+
+
+@pytest.mark.parametrize("d, N", [(1, 1), (1, 5), (2, 3), (3, 6), (5, 2), (40, 1)])
+def test_lattice_prints_the_old_routes_bytes(capsys, d, N):
+    code = cli.main(["lattice", "--d", str(d), "--N", str(N)])
+    assert code == 0
+    assert capsys.readouterr().out == old_json(lattice.torus_to_dict(lattice.build_torus(d, N)))
+
+
 def test_tables_across_block_boundaries(capsys, tmp_path, monkeypatch):
     # blocks of 7 rows: full blocks, a partial last block, and the CLI's
     # blockwise writes all meet the per-row references
@@ -149,9 +225,11 @@ def test_tables_across_block_boundaries(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(gap, "ROW_BLOCK", 7)
     J, t = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
     for grid in (2, 5, 7):
-        want = ref_bands_stdout(J, grid, t, "csv")
-        argv = ["bands", "--d", "2", floats("--J", J), floats("--t", t), "--grid", str(grid)]
-        assert run_cli(capsys, tmp_path, argv) == want
+        for fmt in ("csv", "json"):
+            want = ref_bands_stdout(J, grid, t, fmt)
+            argv = ["bands", "--d", "2", floats("--J", J), floats("--t", t), "--grid", str(grid),
+                    "--format", fmt]
+            assert run_cli(capsys, tmp_path, argv) == want
     for r in (4, 5):
         want = "\n".join(ref_gapmap_csv_lines(3, r)) + "\n"
         assert run_cli(capsys, tmp_path, ["gapmap", "--d", "3", "--resolution", str(r)]) == want
@@ -326,12 +404,14 @@ def test_band_csv_holds_only_its_energy_columns(d, grid, with_t):
 
 
 def test_band_csv_route_builds_no_phase_grid(monkeypatch):
-    # bz_grid serves the JSON table; the CSV route needs only the grid factors
+    # bz_grid serves band_table; the CSV and JSON routes need only the grid factors
     J, t = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
     want = list(ref_band_csv_lines(J, 9, t))
+    want_json = old_bands_json(J, 9, t)
 
     def refused(d, N):
         raise AssertionError("bz_grid called")
 
     monkeypatch.setattr(spectrum, "bz_grid", refused)
     assert "\n".join(spectrum.band_csv_lines(J, 9, hoppings=t)).split("\n") == want
+    assert "\n".join(spectrum.band_json_lines(J, 9, hoppings=t)) + "\n" == want_json
