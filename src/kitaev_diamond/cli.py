@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification contract fails, 2 for usage
 errors, an output that cannot be opened or written among them.  All output
-is deterministic for a fixed (command line, seed) pair.
+is deterministic for a fixed (command line, seed) pair.  `main` parses with
+one parser per process and calls the `cmd_<subcommand>` it finds by name
+when called, so a command rebound on the module, a tracer's say, runs.
 
 Every command writes through `_emit_lines`, which makes the first block
 before it opens the output, so a refused request leaves no partial output
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -127,6 +130,7 @@ def cmd_bands(args) -> int:
 
 def cmd_gap(args) -> int:
     J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
+    check_size(args.grid, 2, "--grid")
     report = dataclasses.asdict(gap_mod.gap_report(J, grid_n=args.grid))
     _emit_lines([_json(report)], args.out)
     return 0
@@ -330,6 +334,7 @@ def cmd_verify_algebra(args) -> int:
     return 0 if payload["pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kitaev-diamond",
@@ -357,28 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated hoppings t_1,...,t_{d+1} for extra tight-binding "
                    "columns; a list that starts with a minus sign is written --t=-1,2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_bands)
 
-    p = sub.add_parser("gap", help="gap classification report (JSON)")
-    common(p, need_J=True, grid=48)
-    p.set_defaults(func=cmd_gap)
+    common(sub.add_parser("gap", help="gap classification report (JSON)"), need_J=True, grid=48)
 
     p = sub.add_parser("gapmap", help="classify the coupling simplex on a rational grid (CSV)")
     common(p)
     p.add_argument("--resolution", type=int, default=40,
                    help="barycentric denominator of the simplex grid")
-    p.set_defaults(func=cmd_gapmap)
 
-    p = sub.add_parser("lattice", help="torus graph with embedded positions (JSON)")
-    common(p, N=2)
-    p.set_defaults(func=cmd_lattice)
+    common(sub.add_parser("lattice", help="torus graph with embedded positions (JSON)"), N=2)
 
     p = sub.add_parser("verify", help="spectral equivalence sweep plus operator identities")
     common(p, N=2)
     p.add_argument("--draws", type=int, default=20, help="random coupling draws")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--corrupt-sign", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("verify-algebra", help="operator-identity residual report (JSON)")
     common(p, N=1)
@@ -386,16 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated couplings (default: one seeded random draw); a list "
                    "that starts with a minus sign is written --J=-1,2")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.set_defaults(func=cmd_verify_algebra)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # found when called, not bound in the parser: a cmd_* rebound on this module runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,10 +67,11 @@ def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
     """Shared primitive for the boundary tests: (sum |J|, sum |J| - 2 max |J|).
 
     Every classifier compares against the same floating-point values, which
-    is what makes them exact complements even on boundary inputs.  The
-    magnitudes are scaled by the power of two of `range_exponent`, summed,
-    and the results scaled back, so a margin that overflows keeps its sign
-    as an infinity instead of turning into NaN.
+    is what makes them exact complements even on boundary inputs.  The margin
+    is rounded: where the exact one lies within about d eps sum |J| of 0, its
+    sign may differ.  The magnitudes are scaled by the power of two of
+    `range_exponent`, summed, and the results scaled back, so a margin that
+    overflows keeps its sign as an infinity instead of turning into NaN.
     """
     mags = np.abs(J)
     top = float(mags.max())
@@ -86,7 +87,8 @@ def _abs_sum_and_margin(J: np.ndarray) -> tuple[float, float]:
 
 
 def has_zero(J) -> bool:
-    """True iff every |J_l| is at most the sum of the other magnitudes."""
+    """True iff the float margin sum|J| - 2 max|J| is >= 0: every |J_l| at most the sum
+    of the others, where the exact margin is not within about d eps sum|J| of 0."""
     return _abs_sum_and_margin(as_couplings(J))[1] >= 0.0
 
 

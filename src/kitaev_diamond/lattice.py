@@ -303,7 +303,7 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
         raise ValueError(f"bond index must be in 0..{d}, got {i}")
     beta_i = basis.beta[i]
     frame = -sum(beta_i - basis.beta[j] for j in range(d + 1) if j != i)
-    denom = frame @ frame
+    denom = float(frame @ frame)
     p1 = -(d / 2.0) * beta_i
     p2 = p1 - beta_i
     t1 = float(p1 @ frame) / denom

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import kitaev_diamond
 from kitaev_diamond import cli, spectrum
-from kitaev_diamond.lattice import build_torus
+from kitaev_diamond.lattice import build_torus, torus_to_dict
 from kitaev_diamond.spectrum import bz_grid, f_of_q
 from test_spectrum import reversed_edge_0
 
@@ -299,6 +300,42 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["has_zero"] is True
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    used = []
+    parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: used.append(self) or parse(self, *a, **k))
+    for argv in (["lattice", "--d", "1", "--N", "2"], ["gap", "--d", "2", "--J", "1,1,1"],
+                 ["verify-algebra", "--d", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(used) == 3 and used[0] is used[1] is used[2] is cli.build_parser()
+
+
+def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, capsys):
+    argv = ["gap", "--d", "2", "--J", "1,1,1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    seen = []
+    # as the benchmark's tracer does: rebind the module's function between calls
+    monkeypatch.setattr(cli, "cmd_gap", lambda args: seen.append(args.J) or 7)
+    assert run_cli(capsys, *argv) == (7, "", "")
+    assert seen == ["1,1,1"]
+
+
+def test_help_and_usage_errors_leave_the_parser_working(capsys):
+    lattice = json.dumps(torus_to_dict(build_torus(1, 2)), indent=2) + "\n"
+    for argv, code, stream in [(["bands", "--help"], 0, "out"), (["bands", "--d", "2"], 2, "err")]:
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == code
+        captured = capsys.readouterr()
+        assert getattr(captured, stream).startswith("usage: kitaev-diamond bands ")
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.endswith(
+                "error: the following arguments are required: --J\n")
+        assert run_cli(capsys, "lattice", "--d", "1", "--N", "2") == (0, lattice, "")
 
 
 def _child_env(**extra):

@@ -227,6 +227,7 @@ def test_fundamental_domain_closed_form():
         b = lattice.make_basis(d)
         for i in range(d + 1):
             chk = lattice.check_fundamental_domain(b, i)
+            assert all(type(v) is float for v in dataclasses.astuple(chk))
             assert abs(chk.t1 - d / (2 * (d + 1))) < 1e-12
             assert abs(chk.t2 - (d + 2) / (2 * (d + 1))) < 1e-12
             assert 0.0 < chk.t1 < chk.t2 < 1.0

@@ -331,6 +331,7 @@ def test_list_and_seed_errors_name_their_option(capsys):
         (["bands", "--d", "2", "--J", "1,1,1", "--t="], "could not parse --t list ''"),
         (["verify", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["verify-algebra", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["gap", "--d", "2", "--J", "1,1,1", "--grid", "1"], "--grid must be >= 2, got 1"),
     ]:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
