@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import gap as gap_mod
-from . import lattice, spectrum, spinham
+from . import spectrum, spinham
 from .lattice import build_torus, check_size, torus_to_dict
 
 BLOCH_TOL = 1e-8
@@ -169,15 +169,16 @@ def _record_template(record: dict) -> str:
 def cmd_verify(args) -> int:
     check_size(args.draws, 0, "--draws")
     check_size(args.seed, 0, "--seed")
+    forms = spectrum._forms_in_budget(args.d, args.N)
     torus = build_torus(args.d, args.N)
     # the output opens before the sweep, so an unwritable one costs no sweep
     with _opened(args.out) as write:
-        payload = _verify_payload(args, torus)
+        payload = _verify_payload(args, torus, forms)
         write(_json(payload))
     return 0 if payload["pass"] else 1
 
 
-def _verify_payload(args, torus) -> dict:
+def _verify_payload(args, torus, forms: int) -> dict:
     """verify's report, built here alone: the maximum and failure records of
     the sweep's deviations over args.draws couplings, then the operator suite."""
     swept = torus
@@ -187,11 +188,10 @@ def _verify_payload(args, torus) -> dict:
         frm[0], to[0] = to[0], frm[0]
         swept = dataclasses.replace(torus, frm=frm, to=to)
     # each eigvalsh is one LAPACK call that threads barely speed up, so the
-    # draws run in processes, at most one per order^2 entries of ENTRY_BUDGET
-    # for the hopping form's order
+    # draws run in processes, at most one per hopping form the budget holds
     deviations = list(_ordered(
         lambda k: spectrum.verify_bloch_equivalence(swept, _draw(args.seed, args.d, k)),
-        range(args.draws), lattice.ENTRY_BUDGET // (2 * torus.n_cells) ** 2))
+        range(args.draws), forms))
     failures = [{"draw": k, "d": args.d, "N": args.N, "seed": args.seed,
                  "J": list(_draw(args.seed, args.d, k)), "deviation": dev}
                 for k, dev in enumerate(deviations) if not dev < BLOCH_TOL]

@@ -503,7 +503,7 @@ def gap_report(J, grid_n: int = 48) -> GapReport:
     J = as_couplings(J)
     _, margin = _abs_sum_and_margin(J)
     return GapReport(
-        has_zero=margin >= 0.0,
+        has_zero=has_zero(J),
         margin=margin,
         zero_phi=find_zero(J),
         min_numeric=min_gap_numeric(J, grid_n=grid_n),

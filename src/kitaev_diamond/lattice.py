@@ -218,11 +218,11 @@ class DiamondTorus:
         return type(self), (self.d, self.N, self.frm, self.to, self.label)
 
     def index(self, v: Vertex) -> int:
-        """Index of a vertex in the stable ordering."""
+        """Index of a vertex in the stable ordering, a Python int."""
         if not _is_vertex(v, self.d, self.N):
             raise KeyError(f"not a vertex of this torus: {v}")
         w = place_values(self.N, self.d)
-        return v.s * self.n_cells + sum(c * wi for c, wi in zip(v.mu, w))
+        return int(v.s) * self.n_cells + sum(int(c) * wi for c, wi in zip(v.mu, w))
 
     @property
     def n_cells(self) -> int:
@@ -236,15 +236,13 @@ def build_torus(d: int, N: int) -> DiamondTorus:
     (mu + e_i mod N, 0).  With N = 1 this leaves d+1 distinct parallel edges
     between the two remaining vertices.  With the `place_values` w_i, the step
     along e_i adds w_i to the cell's rank, or (1-N) w_i where mu_i wraps, so
-    the build costs O(N^d d).  The request counts as the larger of its dense
-    hopping form, (2N^d)^2 entries, and its three edge arrays, 3(d+1)N^d
-    entries, and is refused above ENTRY_BUDGET before anything is built; its
-    2N^d (d+1) vertex coordinates, which `torus_to_dict` counts, are fewer.
+    the build costs O(N^d d).  Its three edge arrays, 3(d+1)N^d entries, are
+    refused above ENTRY_BUDGET before anything is built; its 2N^d (d+1) vertex
+    coordinates, which `torus_to_dict` counts, are fewer.
     """
     d = check_size(d, 1, "dimension")
     N = check_size(N, 1, "torus size")
-    cells = grid_count(N, d)
-    check_budget(max((2 * cells) ** 2, 3 * (d + 1) * cells), f"torus d={d}, N={N}")
+    check_budget(3 * (d + 1) * grid_count(N, d), f"torus d={d}, N={N}")
     L = N**d
     rank = np.arange(L)[:, None]
     # frm, to and label, each as the (cell, direction) table
@@ -261,7 +259,7 @@ def covering_map(torus: DiamondTorus, item: Vertex | Edge) -> int:
     its frm, to and label, to its base edge (the direction, label - 1)."""
     if isinstance(item, Vertex):
         torus.index(item)  # raises on foreign vertices
-        return item.s
+        return int(item.s)
     if isinstance(item, Edge):
         if all(map(_is_int, item)):
             frm, to, direction, label = map(int, item)

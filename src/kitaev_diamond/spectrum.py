@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lattice
 from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
@@ -186,6 +187,16 @@ def bloch_multiset(J, N: int) -> np.ndarray:
     return np.sort(np.concatenate([-absf, absf]))
 
 
+def _forms_in_budget(d: int, N: int) -> int:
+    """How many hopping forms of the (d, N) torus, (2N^d)^2 entries each, fit
+    ENTRY_BUDGET together, read when called.  d and N are checked as `build_torus`
+    checks them, and a torus whose one form does not fit is refused."""
+    d, N = check_size(d, 1, "dimension"), check_size(N, 1, "torus size")
+    n = 2 * grid_count(N, d)
+    check_budget(n * n, f"hopping form of torus d={d}, N={N}")
+    return lattice.ENTRY_BUDGET // (n * n)
+
+
 def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
     """Antisymmetric hopping form of the model in the uniform link gauge.
 
@@ -193,11 +204,11 @@ def quadratic_form(torus: DiamondTorus, J) -> np.ndarray:
     l contributes +2*J_l in the (s=1, s=0) orientation; parallel edges of an
     N=1 torus accumulate onto the same entry.  One `np.add.at` adds +w at
     (frm, to), then -w at (to, frm), edge by edge: each entry sums in edge order.
-    Its (2N^d)^2 entries, however few the edges, are refused above ENTRY_BUDGET.
+    Its (2N^d)^2 entries, however few the edges, are counted first, by `_forms_in_budget`.
     """
     w = 2.0 * _edge_couplings(torus, J)
-    n = 2 * grid_count(torus.N, torus.d)
-    check_budget(n * n, f"hopping form of torus d={torus.d}, N={torus.N}")
+    _forms_in_budget(torus.d, torus.N)
+    n = 2 * torus.n_cells
     A = np.zeros((n, n))
     frm, to = torus.frm, torus.to
     np.add.at(A, (np.ravel([frm, to], "F"), np.ravel([to, frm], "F")), np.ravel([w, -w], "F"))

@@ -425,6 +425,18 @@ def test_min_gap_refuses_oversized_scan(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         gap.min_gap_numeric(np.ones(4), grid_n=32)
 
+    # at its own value, 2^31 = 2,147,483,648: at d = 4, 1290^3 = 2,146,689,000
+    # points reach the scan, stood in for by one that records its start, and
+    # 1291^3 = 2,151,685,171 are refused before it
+    monkeypatch.undo()
+    started = []
+    monkeypatch.setattr(gap, "_grid_start",
+                        lambda J, grid_n: started.append(grid_n) or np.zeros(J.size - 1))
+    gap.min_gap_numeric(np.ones(5), grid_n=1290)
+    with pytest.raises(ValueError, match="too large"):
+        gap.min_gap_numeric(np.ones(5), grid_n=1291)
+    assert started == [1290]
+
 
 def _grid_start_per_slice(J, grid_n):
     """The scan as first written, a fresh slice and temporaries per step: the
@@ -851,6 +863,12 @@ def test_gap_report_fields():
     assert rep.margin == -1.0
     assert rep.zero_phi is None
     assert abs(rep.min_numeric - 2.0) < 1e-9
+
+    # margin exactly 0: on the boundary the bands touch zero, as has_zero says
+    rep = gap.gap_report([1.0, 0.5, 0.5])
+    assert rep.margin == 0.0
+    assert rep.has_zero is True
+    assert rep.zero_phi is not None
 
 
 def test_barycentric_grid_counts():

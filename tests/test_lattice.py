@@ -148,6 +148,11 @@ def test_covering_map():
     t = lattice.build_torus(2, 2)
     assert lattice.covering_map(t, lattice.Vertex(mu=(1, 1), s=0)) == 0
     assert lattice.covering_map(t, lattice.Vertex(mu=(0, 1), s=1)) == 1
+    # a vertex given with numpy ints is indexed and projected to Python ints,
+    # which json writes (it refuses numpy's int64)
+    index = t.index(lattice.Vertex((np.int64(1), 0), 1))
+    base = lattice.covering_map(t, lattice.Vertex((0, 0), np.int64(1)))
+    assert json.dumps([index, base]) == "[6, 1]"
     for e in edges(t):
         assert lattice.covering_map(t, e) == e.direction
     with pytest.raises(KeyError):

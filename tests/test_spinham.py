@@ -231,9 +231,8 @@ def test_admitted_spin_tori():
     assert admitted == want
 
 
-# the next torus past the largest admitted one at d = 2047, 2 and 3; at d = 1,
-# N = 1025 is refused by the torus's own budget first
-@pytest.mark.parametrize("d,N", [(2048, 1), (2, 25), (3, 9)])
+# the next torus past the largest admitted one at d = 2047, 1, 2 and 3
+@pytest.mark.parametrize("d,N", [(2048, 1), (1, 1025), (2, 25), (3, 9)])
 def test_spin_model_refused_past_the_string_budget(d, N):
     with pytest.raises(ValueError, match=f"spin model on torus d={d}, N={N} is over the budget"):
         spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))

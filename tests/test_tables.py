@@ -298,7 +298,11 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     ["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1,1,1", "--format", "json"],
     ["gapmap", "--d", "4", "--resolution", "400"],
     ["gapmap", "--d", "1000000000", "--resolution", "1000000000"],
-    ["lattice", "--d", "2", "--N", "33"],
+    # one torus refusal per routine that allocates: the torus's edge arrays
+    # (4,198,401 entries), the hopping form (4,743,684) and the spin strings
+    ["lattice", "--d", "2", "--N", "683"],
+    ["verify", "--d", "2", "--N", "33", "--draws", "1"],
+    ["verify-algebra", "--d", "2", "--N", "33"],
     ["lattice", "--d", "100000000", "--N", "1"],
     ["verify", "--d", "3", "--N", "100", "--draws", "1"],
     ["verify-algebra", "--d", "2048"],
@@ -326,12 +330,19 @@ def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
 
 
 def test_list_and_seed_errors_name_their_option(capsys):
+    budget = "is over the budget of 4194304 entries"
     for argv, message in [
         (["verify-algebra", "--d", "2", "--J", "1,,1,1"], "could not parse --J list '1,,1,1'"),
         (["bands", "--d", "2", "--J", "1,1,1", "--t="], "could not parse --t list ''"),
         (["verify", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["verify-algebra", "--d", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["gap", "--d", "2", "--J", "1,1,1", "--grid", "1"], "--grid must be >= 2, got 1"),
+        # a torus is refused by the routine that counts it: lattice by its edge
+        # arrays, verify by its hopping form, verify-algebra by its spin strings
+        (["lattice", "--d", "2", "--N", "683"], f"torus d=2, N=683 {budget}"),
+        (["verify", "--d", "2", "--N", "33", "--draws", "1"],
+         f"hopping form of torus d=2, N=33 {budget}"),
+        (["verify-algebra", "--d", "2", "--N", "33"], f"spin model on torus d=2, N=33 {budget}"),
     ]:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -348,9 +359,10 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: spectrum.bz_grid(3, 4), 4**3 * 3),
         (lambda: gap.barycentric_grid(2, 4), 15 * 3),
         (lambda: "\n".join(gap.gapmap_csv_lines(2, 4)).split("\n"), 15 * 3),
-        (lambda: lattice.build_torus(2, 2), 8 * 8),
-        # one cell: its three edge arrays of 41 entries pass its 2 x 2 hopping form
+        # three edge arrays of 4 cells times 3 directions
+        (lambda: lattice.build_torus(2, 2), 3 * 4 * 3),
         (lambda: lattice.build_torus(40, 1), 3 * 41),
+        (lambda: spectrum.quadratic_form(torus_2_2, np.ones(3)), 8 * 8),
         # a hand-made torus of 2^3 cells and one edge: 16 vertices of 4 coordinates
         (lambda: lattice.torus_to_dict(lattice.DiamondTorus(3, 2, [8], [0], [1])), 16 * 4),
         # alpha is 3 x 4 and beta 4 x 4
