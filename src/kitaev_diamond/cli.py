@@ -321,13 +321,15 @@ def verify_ops_payload(system) -> dict:
 
 
 def cmd_verify_algebra(args) -> int:
+    """The spin model's identity report.  Its strings are counted from (d, N) and
+    --J is parsed before the torus is built, so no refusal allocates a torus."""
     check_size(args.seed, 0, "--seed")
-    torus = build_torus(args.d, args.N)
+    spinham._strings_in_budget(args.d, args.N)
     if args.J is not None:
         J = spectrum.as_couplings(_parse_floats(args.J, "--J"), d=args.d)
     else:
         J = _draw(args.seed, args.d, 0)
-    system = spinham.build_spin_hamiltonian(torus, J)
+    system = spinham.build_spin_hamiltonian(build_torus(args.d, args.N), J)
     payload = verify_ops_payload(system)
     payload.update({"d": args.d, "N": args.N, "J": list(J)})
     _emit_lines([_json(payload)], args.out)

@@ -8,9 +8,10 @@ the edge label.  Every term, link operator and the parity is a Pauli string
 on the joint register, built in one step from one build of the `clifford`
 site strings; the strings are the only stored form of the model.  They
 depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
-read them through one gate, `_strings`: it checks the budgets (E edge
-strings of `_qubits` qubits, and the d + 2 site generators, each within
-ENTRY_BUDGET) and then reads the one memo of the MEMO_SIZE tori last used,
+read them through one gate, `_strings`: it counts the model from (d, N) and the
+torus's edges with `_strings_in_budget` (E strings of `_qubits` qubits, then the
+d + 2 site generators, each within ENTRY_BUDGET), which `cli` asks before it
+builds a torus, and then reads the one memo of the MEMO_SIZE tori last used,
 `_torus_strings`, keyed by the torus itself: an equal torus hits and skips
 the string build, and a refused torus never reaches it; a torus checked its
 own d, N and edges when made.  H's matrix is
@@ -45,7 +46,7 @@ from .clifford import (
     _width,
     joint_plus_dimension,
 )
-from .lattice import MEMO_SIZE, DiamondTorus, check_budget, grid_count
+from .lattice import MEMO_SIZE, DiamondTorus, check_budget, check_size, grid_count
 from .spectrum import FLOAT_MAX, _edge_couplings
 
 
@@ -107,15 +108,27 @@ def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
     return tuple(_on_sites(site_strings[label - 1], (frm, to), n) for frm, to, label in edges)
 
 
-def _qubits(torus: DiamondTorus) -> int:
+def _qubits(d: int, N: int) -> int:
     """Qubits of the joint register: d//2 + 1 on each of the 2 N^d sites."""
-    return 2 * torus.n_cells * (torus.d // 2 + 1)
+    return 2 * grid_count(N, d) * (d // 2 + 1)
 
 
 def hamiltonian_fits(torus: DiamondTorus) -> bool:
     """Whether H's matrix on torus, 2^qubits rows times E edge columns, fits
     ENTRY_BUDGET: the count `SpinSystem.hamiltonian` is refused past."""
-    return grid_count(2, _qubits(torus)) * torus.label.size <= lattice.ENTRY_BUDGET
+    return grid_count(2, _qubits(torus.d, torus.N)) * torus.label.size <= lattice.ENTRY_BUDGET
+
+
+def _strings_in_budget(d: int, N: int, edges: int | None = None) -> None:
+    """Refuse the spin model of the (d, N) torus, before anything is built, unless
+    its E edge strings of `_qubits` qubits and then the d + 2 site generators a memo
+    miss builds fit ENTRY_BUDGET, read when called.  d and N are checked as
+    `build_torus` checks them; E is the built torus's (d + 1) N^d, which makes the
+    first bound the second, unless edges, a hand-made torus's own count, is given."""
+    d, N = check_size(d, 1, "dimension"), check_size(N, 1, "torus size")
+    E = (d + 1) * grid_count(N, d) if edges is None else edges
+    check_budget(E * _qubits(d, N), f"spin model on torus d={d}, N={N}")
+    _generator_count(d + 2)
 
 
 def link_operators(torus: DiamondTorus) -> tuple[PauliString, ...]:
@@ -148,12 +161,8 @@ def build_spin_hamiltonian(torus: DiamondTorus, J) -> SpinSystem:
 
 def _strings(torus: DiamondTorus):
     """The torus's term strings, link operators and parity, refused before the
-    memo is reached unless its E edge strings times `_qubits` fit ENTRY_BUDGET
-    and so do the d + 2 site generators a miss builds (E = (d + 1) N^d makes the
-    first bound the second; a hand-made torus need not)."""
-    d, N = torus.d, torus.N
-    check_budget(torus.label.size * _qubits(torus), f"spin model on torus d={d}, N={N}")
-    _generator_count(d + 2)
+    memo is reached by `_strings_in_budget` with the torus's own edge count."""
+    _strings_in_budget(torus.d, torus.N, torus.label.size)
     return _torus_strings(torus)
 
 

@@ -606,6 +606,26 @@ def test_column_limit_keeps_every_column_that_can_hold_the_first_minimum(d, grid
     assert dropped > 0
 
 
+def test_column_limit_follows_its_documented_rule():
+    """At d = 5, grid 48 the tail's 110,592 points are sampled every
+    max(7, size >> 12) | 1 = 27th, where >> 13 would sample every 13th and pick
+    another column on this draw, and the limit is r + best0 with a slack of
+    64 eps sum |J|, where 65 eps would move its bits."""
+    J = _scaled(_oracle_draw(np.random.default_rng(3500), 5, "gapped"))
+    lead, tail = _lead_and_tail(J, 48)
+    keys, Jd = _keys(J, tail), abs(J[-1])
+
+    def limit(step, slack):
+        k = int(keys[::step].argmin()) * step
+        best0 = np.abs(np.abs(lead + tail[k]) - Jd).min()
+        return k, min(abs(J[1]), Jd) + (best0 + slack * np.finfo(float).eps * np.abs(J).sum())
+
+    assert tail.size == 110_592 and max(7, tail.size >> 12) | 1 == 27
+    column, want = limit(27, 64)
+    assert gap._column_limit(J, lead, tail) == want < np.inf
+    assert limit(13, 64)[0] != column and limit(27, 65)[1] != want
+
+
 def test_column_limit_on_a_wide_gap_keeps_almost_nothing():
     J = np.array([4.0, 0.5, 0.5, 0.5, 0.5])
     lead, tail = _lead_and_tail(J, 48)

@@ -238,6 +238,19 @@ def test_spin_model_refused_past_the_string_budget(d, N):
         spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1))
 
 
+def test_hand_made_torus_is_refused_by_its_own_edge_count(monkeypatch):
+    """The (2, 2) torus's 12 edge strings of 16 qubits fit 192 entries; the same
+    torus with one parallel edge more claims 13 and is refused."""
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 192)
+    torus = build_torus(2, 2)
+    assert len(spinham.link_operators(torus)) == 12
+    extra = lattice.DiamondTorus(2, 2, [*torus.frm.tolist(), 4], [*torus.to.tolist(), 0],
+                                 [*torus.label.tolist(), 1])
+    for build in (spinham.link_operators, lambda t: spinham.build_spin_hamiltonian(t, J2)):
+        with pytest.raises(ValueError, match="^spin model on torus d=2, N=2 is over the budget"):
+            build(extra)
+
+
 def test_hamiltonian_refused_before_any_allocation(monkeypatch):
     """d = 16, N = 1 is built (17 strings of 18 qubits); the 2^18 x 17 entries
     of its matrix are refused before the expansion allocates them."""

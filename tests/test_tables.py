@@ -292,7 +292,7 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     assert np.isfinite(big).any()
 
 
-@pytest.mark.parametrize("argv", [
+REFUSALS = [
     ["bands", "--d", "6", "--J", "1,1,1,1,1,1,1", "--grid", "64"],
     ["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1", "--grid", "4"],
     ["bands", "--d", "2", "--J", "1,1,1", "--t", "1,1,1,1", "--format", "json"],
@@ -319,14 +319,52 @@ def test_scaled_amplitude_is_exact_where_nothing_overflows():
     # a seed is a size >= 0
     ["verify", "--d", "2", "--seed", "-1"],
     ["verify-algebra", "--d", "2", "--seed", "-1"],
-])
-def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
+    # edge arrays that fit and spin strings that do not: the largest torus at
+    # d = 2, and the first past the strings' edge at d = 1
+    ["verify-algebra", "--d", "2", "--N", "682"],
+    ["verify-algebra", "--d", "1", "--N", "1025"],
+]
+
+
+def _refused_before_any_output(capsys, tmp_path, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     target = tmp_path / "out.txt"
     assert cli.main(argv + ["--out", str(target)]) == 2
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", REFUSALS)
+def test_refusals_exit_2_before_any_output(capsys, tmp_path, argv):
+    _refused_before_any_output(capsys, tmp_path, argv)
+
+
+def _no_torus(*args):
+    raise AssertionError(f"a torus was built: {args}")
+
+
+@pytest.mark.parametrize("argv", [a for a in REFUSALS if a[0] == "verify-algebra"])
+def test_verify_algebra_refuses_before_it_builds_a_torus(monkeypatch, capsys, tmp_path, argv):
+    """The spin model is counted from (d, N) and --J parsed first, so no
+    refusal of verify-algebra allocates a torus."""
+    monkeypatch.setattr(cli, "build_torus", _no_torus)
+    _refused_before_any_output(capsys, tmp_path, argv)
+
+
+def test_verify_algebra_counts_its_strings_at_the_exact_edge(monkeypatch, capsys):
+    """(2, 2) has 12 edge strings of 16 qubits: 192 entries print the report,
+    191 are refused before any torus is built."""
+    argv = ["verify-algebra", "--d", "2", "--N", "2"]
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 192)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    monkeypatch.setattr(lattice, "ENTRY_BUDGET", 191)
+    monkeypatch.setattr(cli, "build_torus", _no_torus)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spin model on torus d=2, N=2 is over the budget of 191 entries\n"
 
 
 def test_list_and_seed_errors_name_their_option(capsys):
@@ -343,6 +381,8 @@ def test_list_and_seed_errors_name_their_option(capsys):
         (["verify", "--d", "2", "--N", "33", "--draws", "1"],
          f"hopping form of torus d=2, N=33 {budget}"),
         (["verify-algebra", "--d", "2", "--N", "33"], f"spin model on torus d=2, N=33 {budget}"),
+        # and counts them before it builds the torus, whose edge arrays are over too
+        (["verify-algebra", "--d", "2", "--N", "683"], f"spin model on torus d=2, N=683 {budget}"),
     ]:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
