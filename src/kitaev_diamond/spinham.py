@@ -5,18 +5,21 @@ factor v, the first most significant as in np.kron: a site string of width
 qubits sits there shifted left by (n - 1 - v) * width bits.  The model
 couples the two endpoints of every edge through the spin component matching
 the edge label.  Every term, link operator and the parity is a Pauli string
-on the joint register, built in one step from one build of the `clifford`
-site strings; the strings are the only stored form of the model.  They
-depend on the torus alone, so `build_spin_hamiltonian` and `link_operators`
-read them through one gate, `_strings`: it counts the model from (d, N) and the
-torus's edges with `_strings_in_budget` (E strings of `_qubits` qubits, then the
-d + 2 site generators, each within ENTRY_BUDGET), which `cli` asks before it
-builds a torus, and then reads the one memo of the MEMO_SIZE tori last used,
-`_torus_strings`, keyed by the torus itself: an equal torus hits and skips
-the string build, and a refused torus never reaches it; a torus checked its
-own d, N and edges when made.  H's matrix is
-expanded on request by `clifford`, which holds the one string-to-matrix
-expansion and its budget, and `hamiltonian_fits` tells whether it is admitted.
+on the joint register: a `clifford` site string times a slot mask of one bit
+per tensor factor it covers (`_placed`), so a memo miss places each edge's
+term and link from one two-bit mask in one pass over the edges, and the
+parity from the mask of every factor.  The strings are the only stored form
+of the model and depend on the torus alone, so `build_spin_hamiltonian` and
+`link_operators` read them through one gate, `_strings`: it counts the model
+from (d, N) and the torus's edges with `_strings_in_budget` (max(E, 1)
+strings of `_qubits` qubits, then the d + 2 site generators, each within
+ENTRY_BUDGET), which `cli` asks before it builds a torus, and then reads the
+one memo of the MEMO_SIZE tori last used, `_torus_strings`, keyed by the
+torus itself: an equal torus hits and skips the string build, and a refused
+torus never reaches it; a torus checked its own d, N and edges when made.
+H's matrix is expanded on request by `clifford`, which holds the one
+string-to-matrix expansion and its budget, and `hamiltonian_fits` tells
+whether it is admitted.
 The strings' entries are 0, +-1, +-i, so every conserved-quantity identity
 below holds exactly, not just to rounding.  The identities and the
 joint +1 sector of the links and the parity (a GF(2) rank) are read off the
@@ -90,22 +93,12 @@ class SpinSystem:
                             f"spin model on torus d={self.torus.d}, N={self.torus.N}")
 
 
-def _on_sites(s: PauliString, sites, n_sites: int) -> PauliString:
-    """Site string s on each of the distinct tensor factors sites of n_sites,
-    as one string: its masks copied to every factor's slot and its phase
-    counted once per site (a Z on one factor never meets an X on another)."""
-    slots = 0
-    for v in sites:
-        slots |= 1 << (n_sites - 1 - v) * s.n
-    return PauliString(n_sites * s.n, s.x * slots, s.z * slots, s.phase * len(sites) % 4)
-
-
-def _edge_strings(site_strings, torus: DiamondTorus) -> tuple[PauliString, ...]:
-    """site_strings[label - 1] on both endpoints of every edge, in edge order."""
-    n = 2 * torus.n_cells
-    # Python ints: the masks pass 64 bits, so no numpy int may shift them
-    edges = zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist())
-    return tuple(_on_sites(site_strings[label - 1], (frm, to), n) for frm, to, label in edges)
+def _placed(s: PauliString, slots: int, count: int, n: int) -> PauliString:
+    """Site string s on the count distinct tensor factors of n whose lowest
+    qubits are the set bits of slots, as one string: its masks copied to every
+    factor by one multiplication and its phase counted once per factor (a Z on
+    one factor never meets an X on another)."""
+    return PauliString(n * s.n, s.x * slots, s.z * slots, s.phase * count % 4)
 
 
 def _qubits(d: int, N: int) -> int:
@@ -121,13 +114,13 @@ def hamiltonian_fits(torus: DiamondTorus) -> bool:
 
 def _strings_in_budget(d: int, N: int, edges: int | None = None) -> None:
     """Refuse the spin model of the (d, N) torus, before anything is built, unless
-    its E edge strings of `_qubits` qubits and then the d + 2 site generators a memo
-    miss builds fit ENTRY_BUDGET, read when called.  d and N are checked as
-    `build_torus` checks them; E is the built torus's (d + 1) N^d, which makes the
-    first bound the second, unless edges, a hand-made torus's own count, is given."""
+    its E edge strings of `_qubits` qubits (at least one: a miss builds the parity)
+    and then the d + 2 site generators fit ENTRY_BUDGET, read when called.  d and N
+    are checked as `build_torus` checks them; E is edges, a hand-made torus's own
+    count, if given, else the built torus's (d + 1) N^d, which makes the first bound the second."""
     d, N = check_size(d, 1, "dimension"), check_size(N, 1, "torus size")
     E = (d + 1) * grid_count(N, d) if edges is None else edges
-    check_budget(E * _qubits(d, N), f"spin model on torus d={d}, N={N}")
+    check_budget(max(E, 1) * _qubits(d, N), f"spin model on torus d={d}, N={N}")
     _generator_count(d + 2)
 
 
@@ -177,10 +170,16 @@ def _strings(torus: DiamondTorus):
 def _torus_strings(torus: DiamondTorus):
     """The term strings, link operators and parity of every torus equal to this
     one, from one build of the Cl_{d+2} site strings."""
-    n_sites = 2 * torus.n_cells
+    n = 2 * torus.n_cells
     generators, spins, D = _site_strings(torus.d + 2)
-    return (_edge_strings(spins, torus), _edge_strings(generators, torus),
-            _on_sites(D, range(n_sites), n_sites))
+    terms, links = [], []
+    # Python ints: the masks pass 64 bits, so no numpy int may shift them
+    for frm, to, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist()):
+        slots = 1 << (n - 1 - frm) * D.n | 1 << (n - 1 - to) * D.n
+        terms.append(_placed(spins[label - 1], slots, 2, n))
+        links.append(_placed(generators[label - 1], slots, 2, n))
+    # every factor's slot: the repunit (2^(n w) - 1) / (2^w - 1) in base 2^w, w = D.n
+    return tuple(terms), tuple(links), _placed(D, ((1 << n * D.n) - 1) // ((1 << D.n) - 1), n, n)
 
 
 def plus_sector_dimension(system: SpinSystem) -> int:

@@ -278,6 +278,16 @@ def test_a_pickled_or_copied_torus_is_made_through_its_check(rebuilt):
         assert np.array_equal(spectrum.quadratic_form(copied, J), spectrum.quadratic_form(t, J))
 
 
+def test_a_torus_equals_no_other_kind_of_object():
+    """Against a non-torus `__eq__` returns NotImplemented, so == falls back to
+    identity: a torus equals neither a plain object nor its own content tuple."""
+    torus = lattice.build_torus(2, 1)
+    assert torus.__eq__(object()) is NotImplemented
+    assert not torus == object()
+    assert torus != object()
+    assert torus != torus._content and not torus == torus._content
+
+
 def test_a_torus_keeps_its_edges_when_the_base_of_a_view_is_written():
     """A read-only view of an array the caller can still write, and a
     broadcast view, are read back into the torus's own bytes: writing the

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -159,33 +160,87 @@ def test_single_site_strings_match_kron_chains():
             assert np.array_equal(got.to_dense(), want)
 
 
+def hand_made_variants(torus):
+    """The torus with its first edge reversed, with it relabelled, and with a
+    second copy of it under another label beside it."""
+    frm, to, label = (a.tolist() for a in (torus.frm, torus.to, torus.label))
+    other = label[0] % (torus.d + 1) + 1
+    make = functools.partial(lattice.DiamondTorus, torus.d, torus.N)
+    return [make([to[0], *frm[1:]], [frm[0], *to[1:]], label),
+            make(frm, to, [other, *label[1:]]),
+            make([frm[0], *frm], [to[0], *to], [other, *label])]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_one_step_strings_match_on_site_products(d, N):
-    """Each edge string and the parity, built in one step, equal the product
-    of the site strings shifted to their tensor slots."""
-    torus = build_torus(d, N)
-    n = 2 * torus.n_cells
-    for site_strings in (clifford.spin_ops(d), clifford.majorana_rep(d + 2)):
-        want = tuple(
-            on_site(site_strings[label - 1], frm, n) * on_site(site_strings[label - 1], to, n)
-            for frm, to, label in edges(torus)
-        )
-        assert spinham._edge_strings(site_strings, torus) == want
-    # the parity is built with the model
+    """Every term string, link operator and the parity, as the model and
+    `link_operators` give them, equal the product of the site strings shifted
+    to their tensor slots, on the built torus and on hand-made ones with a
+    reversed, a relabelled and a parallel edge."""
     D = clifford.d_operator(d)
-    parity = clifford.PauliString(D.n * n)
-    for v in range(n):
-        parity = parity * on_site(D, v, n)
-    assert spinham.build_spin_hamiltonian(torus, np.ones(d + 1)).parity == parity
+    for torus in (build_torus(d, N), *hand_made_variants(build_torus(d, N))):
+        n = 2 * torus.n_cells
+        system = spinham.build_spin_hamiltonian(torus, np.ones(d + 1))
+        for got, site_strings in ((system.term_strings, clifford.spin_ops(d)),
+                                  (spinham.link_operators(torus), clifford.majorana_rep(d + 2))):
+            assert got == tuple(
+                on_site(site_strings[label - 1], frm, n) * on_site(site_strings[label - 1], to, n)
+                for frm, to, label in edges(torus)
+            )
+        parity = clifford.PauliString(D.n * n)
+        for v in range(n):
+            parity = parity * on_site(D, v, n)
+        assert system.parity == parity
+
+
+def test_an_edgeless_torus_has_no_links_and_the_parity_on_every_factor():
+    """A hand-made (3, 60) torus without edges: no link, and the parity is D
+    on all 432,000 factors, its z mask D's repeated factor by factor."""
+    e = np.array([], dtype=np.int64)
+    torus = lattice.DiamondTorus(3, 60, e, e, e)
+    assert spinham.link_operators(torus) == ()
+    D, n = clifford.d_operator(3), 2 * 60**3
+    parity = spinham._strings(torus)[2]
+    assert (parity.n, parity.x, parity.phase) == (n * D.n, 0, D.phase * n % 4)
+    assert parity.z == int(format(D.z, f"0{D.n}b") * n, 2)
+
+
+def test_an_edgeless_torus_counts_its_parity_string(monkeypatch):
+    """A miss builds the parity on a torus without edges too, so the gate
+    counts one string of `_qubits` qubits: (3, 200) has 32,000,000 and is
+    refused before the memo is reached; (3, 60) and (3, 90) are admitted."""
+    e = np.array([], dtype=np.int64)
+
+    def build(torus):
+        raise AssertionError("the strings were built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spinham, "_torus_strings", build)
+        with pytest.raises(ValueError, match="^spin model on torus d=3, N=200 is over the budget"):
+            spinham.link_operators(lattice.DiamondTorus(3, 200, e, e, e))
+    for N in (60, 90):
+        assert spinham.link_operators(lattice.DiamondTorus(3, N, e, e, e)) == ()
 
 
 def test_site_and_register_dims():
-    """A site holds 2^(d//2 + 1) dimensions and the register their 2 N^d-th power."""
+    """A site holds 2^(d//2 + 1) dimensions and the register their 2 N^d-th
+    power; `_qubits` counts the width the strings are placed on."""
     for d, site_dim, total_dim in [(2, 4, 16), (3, 4, 16), (4, 8, 64)]:
         system = spinham.build_spin_hamiltonian(build_torus(d, 1), np.ones(d + 1))
         assert 1 << clifford.d_operator(d).n == site_dim
         assert system.total_dim == total_dim
+    e = np.array([], dtype=np.int64)
+    for d in range(1, 17):
+        for N in (1, 2):
+            width = spinham._qubits(d, N)
+            assert width == 2 * N**d * clifford.d_operator(d).n
+            # the built model where its strings fit, its edgeless twin elsewhere
+            if (d + 1) * N**d * width <= lattice.ENTRY_BUDGET:
+                parity = spinham.build_spin_hamiltonian(build_torus(d, N), np.ones(d + 1)).parity
+            else:
+                parity = spinham._strings(lattice.DiamondTorus(d, N, e, e, e))[2]
+            assert parity.n == width
 
 
 def test_hamiltonian_fits_refuses_3_2_and_admits_2_2():
