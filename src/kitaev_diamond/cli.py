@@ -11,9 +11,9 @@ before it opens the output, so a refused request leaves no partial output
 and no file.  `verify` alone opens its output itself, after its argument
 checks and before its sweep.  A JSON report is one block, and a non-finite
 value in it is refused by the name of its top-level field.  The JSON tables of
-`bands` and `lattice` stream: their frames are json's own text, and their rows
-and records are printed from the table's columns, in the bytes `_json` gives
-the whole table.
+`bands` and `lattice` stream from the modules that own them,
+`spectrum.band_json_lines` and `lattice._torus_json_lines`: cli formats no row
+or record of them.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import sys
 import numpy as np
 
 from . import gap as gap_mod
-from . import spectrum, spinham
-from .lattice import build_torus, check_size, torus_to_dict
+from . import lattice, spectrum, spinham
+from .lattice import build_torus, check_size
 
 BLOCH_TOL = 1e-8
 ALGEBRA_TOL = 1e-12
@@ -142,28 +142,8 @@ def cmd_gapmap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    _emit_lines(_torus_lines(torus_to_dict(build_torus(args.d, args.N))), args.out)
+    _emit_lines(lattice._torus_json_lines(build_torus(args.d, args.N)), args.out)
     return 0
-
-
-def _torus_lines(payload: dict):
-    """_json(payload)'s text for `torus_to_dict`'s payload, in five chunks: the frame from
-    _json with both lists empty, and each list's records from one template, the record's
-    kind as _json lays it out two levels deep with each int and float a %r slot (json
-    prints either as its repr; every position is finite)."""
-    head, middle, tail = _json({**payload, "vertices": [], "edges": []}).split("[]")
-    vertices, edges = payload["vertices"], payload["edges"]
-    vertex, edge = map(_record_template, (vertices[0], edges[0]))
-    yield head + "["
-    yield ",\n".join([vertex % (*v["mu"], v["s"], *v["pos"]) for v in vertices])
-    yield "  ]" + middle + "["
-    yield ",\n".join(map(edge.__mod__, map(tuple, map(dict.values, edges))))
-    yield "  ]" + tail
-
-
-def _record_template(record: dict) -> str:
-    slots = {k: ["%r"] * len(v) if isinstance(v, list) else "%r" for k, v in record.items()}
-    return "    " + _json(slots).replace('"%r"', "%r").replace("\n", "\n    ")
 
 
 def cmd_verify(args) -> int:

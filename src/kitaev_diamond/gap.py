@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MEMO_SIZE, check_budget, check_size, grid_count, place_values, simplex_count
-from .spectrum import ROW_BLOCK, TWO_PI, as_couplings, as_phases, csv_floats, range_exponent
-from .spectrum import _as_real
+from .lattice import MEMO_SIZE, ROW_BLOCK, check_budget, check_size, grid_count, place_values
+from .lattice import simplex_count
+from .spectrum import TWO_PI, _as_real, as_couplings, as_phases, csv_floats, range_exponent
 
 # Relative slack that routes numerically degenerate (collinear) polygons to
 # the exact collinear solution instead of a zero-area construction.

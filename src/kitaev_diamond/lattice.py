@@ -5,10 +5,13 @@ group is generated by alpha_i = e_i - e_{d+1}; the two sublattices are the
 lattice points themselves and their translate by the centering vector p.
 Every vertex has d+1 nearest neighbours, reached along the bond vectors
 beta_0, ..., beta_d which sum to zero and share a common length.
+
+The torus's JSON is here: `torus_to_dict`, and the text `lattice` prints (`_torus_json_lines`).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,6 +27,8 @@ ENTRY_BUDGET = 1 << 22
 # of spin strings and of identity-check facts, and gap's of restart offsets.  The
 # 14 one-cell spin tori d = 2..15 fit, so a pass over them hits.
 MEMO_SIZE = 16
+# Rows of a table, or records of the torus's JSON, formatted per block.
+ROW_BLOCK = 1 << 14
 # Exponents and binomial depths are capped here when counting: past it every
 # count is over the budget anyway, unless it is exactly 1.
 _COUNT_CAP = 64
@@ -315,24 +320,52 @@ def check_fundamental_domain(basis: LatticeBasis, i: int) -> FundamentalDomainCh
     return FundamentalDomainCheck(t1=t1, t2=t2, residual1=res1, residual2=res2)
 
 
-def torus_to_dict(torus: DiamondTorus) -> dict:
-    """JSON-ready description of the torus, refused first when its 2N^d (d+1) vertex
-    coordinates are over ENTRY_BUDGET: mu @ alpha + s*p for all vertices in one product,
-    mu the digits of the cell ranks, exact as the entries of alpha are 0 and +-1."""
+def _vertex_table(torus: DiamondTorus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each vertex's mu, the digits of its cell rank, its s, and its position mu @ alpha + s*p,
+    all in one product; refused first when the 2N^d (d+1) coordinates are over ENTRY_BUDGET."""
     d, N = torus.d, torus.N
     check_budget(2 * grid_count(N, d) * (d + 1), f"embedding of torus d={d}, N={N}")
     basis = make_basis(d)
     L = torus.n_cells
     mu = np.arange(2 * L)[:, None] % L // np.array(place_values(N, d)) % N
-    s = np.repeat([0.0, 1.0], L)
-    pos = (mu.astype(float) @ basis.alpha + s[:, None] * basis.p).tolist()
+    s = np.repeat([0, 1], L)
+    return mu, s, mu.astype(float) @ basis.alpha + s[:, None] * basis.p
+
+
+def torus_to_dict(torus: DiamondTorus) -> dict:
+    """JSON-ready description of the torus, its vertices from `_vertex_table`."""
+    mu, s, pos = _vertex_table(torus)
     return {
-        "d": d, "N": N,
+        "d": torus.d, "N": torus.N,
         "vertices": [
-            {"mu": m, "s": i // L, "pos": x} for i, (m, x) in enumerate(zip(mu.tolist(), pos))
+            {"mu": m, "s": b, "pos": x} for m, b, x in zip(mu.tolist(), s.tolist(), pos.tolist())
         ],
         "edges": [
             {"from": f, "to": t, "direction": label - 1, "label": label}
             for f, t, label in zip(torus.frm.tolist(), torus.to.tolist(), torus.label.tolist())
         ],
     }
+
+
+def _torus_json_lines(torus: DiamondTorus):
+    """json.dumps(torus_to_dict(torus), indent=2) without the dict: json's frame with both
+    lists empty, then each list's records, from one template filled from `_vertex_table` or
+    the edge arrays, in blocks of up to ROW_BLOCK; an empty list is json's "[]"."""
+    d, N = torus.d, torus.N
+    mu, s, pos = _vertex_table(torus)
+    head, middle, tail = json.dumps(dict(d=d, N=N, vertices=[], edges=[]), indent=2).split("[]")
+    lists = [({"mu": ["%r"] * d, "s": "%r", "pos": ["%r"] * (d + 1)}, [*mu.T, s, *pos.T], middle),
+             (dict.fromkeys(["from", "to", "direction", "label"], "%r"),
+              [torus.frm, torus.to, torus.label - 1, torus.label], tail)]
+    text = head
+    for slots, columns, after in lists:
+        # a record two levels deep; json prints an int or a finite float as its repr
+        record = "    " + json.dumps(slots, indent=2).replace('"%r"', "%r").replace("\n", "\n    ")
+        n = len(columns[0])
+        if n:
+            yield text + "["
+        for start in range(0, n, ROW_BLOCK):
+            rows = zip(*[c[start : start + ROW_BLOCK].tolist() for c in columns])
+            yield ",\n".join(map(record.__mod__, rows)) + ("," if start + ROW_BLOCK < n else "")
+        text = ("  ]" if n else text + "[]") + after
+    yield text

@@ -21,11 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice
-from .lattice import DiamondTorus, check_budget, check_size, grid_count, place_values
+from .lattice import ROW_BLOCK, DiamondTorus, check_budget, check_size, grid_count, place_values
 
 TWO_PI = 2.0 * np.pi
-# Rows of a table formatted per block.
-ROW_BLOCK = 1 << 14
 FLOAT_MAX = float(np.finfo(float).max)
 
 

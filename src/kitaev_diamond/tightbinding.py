@@ -3,7 +3,8 @@
 One orbital per sublattice, hopping t_l across the bonds with label l.  The
 band amplitude r(phi) = t_1 + sum_i t_{i+1} e^{i phi_i} mirrors the spin
 model's f up to the substitution t = 2J, which makes the two spectra agree
-identically; `compare_models` measures exactly that.
+identically.  `compare_models` checks only that doubling of one routine,
+`spectrum._bloch_sum` at J and 2J; `verify` checks the identification itself.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ def tb_energy(t, phi) -> tuple:
 def compare_models(J, phi_samples) -> float:
     """Max |xi_plus - E_plus| over the samples under the matching t = 2J.
 
-    The doubling commutes exactly with floating-point evaluation, so the
-    returned deviation is zero up to (at most) one rounding unit.  J is
-    scaled by `range_exponent`, so 2J stays finite, and the deviation
-    scaled back.
+    Both sides run `_bloch_sum`, so this checks its doubling, not the models'
+    identification, which `verify` checks.  The doubling commutes exactly with
+    floating-point evaluation, so the returned deviation is zero up to (at most)
+    one rounding unit.  J is scaled by `range_exponent`, so 2J stays finite, and
+    the deviation scaled back.
     """
     J = as_couplings(J)
     phi_samples = np.atleast_2d(phi_samples)

@@ -332,12 +332,14 @@ def test_the_hopping_form_counts_its_own_entries(monkeypatch):
 def test_the_embedding_counts_its_own_coordinates(monkeypatch):
     """A hand-made torus may claim N^d cells with one edge: torus_to_dict refuses
     its 2N^d (d+1) vertex coordinates over the budget before it makes the basis
-    or any array, where it would have built 16,000,000 vertex dicts."""
+    or any array, where it would have built 16,000,000 vertex dicts, and the
+    writer `lattice` prints refuses them on its first chunk."""
     over = lattice.DiamondTorus(3, 200, [1], [0], [1])
 
     def built(d):
-        raise AssertionError(f"torus_to_dict made the basis of d={d} before it counted")
+        raise AssertionError(f"the embedding made the basis of d={d} before it counted")
 
     monkeypatch.setattr(lattice, "make_basis", built)
-    with pytest.raises(ValueError, match="embedding of torus d=3, N=200 is over the budget"):
-        lattice.torus_to_dict(over)
+    for first in (lattice.torus_to_dict, lambda t: next(lattice._torus_json_lines(t))):
+        with pytest.raises(ValueError, match="embedding of torus d=3, N=200 is over the budget"):
+            first(over)

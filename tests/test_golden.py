@@ -19,7 +19,7 @@ import hashlib
 
 import pytest
 
-from kitaev_diamond import cli, spinham
+from kitaev_diamond import cli, lattice, spinham
 
 GOLDEN = {
     ("verify-algebra", "--d", "2", "--seed", "0"):
@@ -95,6 +95,20 @@ def test_stdout_digest(capsys, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+def test_lattice_prints_without_the_library_dict(capsys, monkeypatch):
+    """`lattice` prints from the torus's edge arrays: cli holds no torus_to_dict,
+    and with lattice's broken the benchmark's command prints its pinned bytes."""
+
+    def built(torus):
+        raise AssertionError("lattice built the torus's dict")
+
+    assert not hasattr(cli, "torus_to_dict")
+    monkeypatch.setattr(lattice, "torus_to_dict", built)
+    argv = ("lattice", "--d", "3", "--N", "6")
+    assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN[argv]
 
 
 def test_cold_and_warm_builder_memos_print_the_same_bytes(capsys):

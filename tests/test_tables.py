@@ -211,11 +211,35 @@ def test_bands_json_streams_in_row_blocks():
         assert chunks[0].endswith('"rows": [') and chunks[-1] == "  ]\n}"
 
 
-@pytest.mark.parametrize("d, N", [(1, 1), (1, 5), (2, 3), (3, 6), (5, 2), (40, 1)])
+# (1, 8193) has 16,386 vertices and 16,386 edges: two blocks of each
+@pytest.mark.parametrize("d, N", [(1, 1), (1, 5), (2, 3), (3, 6), (5, 2), (40, 1), (1, 8193)])
 def test_lattice_prints_the_old_routes_bytes(capsys, d, N):
     code = cli.main(["lattice", "--d", str(d), "--N", str(N)])
     assert code == 0
     assert capsys.readouterr().out == old_json(lattice.torus_to_dict(lattice.build_torus(d, N)))
+
+
+def test_lattice_json_streams_in_record_blocks():
+    # the head, one string per block of ROW_BLOCK vertices, the middle, one
+    # string per block of edges, and the tail
+    for d, N in ((1, 1), (1, 8192), (1, 8193), (2, 128), (3, 20)):
+        torus = lattice.build_torus(d, N)
+        chunks = list(lattice._torus_json_lines(torus))
+        vertices = -(-2 * torus.n_cells // lattice.ROW_BLOCK)
+        edges = -(-torus.label.size // lattice.ROW_BLOCK)
+        assert len(chunks) == 1 + vertices + 1 + edges + 1
+        assert chunks[0].endswith('"vertices": [') and chunks[-1] == "  ]\n}"
+        assert chunks[1 + vertices] == '  ],\n  "edges": ['
+
+
+def test_lattice_json_of_an_edgeless_torus_prints_an_empty_list():
+    """A hand-made torus without edges prints "edges": [] as json does: the head,
+    its one block of vertices, and the middle closed by json's empty list."""
+    e = np.array([], dtype=np.int64)
+    torus = lattice.DiamondTorus(3, 2, e, e, e)
+    chunks = list(lattice._torus_json_lines(torus))
+    assert "\n".join(chunks) == json.dumps(lattice.torus_to_dict(torus), indent=2)
+    assert len(chunks) == 3 and chunks[-1] == '  ],\n  "edges": []\n}'
 
 
 def test_tables_across_block_boundaries(capsys, tmp_path, monkeypatch):
@@ -233,6 +257,11 @@ def test_tables_across_block_boundaries(capsys, tmp_path, monkeypatch):
     for r in (4, 5):
         want = "\n".join(ref_gapmap_csv_lines(3, r)) + "\n"
         assert run_cli(capsys, tmp_path, ["gapmap", "--d", "3", "--resolution", str(r)]) == want
+    # and blocks of 7 records: the vertices and the edges of each torus end in a partial block
+    monkeypatch.setattr(lattice, "ROW_BLOCK", 7)
+    for d, N in ((1, 5), (2, 3), (3, 2)):
+        want = old_json(lattice.torus_to_dict(lattice.build_torus(d, N)))
+        assert run_cli(capsys, tmp_path, ["lattice", "--d", str(d), "--N", str(N)]) == want
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-310, 1e300, 1e307])
@@ -395,6 +424,7 @@ def test_t_length_error_names_the_hoppings(capsys):
 
 def test_budget_counts_are_exact(monkeypatch):
     torus_2_2 = lattice.build_torus(2, 2)
+    one_edge = lattice.DiamondTorus(3, 2, [8], [0], [1])
     cases = [
         (lambda: spectrum.bz_grid(3, 4), 4**3 * 3),
         (lambda: gap.barycentric_grid(2, 4), 15 * 3),
@@ -403,8 +433,10 @@ def test_budget_counts_are_exact(monkeypatch):
         (lambda: lattice.build_torus(2, 2), 3 * 4 * 3),
         (lambda: lattice.build_torus(40, 1), 3 * 41),
         (lambda: spectrum.quadratic_form(torus_2_2, np.ones(3)), 8 * 8),
-        # a hand-made torus of 2^3 cells and one edge: 16 vertices of 4 coordinates
-        (lambda: lattice.torus_to_dict(lattice.DiamondTorus(3, 2, [8], [0], [1])), 16 * 4),
+        # a hand-made torus of 2^3 cells and one edge: 16 vertices of 4 coordinates,
+        # in the library's dict and in the writer `lattice` prints
+        (lambda: lattice.torus_to_dict(one_edge), 16 * 4),
+        (lambda: list(lattice._torus_json_lines(one_edge)), 16 * 4),
         # alpha is 3 x 4 and beta 4 x 4
         (lambda: lattice.make_basis(3), 7 * 4),
         # 12 edge strings of 8 sites times 2 qubits
